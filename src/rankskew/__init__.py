@@ -20,6 +20,7 @@ from .analysis import (
 from .errors import (
     CsvFormatError,
     DegenerateX,
+    DuplicateLabel,
     EmptyInput,
     InsufficientOverlap,
     InvalidParams,
@@ -27,14 +28,17 @@ from .errors import (
     MissingRate,
     MomentDoesNotExist,
     NegativeDensity,
+    NonFiniteValue,
     NoRateCoverage,
     RankSkewError,
+    ShapeMismatch,
     SignChangeInWindow,
     SingularWindow,
     TooFewAssets,
     TooFewPoints,
     TooFewRows,
     TooShort,
+    UnsortedDates,
     WrongPeriod,
     ZeroVariance,
 )

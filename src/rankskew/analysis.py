@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateX, SingularWindow, TooFewRows, TooShort
+from .errors import DegenerateX, DuplicateLabel, InvalidParams, SingularWindow, TooFewRows, TooShort
 from .portfolio import Panel
 
 ON_LINE = "on-line"
@@ -33,10 +33,10 @@ class CrossSection:
     def __post_init__(self) -> None:
         names = [r.name for r in self.rows]
         if len(set(names)) != len(names):
-            raise ValueError("duplicate strategy names in cross-section")
+            raise DuplicateLabel("duplicate strategy names in cross-section")
         for r in self.rows:
             if r.err_sharpe < 0 or r.err_zeta_star < 0:
-                raise ValueError(f"{r.name}: negative error bar")
+                raise InvalidParams(f"{r.name}: negative error bar")
 
 
 @dataclass(frozen=True)
@@ -139,6 +139,20 @@ class PcaSpectrum:
     windows: list[WindowSpectrum]
     top_vector_stability: float | None = field(default=None)
 
+    def as_dict(self) -> dict:
+        return {
+            "top_vector_stability": self.top_vector_stability,
+            "windows": [
+                {
+                    "end_date": str(w.end_date),
+                    "assets": list(w.assets),
+                    "eigenvalues": list(w.eigenvalues),
+                    **({"separation": w.separation} if w.separation is not None else {}),
+                }
+                for w in self.windows
+            ],
+        }
+
 
 def _pairwise_corr(block: np.ndarray) -> np.ndarray:
     """Pairwise-complete Pearson correlation matrix of panel columns."""
@@ -171,6 +185,8 @@ def pca_spectrum(panel: Panel, window: int = 252, step: int = 21, min_coverage: 
     """
     if len(panel.assets) < 2:
         raise TooFewRows("need at least 2 strategies")
+    if window < 2 or step < 1:
+        raise InvalidParams(f"need window >= 2 and step >= 1, got window {window}, step {step}")
     n = panel.dates.size
     if window > n:
         raise TooShort(f"window {window} exceeds history {n}")

@@ -14,7 +14,7 @@ import os
 import sys
 
 from . import io as rio
-from .analysis import cross_section_stats, pca_spectrum
+from .analysis import CrossSection, CrossSectionRow, cross_section_stats, pca_spectrum
 from .errors import RankSkewError
 from .portfolio import carry_pairs, decile_table, rank_buckets
 from .series import ReturnSeries, perf_stats
@@ -119,29 +119,27 @@ def _stem(path: str) -> str:
     return os.path.splitext(os.path.basename(path))[0]
 
 
-def _analyze_one(path: str, args, out: _Outputs, write_report: bool = True) -> ReturnSeries:
-    series = rio.read_series(path, kind=getattr(args, "kind", "return"), period=args.period)
+def _write_curve(path: str, kind: str, args, out: _Outputs) -> ReturnSeries:
+    """Read one series and write its {stem}_ranked_pnl.csv."""
+    os.makedirs(args.out_dir, exist_ok=True)
+    series = rio.read_series(path, kind=kind, period=args.period)
     curve = ranked_pnl(series, "raw")
     sym = ranked_pnl(series, "symmetrized", seed=args.seed)
-    curve_path = out.add(os.path.join(args.out_dir, f"{_stem(path)}_ranked_pnl.csv"))
-    rio.write_curve_csv(curve_path, curve, sym)
-    if write_report:
-        benchmark = None
-        if getattr(args, "benchmark", None):
-            benchmark = rio.read_series(args.benchmark, kind="return", period=args.period)
-        report = skew_report(series, benchmark=benchmark, bootstrap=args.bootstrap, seed=args.seed)
-        rio.write_json(out.add(os.path.join(args.out_dir, f"{_stem(path)}_skew_report.json")), report.as_dict())
+    rio.write_curve_csv(out.add(os.path.join(args.out_dir, f"{_stem(path)}_ranked_pnl.csv")), curve, sym)
     return series
 
 
 def _cmd_analyze(args, out: _Outputs) -> None:
-    os.makedirs(args.out_dir, exist_ok=True)
-    _analyze_one(args.input, args, out)
+    series = _write_curve(args.input, args.kind, args, out)
+    benchmark = None
+    if args.benchmark:
+        benchmark = rio.read_series(args.benchmark, kind="return", period=args.period)
+    report = skew_report(series, benchmark=benchmark, bootstrap=args.bootstrap, seed=args.seed)
+    rio.write_json(out.add(os.path.join(args.out_dir, f"{_stem(args.input)}_skew_report.json")), report.as_dict())
 
 
 def _cmd_rankplot(args, out: _Outputs) -> None:
-    os.makedirs(args.out_dir, exist_ok=True)
-    _analyze_one(args.input, args, out, write_report=False)
+    _write_curve(args.input, args.kind, args, out)
 
 
 def _cmd_synth(args, parser: argparse.ArgumentParser, out: _Outputs) -> None:
@@ -198,32 +196,18 @@ def _cmd_pca(args, out: _Outputs) -> None:
     os.makedirs(args.out_dir, exist_ok=True)
     panel = rio.read_panel(args.input)
     spectrum = pca_spectrum(panel, window=args.window, step=args.step)
-    doc = {
-        "top_vector_stability": spectrum.top_vector_stability,
-        "windows": [
-            {
-                "end_date": str(w.end_date),
-                "assets": w.assets,
-                "eigenvalues": w.eigenvalues,
-                **({"separation": w.separation} if w.separation is not None else {}),
-            }
-            for w in spectrum.windows
-        ],
-    }
-    rio.write_json(out.add(os.path.join(args.out_dir, "pca.json")), doc)
+    rio.write_json(out.add(os.path.join(args.out_dir, "pca.json")), spectrum.as_dict())
 
 
-def _cmd_report(args, out: _Outputs) -> None:
-    from .analysis import CrossSection, CrossSectionRow
-
-    os.makedirs(args.out_dir, exist_ok=True)
+def _cmd_report(args, parser: argparse.ArgumentParser, out: _Outputs) -> None:
+    stems = [_stem(p) for p in args.series]
+    for stem in stems:
+        if stems.count(stem) > 1:
+            parser.error(f"--series files need distinct names: {stem!r} repeats")
     reports = []
     rows = []
     for path in args.series:
-        series = rio.read_series(path, kind="return", period=args.period)
-        curve = ranked_pnl(series, "raw")
-        sym = ranked_pnl(series, "symmetrized", seed=args.seed)
-        rio.write_curve_csv(out.add(os.path.join(args.out_dir, f"{_stem(path)}_ranked_pnl.csv")), curve, sym)
+        series = _write_curve(path, "return", args, out)
         rep = skew_report(series, bootstrap=args.bootstrap, seed=args.seed)
         reports.append(rep)
         stats = perf_stats(series)
@@ -279,10 +263,8 @@ def main(argv: list[str] | None = None) -> int:
         elif args.command == "pca":
             _cmd_pca(args, out)
         elif args.command == "report":
-            _cmd_report(args, out)
-    except (RankSkewError, OSError, ValueError) as exc:
-        # ValueError covers the domain-type constructor checks (unsorted
-        # dates, non-finite values, duplicate labels), which are data errors
+            _cmd_report(args, parser, out)
+    except (RankSkewError, OSError) as exc:
         out.discard()
         print(f"rankskew: error: {exc}", file=sys.stderr)
         return 1

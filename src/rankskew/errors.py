@@ -75,6 +75,26 @@ class IOWrite(RankSkewError):
     pass
 
 
+# Raised by the domain-type constructors. They also subclass ValueError, so
+# code that catches ValueError around a constructor keeps working.
+
+
+class UnsortedDates(RankSkewError, ValueError):
+    pass
+
+
+class NonFiniteValue(RankSkewError, ValueError):
+    pass
+
+
+class ShapeMismatch(RankSkewError, ValueError):
+    pass
+
+
+class DuplicateLabel(RankSkewError, ValueError):
+    pass
+
+
 class CsvFormatError(RankSkewError):
     """Malformed input file; carries the path and 1-based line number."""
 

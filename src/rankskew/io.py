@@ -200,18 +200,14 @@ def write_scatter_csv(path: str, cs: CrossSection, result: RegressionResult) -> 
 # ---------------------------------------------------------------------------
 
 
-def write_curve_csv(path: str, curve: RankedPnlCurve, symmetrized: RankedPnlCurve | None = None) -> None:
-    """Ranked-P&L plot data; the F_sym column is blank when not supplied."""
+def write_curve_csv(path: str, curve: RankedPnlCurve, symmetrized: RankedPnlCurve) -> None:
+    """Ranked-P&L plot data: columns p, F and the symmetrized twin's F_sym."""
+    if symmetrized.p.size != curve.p.size:
+        raise IOWrite("curve and symmetrized curve differ in length")
     with open(path, "w", newline="\n") as fh:
         fh.write("p,F,F_sym\n")
-        if symmetrized is None:
-            for p, f in zip(curve.p, curve.f):
-                fh.write(f"{_fmt(p)},{_fmt(f)},\n")
-        else:
-            if symmetrized.p.size != curve.p.size:
-                raise IOWrite("curve and symmetrized curve differ in length")
-            for p, f, g in zip(curve.p, curve.f, symmetrized.f):
-                fh.write(f"{_fmt(p)},{_fmt(f)},{_fmt(g)}\n")
+        for p, f, g in zip(curve.p, curve.f, symmetrized.f):
+            fh.write(f"{_fmt(p)},{_fmt(f)},{_fmt(g)}\n")
 
 
 def write_fig10_csv(path: str, rows) -> None:
@@ -244,8 +240,6 @@ def render_report(
     skew_reports: Iterable[SkewReport] = (),
     regression: RegressionResult | None = None,
     cross_section: CrossSection | None = None,
-    pca=None,
-    fig10=None,
     provenance: dict | None = None,
 ) -> list[str]:
     """Bundle analysis results into report.json plus plot-data CSVs.
@@ -261,31 +255,6 @@ def render_report(
         doc["skew_reports"] = [r.as_dict() for r in reports]
     if regression is not None:
         doc["regression"] = regression.as_dict()
-    if pca is not None:
-        doc["pca"] = {
-            "top_vector_stability": pca.top_vector_stability,
-            "windows": [
-                {
-                    "end_date": str(w.end_date),
-                    "assets": list(w.assets),
-                    "eigenvalues": list(w.eigenvalues),
-                    **({"separation": w.separation} if w.separation is not None else {}),
-                }
-                for w in pca.windows
-            ],
-        }
-    if fig10 is not None:
-        doc["fig10"] = [
-            {
-                "nu_plus": r.nu_plus,
-                "zeta_star": r.zeta_star,
-                **({"zeta3": r.zeta3} if r.zeta3 is not None else {}),
-            }
-            for r in fig10
-        ]
-        fig_path = os.path.join(out_dir, "fig10.csv")
-        write_fig10_csv(fig_path, fig10)
-        written.append(fig_path)
     if provenance:
         doc["provenance"] = provenance
     if regression is not None and cross_section is not None:

@@ -9,10 +9,14 @@ from typing import Sequence
 import numpy as np
 
 from .errors import (
+    DuplicateLabel,
     InsufficientOverlap,
     InvalidParams,
     MissingRate,
+    NonFiniteValue,
+    ShapeMismatch,
     TooFewAssets,
+    UnsortedDates,
 )
 from .series import PERIOD_DT, Period, ReturnSeries, perf_stats, risk_manage
 from .skew import zeta_star
@@ -32,15 +36,15 @@ class Panel:
         object.__setattr__(self, "values", np.asarray(self.values, dtype=np.float64))
         object.__setattr__(self, "assets", list(self.assets))
         if self.values.shape != (self.dates.size, len(self.assets)):
-            raise ValueError("panel shape mismatch")
+            raise ShapeMismatch("panel shape mismatch")
         if self.dates.size > 1 and not np.all(np.diff(self.dates).astype(np.int64) > 0):
-            raise ValueError("panel dates must be strictly increasing")
+            raise UnsortedDates("panel dates must be strictly increasing")
         if len(set(self.assets)) != len(self.assets):
-            raise ValueError("duplicate asset labels")
+            raise DuplicateLabel("duplicate asset labels")
         populated = np.any(np.isfinite(self.values), axis=0)
         if not np.all(populated):
             empty = [a for a, ok in zip(self.assets, populated) if not ok]
-            raise ValueError(f"assets with no populated cell: {empty}")
+            raise NonFiniteValue(f"assets with no populated cell: {empty}")
 
     def column(self, asset: str) -> np.ndarray:
         return self.values[:, self.assets.index(asset)]

@@ -17,8 +17,11 @@ from scipy.signal import lfilter
 
 from .errors import (
     EmptyInput,
+    NonFiniteValue,
     NoRateCoverage,
+    ShapeMismatch,
     TooShort,
+    UnsortedDates,
     WrongPeriod,
     ZeroVariance,
 )
@@ -73,11 +76,11 @@ class ReturnSeries:
         if self.values.size < 2:
             raise TooShort(f"{self.label}: need at least 2 points, got {self.values.size}")
         if self.dates.shape != self.values.shape:
-            raise ValueError(f"{self.label}: dates/values length mismatch")
+            raise ShapeMismatch(f"{self.label}: dates/values length mismatch")
         if self.dates.size > 1 and not np.all(np.diff(self.dates).astype(np.int64) > 0):
-            raise ValueError(f"{self.label}: dates must be strictly increasing")
+            raise UnsortedDates(f"{self.label}: dates must be strictly increasing")
         if not np.all(np.isfinite(self.values)):
-            raise ValueError(f"{self.label}: non-finite return value")
+            raise NonFiniteValue(f"{self.label}: non-finite return value")
 
     def __len__(self) -> int:
         return int(self.values.size)
@@ -97,9 +100,9 @@ class RateSeries:
         if self.rates.size < 1:
             raise EmptyInput(f"{self.label}: empty rate series")
         if self.dates.size > 1 and not np.all(np.diff(self.dates).astype(np.int64) > 0):
-            raise ValueError(f"{self.label}: dates must be strictly increasing")
+            raise UnsortedDates(f"{self.label}: dates must be strictly increasing")
         if not np.all(np.isfinite(self.rates)):
-            raise ValueError(f"{self.label}: non-finite rate value")
+            raise NonFiniteValue(f"{self.label}: non-finite rate value")
 
     def __len__(self) -> int:
         return int(self.rates.size)
@@ -137,8 +140,6 @@ def standardize(s: ReturnSeries) -> StandardizedSeries:
     The N-divisor makes the cumulative sum of the output end exactly at
     zero, which is what pins the ranked-P&L endpoint F0(1) = 0.
     """
-    if len(s) < 2:
-        raise TooShort(f"{s.label}: need at least 2 points")
     m = float(np.mean(s.values))
     var = float(np.mean((s.values - m) ** 2))
     if var == 0.0:
@@ -258,8 +259,6 @@ def symmetrize(s: ReturnSeries, seed: int) -> ReturnSeries:
     eps_t drawn from the seeded generator; amplitudes |r_t - m| and the
     expected mean are preserved.
     """
-    if len(s) < 2:
-        raise TooShort(f"{s.label}: need at least 2 points")
     rng = np.random.default_rng(seed)
     eps = rng.integers(0, 2, size=len(s)) * 2 - 1
     return ReturnSeries(

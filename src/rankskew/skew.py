@@ -109,30 +109,24 @@ def ranked_pnl(s: ReturnSeries, variant: Variant = "raw", seed: int | None = Non
     zeta_star field is filled in. "symmetrized" applies the sign
     symmetrization (seed required) and then cumulates like "raw".
     """
-    if len(s) < 2:
-        raise TooShort(f"{s.label}: need at least 2 points")
     n = len(s)
     p = np.arange(1, n + 1, dtype=np.float64) / n
+    if variant == "standardized":
+        sums, zs = _standardized_sums(s.values)
+        return RankedPnlCurve(p=p, f=sums / n, variant=variant, zeta_star=zs)
     if variant == "raw":
         v = s.values
-        f = np.cumsum(v[amplitude_order(v)])
-        return RankedPnlCurve(p=p, f=f, variant=variant)
-    if variant == "symmetrized":
+    elif variant == "symmetrized":
         if seed is None:
             raise InvalidParams("symmetrized variant needs a seed")
         v = symmetrize(s, seed).values
-        f = np.cumsum(v[amplitude_order(v)])
-        return RankedPnlCurve(p=p, f=f, variant=variant)
-    if variant == "standardized":
-        z = standardize(s).values
-        f = np.cumsum(z[amplitude_order(z)]) / n
-        zs = -100.0 * det_sum(f) / n
-        return RankedPnlCurve(p=p, f=f, variant=variant, zeta_star=zs)
-    raise InvalidParams(f"unknown curve variant {variant!r}")
+    else:
+        raise InvalidParams(f"unknown curve variant {variant!r}")
+    return RankedPnlCurve(p=p, f=np.cumsum(v[amplitude_order(v)]), variant=variant)
 
 
-def zeta_star_of_values(values: np.ndarray) -> float:
-    """zeta* of a bare value array (standardizes internally)."""
+def _standardized_sums(values: np.ndarray) -> tuple[np.ndarray, float]:
+    """Partial sums N*F0 of the standardized values in amplitude order, and zeta*."""
     n = values.size
     if n < 2:
         raise TooShort("need at least 2 values")
@@ -141,8 +135,13 @@ def zeta_star_of_values(values: np.ndarray) -> float:
     if var == 0.0:
         raise ZeroVariance("all values equal")
     z = (values - m) / math.sqrt(var)
-    f = np.cumsum(z[amplitude_order(z)])
-    return -100.0 * det_sum(f) / (float(n) * float(n))
+    sums = np.cumsum(z[amplitude_order(z)])
+    return sums, -100.0 * det_sum(sums) / (float(n) * float(n))
+
+
+def zeta_star_of_values(values: np.ndarray) -> float:
+    """zeta* of a bare value array (standardizes internally)."""
+    return _standardized_sums(values)[1]
 
 
 def zeta_star(s: ReturnSeries) -> float:
@@ -217,10 +216,9 @@ def crossing_count(s: ReturnSeries, seed: int) -> int:
     n = len(s)
     if n < 100:
         raise TooShort(f"{s.label}: need at least 100 points")
-    z = standardize(s).values
-    rng = np.random.default_rng(seed)
-    eps = rng.integers(0, 2, size=n) * 2 - 1
-    sym = eps * z  # standardized series has mean 0, so m + eps (z - m) = eps z
+    std = standardize(s)
+    z = std.values
+    sym = symmetrize(std, seed).values
     support = np.sort(np.concatenate([z, sym]))
     zs = np.sort(z)
     ss = np.sort(sym)
@@ -339,6 +337,8 @@ def skew_report(
     """All skewness diagnostics for one series, with bootstrap errors."""
     if len(s) < 30:
         raise TooShort(f"{s.label}: need at least 30 points for a report")
+    if bootstrap < 2:
+        raise InvalidParams(f"need at least 2 bootstrap replicates, got {bootstrap}")
     z3, kurt = classical_moments(s)
     err_zs, err_sh = _bootstrap(s.values, s.period, bootstrap, seed)
     return SkewReport(

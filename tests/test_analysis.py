@@ -7,6 +7,8 @@ from rankskew import (
     CrossSection,
     CrossSectionRow,
     DegenerateX,
+    DuplicateLabel,
+    InvalidParams,
     Panel,
     SingularWindow,
     TooFewRows,
@@ -86,8 +88,10 @@ def test_regression_errors():
         cross_section_stats(
             CrossSection(rows=[row("a", 0.1, -1.0), row("b", 0.2, -1.0), row("c", 0.3, -1.0)])
         )
-    with pytest.raises(ValueError):
+    with pytest.raises(DuplicateLabel):
         CrossSection(rows=[row("a", 0.1, -1.0), row("a", 0.2, -2.0)])
+    with pytest.raises(InvalidParams):
+        CrossSection(rows=[row("a", 0.1, -1.0, err_s=-0.05)])
 
 
 # ---------------------------------------------------------------------------
@@ -144,6 +148,8 @@ def test_pca_errors():
     flat = np.column_stack([rng.standard_normal(300), np.full(300, 0.01)])
     with pytest.raises(SingularWindow):
         pca_spectrum(_panel_from_matrix(flat), window=252, step=21)
+    with pytest.raises(InvalidParams):
+        pca_spectrum(_panel_from_matrix(rng.standard_normal((300, 3))), window=252, step=0)
 
 
 def test_pca_excludes_low_coverage_strategy():

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from rankskew import CsvFormatError, read_cross_section, read_panel, read_series, write_panel, write_series
+from rankskew import CsvFormatError, Panel, read_cross_section, read_panel, read_series, write_panel, write_series
 from rankskew.cli import build_parser, main
 from tests.test_series import daily
 
@@ -175,6 +175,21 @@ def test_cli_data_error_exit_code_and_cleanup(tmp_path, capsys):
     assert not (tmp_path / "bad_ranked_pnl.csv").exists()
 
 
+def test_cli_program_error_propagates_and_cleans_up(tmp_path, monkeypatch):
+    """A ValueError that is not a data error is a bug: it is re-raised, not exit 1."""
+    src = tmp_path / "s.csv"
+    write_series(src, daily(np.random.default_rng(1).standard_normal(40) * 0.01, label="s"))
+
+    def broken(*args, **kwargs):
+        raise ValueError("internal bug")
+
+    monkeypatch.setattr("rankskew.cli.skew_report", broken)
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match="internal bug"):
+        run_cli("analyze", str(src), "--seed", "1", "--out-dir", str(out))
+    assert list(out.iterdir()) == []
+
+
 def test_cli_regress_and_deciles_and_pca(tmp_path):
     cs = tmp_path / "cs.csv"
     rows = ["name,sharpe,vol,zeta_star,err_sharpe,err_zeta_star,fit"]
@@ -252,6 +267,32 @@ def test_cli_report_bundle(tmp_path):
     assert "regression" in doc
     assert "pca" not in doc
     assert (tmp_path / "out" / "scatter.csv").exists()
+    # report writes exactly what analyze writes for each series
+    for i, p in enumerate(paths):
+        single = tmp_path / f"analyze{i}"
+        assert run_cli("analyze", p, "--seed", "3", "--bootstrap", "40", "--out-dir", str(single)) == 0
+        curve = f"s{i}_ranked_pnl.csv"
+        assert (tmp_path / "out" / curve).read_bytes() == (single / curve).read_bytes()
+        assert doc["skew_reports"][i] == json.loads((single / f"s{i}_skew_report.json").read_text())
+
+
+def test_cli_report_rejects_repeated_stems(tmp_path):
+    rng = np.random.default_rng(6)
+    paths = []
+    for sub in ("a", "b", "c"):
+        (tmp_path / sub).mkdir()
+        p = tmp_path / sub / "x.csv"
+        write_series(p, daily(rng.standard_normal(60) * 0.01, label="x"))
+        paths.append(str(p))
+    out = tmp_path / "out"
+    out.mkdir()
+    argv = ["report", "--seed", "3", "--bootstrap", "20", "--out-dir", str(out)]
+    for p in paths:
+        argv += ["--series", p]
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv)
+    assert exc.value.code == 2
+    assert list(out.iterdir()) == []
 
 
 def test_every_flag_is_documented():
@@ -263,7 +304,31 @@ def test_every_flag_is_documented():
 
 
 def test_cli_byte_determinism(tmp_path):
-    """Identical flags, files and seed give byte-identical outputs."""
+    """Identical flags, files and seed give byte-identical outputs at 1 and 4 BLAS threads."""
+    rng = np.random.default_rng(13)
+    inputs = tmp_path / "in"
+    inputs.mkdir()
+    for k in range(3):
+        write_series(inputs / f"r{k}.csv", daily(rng.standard_t(4, 300) * 0.01, label=f"r{k}"))
+    dates = np.datetime64("2001-01-01", "D") + np.arange(300)
+    ccys = ["AAA", "BBB", "CCC", "DDD"]
+    spot = np.exp(np.cumsum(rng.standard_normal((300, 4)) * 0.005, axis=0))
+    rates = np.array([0.05, 0.03, 0.01, 0.02]) + rng.standard_normal((300, 4)) * 0.002
+    write_panel(inputs / "spot.csv", Panel(dates=dates, assets=ccys, values=spot))
+    write_panel(inputs / "rates.csv", Panel(dates=dates, assets=ccys, values=rates))
+    commands = [
+        ["synth", "ast", "--nu-plus", "5", "--nu-minus", "3.5", "--n", "20000", "--seed", "11",
+         "--out", "{d}/samples.csv"],
+        ["analyze", "{d}/samples.csv", "--seed", "7", "--bootstrap", "50", "--out-dir", "{d}"],
+        ["carry", "--spot", f"{inputs}/spot.csv", "--rates", f"{inputs}/rates.csv", "--out-dir", "{d}"],
+        ["deciles", "--returns", "{d}/carry_returns.csv", "--signal", "{d}/carry_signal.csv",
+         "--buckets", "3", "--rebalance", "daily", "--out-dir", "{d}"],
+        ["pca", "{d}/carry_returns.csv", "--window", "120", "--step", "30", "--out-dir", "{d}"],
+        ["report", "--seed", "3", "--bootstrap", "30", "--out-dir", "{d}"]
+        + [arg for k in range(3) for arg in ("--series", f"{inputs}/r{k}.csv")],
+    ]
+    # one interpreter per thread count: the BLAS pool size is fixed at import
+    script = "import json, sys; from rankskew.cli import main; sys.exit(any(main(a) for a in json.loads(sys.argv[1])))"
     env = dict(os.environ)
     outputs = []
     for run, threads in (("one", "1"), ("two", "4")):
@@ -271,23 +336,13 @@ def test_cli_byte_determinism(tmp_path):
         d.mkdir()
         env["OPENBLAS_NUM_THREADS"] = threads
         env["OMP_NUM_THREADS"] = threads
-        sample = d / "samples.csv"
-        r = subprocess.run(
-            [sys.executable, "-m", "rankskew.cli", "synth", "ast", "--nu-plus", "5",
-             "--nu-minus", "3.5", "--n", "20000", "--seed", "11", "--out", str(sample)],
-            env=env, capture_output=True,
-        )
+        argvs = [[arg.replace("{d}", str(d)) for arg in cmd] for cmd in commands]
+        r = subprocess.run([sys.executable, "-c", script, json.dumps(argvs)], env=env, capture_output=True)
         assert r.returncode == 0, r.stderr
-        r = subprocess.run(
-            [sys.executable, "-m", "rankskew.cli", "analyze", str(sample), "--seed", "7",
-             "--bootstrap", "50", "--out-dir", str(d)],
-            env=env, capture_output=True,
-        )
-        assert r.returncode == 0, r.stderr
-        outputs.append(
-            {
-                name: (d / name).read_bytes()
-                for name in ("samples.csv", "samples_skew_report.json", "samples_ranked_pnl.csv")
-            }
-        )
+        outputs.append({f.name: f.read_bytes() for f in sorted(d.iterdir())})
+    assert sorted(outputs[0]) == sorted(
+        ["samples.csv", "samples_skew_report.json", "samples_ranked_pnl.csv", "carry_returns.csv",
+         "carry_signal.csv", "deciles.csv", "pca.json", "report.json", "scatter.csv"]
+        + [f"r{k}_ranked_pnl.csv" for k in range(3)]
+    )
     assert outputs[0] == outputs[1]

@@ -7,8 +7,10 @@ import pytest
 
 from rankskew import (
     AsymmetricStudentT,
+    DuplicateLabel,
     InsufficientOverlap,
     MissingRate,
+    NonFiniteValue,
     Panel,
     TooFewAssets,
     ZeroVariance,
@@ -32,9 +34,9 @@ def make_panel(values: np.ndarray, assets: list[str], start="2001-01-01") -> Pan
 
 
 def test_panel_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(NonFiniteValue):
         make_panel(np.full((3, 2), np.nan), ["a", "b"])
-    with pytest.raises(ValueError):
+    with pytest.raises(DuplicateLabel):
         make_panel(np.zeros((3, 2)), ["a", "a"])
     p = make_panel(np.arange(6.0).reshape(3, 2), ["a", "b"])
     assert np.allclose(p.column("b"), [1.0, 3.0, 5.0])

@@ -9,10 +9,12 @@ from hypothesis import strategies as st
 
 from rankskew import (
     EmptyInput,
+    NonFiniteValue,
     NoRateCoverage,
     RateSeries,
     ReturnSeries,
     TooShort,
+    UnsortedDates,
     WrongPeriod,
     ZeroVariance,
     aggregate_monthly,
@@ -51,11 +53,11 @@ finite_returns = st.lists(
 def test_series_rejects_short_and_unsorted_and_nan():
     with pytest.raises(TooShort):
         daily([0.1])
-    with pytest.raises(ValueError):
+    with pytest.raises(UnsortedDates):
         ReturnSeries("s", "daily", np.array(["2001-01-02", "2001-01-01"], dtype="datetime64[D]"), [0.1, 0.2])
-    with pytest.raises(ValueError):
+    with pytest.raises(NonFiniteValue):
         daily([0.1, float("nan")])
-    with pytest.raises(ValueError):
+    with pytest.raises(UnsortedDates):
         ReturnSeries("s", "daily", np.array(["2001-01-01", "2001-01-01"], dtype="datetime64[D]"), [0.1, 0.2])
 
 

@@ -66,7 +66,7 @@ def test_standardized_curve_endpoint_and_zeta():
     series = daily(rng.standard_normal(500) * 0.01 + 0.0002)
     curve = ranked_pnl(series, "standardized")
     assert abs(curve.f[-1]) <= 1e-9
-    assert curve.zeta_star == pytest.approx(zeta_star(series), abs=1e-12)
+    assert curve.zeta_star == zeta_star(series)
 
 
 def test_symmetrized_curve_needs_seed():
@@ -292,3 +292,5 @@ def test_skew_report_error_scaling():
 def test_skew_report_requires_length():
     with pytest.raises(TooShort):
         skew_report(daily([0.01, -0.01] * 10), seed=1)
+    with pytest.raises(InvalidParams):
+        skew_report(daily([0.01, -0.01] * 20), bootstrap=1, seed=1)
