@@ -227,7 +227,7 @@ def _cmd_report(args, parser: argparse.ArgumentParser, out: _Outputs) -> None:
         cs = CrossSection(rows=rows)
         regression = cross_section_stats(cs)
     provenance = {
-        "series": list(args.series),
+        "series": [os.path.basename(p) for p in args.series],
         "seed": args.seed,
         "bootstrap": args.bootstrap,
     }

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Literal, Sequence
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .errors import (
     EmptyInput,
@@ -228,6 +227,8 @@ def risk_manage(s: ReturnSeries, span: int = 20) -> ReturnSeries:
         raise TooShort(f"{s.label}: need more than {span} points")
     if len(s) - span < 2:
         raise TooShort(f"{s.label}: fewer than 2 points would survive warm-up")
+    from scipy.signal import lfilter  # deferred: slow to import, and no CLI command calls this
+
     absr = np.abs(s.values)
     alpha = 2.0 / (span + 1.0)
     # EMA seeded with the first observation: ema[t] = (1-a) ema[t-1] + a |r_t|

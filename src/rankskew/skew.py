@@ -271,36 +271,29 @@ def _zeta_star_from_counts(v_sorted: np.ndarray, v_sq: np.ndarray, counts: np.nd
 
     `v_sorted` holds the sample values in ascending order and `counts`
     the resample multiplicities in the same order. Equivalent to
-    materializing the resample and calling zeta_star_of_values, but in
-    O(N): the amplitude sort around the resample mean is recovered by
-    merging the two value-sorted halves. Equal values are interchangeable,
-    so the merge reproduces the stable-sort value exactly; distinct values
-    tied in amplitude (a measure-zero event) may be ordered differently,
-    which cannot change the weighted sum by more than float rounding.
+    materializing the resample and calling zeta_star_of_values, but
+    without sorting it: |v - m| is two sorted runs, which the stable sort
+    merges in O(N). Equal values are interchangeable, so on samples whose
+    amplitude ties are all repeated values the result matches the point
+    estimate to float rounding. Distinct values at equal distance from
+    the mean are ranked below-mean first, whereas the point estimate
+    ranks them in resample order; that can move zeta* by whole units on
+    tick-rounded data (ROADMAP item 2).
     """
     m = det_dot(counts, v_sorted) / n
     var = det_dot(counts, v_sq) / n - m * m
     if var <= 0.0:
         raise ZeroVariance("degenerate bootstrap resample")
     sd = math.sqrt(var)
+    order = np.argsort(np.abs(v_sorted - m), kind="stable")
+    c = counts[order]
+    # sum of rank weights (n - j + 1) over each block of ranks (S - c, S], S = cumsum(c)
+    w = np.empty(n)
+    w[order] = c * ((n + 0.5) - np.cumsum(c) + 0.5 * c)
+    # summing each side nearest-first fixes the rounding, and so the bytes of err_zeta_star
     split = int(np.searchsorted(v_sorted, m))
-    # distances ascending on each side of the resample mean
-    d_lo = m - v_sorted[split - 1 :: -1] if split > 0 else v_sorted[:0]
-    c_lo = counts[split - 1 :: -1] if split > 0 else counts[:0]
-    v_lo = v_sorted[split - 1 :: -1] if split > 0 else v_sorted[:0]
-    d_hi = v_sorted[split:] - m
-    c_hi = counts[split:]
-    v_hi = v_sorted[split:]
-    cum_lo = np.cumsum(c_lo)
-    cum_hi = np.cumsum(c_hi)
-    zero = np.zeros(1)
-    other_lo = np.concatenate((zero, cum_hi))[np.searchsorted(d_hi, d_lo, side="left")]
-    other_hi = np.concatenate((zero, cum_lo))[np.searchsorted(d_lo, d_hi, side="right")]
-    start_lo = (cum_lo - c_lo) + other_lo
-    start_hi = (cum_hi - c_hi) + other_hi
-    # sum of rank weights (n - j + 1) over the block of ranks (start, start+c]
-    w_lo = c_lo * (n - start_lo) - c_lo * (c_lo - 1.0) / 2.0
-    w_hi = c_hi * (n - start_hi) - c_hi * (c_hi - 1.0) / 2.0
+    lo = slice(split - 1, None, -1) if split > 0 else slice(0, 0)
+    w_lo, v_lo, w_hi, v_hi = w[lo], v_sorted[lo], w[split:], v_sorted[split:]
     total = (det_dot(w_lo, v_lo) + det_dot(w_hi, v_hi)) - m * (det_sum(w_lo) + det_sum(w_hi))
     return -100.0 * total / sd / (float(n) * float(n)), float(m), sd
 

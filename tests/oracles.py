@@ -1,0 +1,49 @@
+"""Superseded implementations kept as test oracles.
+
+Each function here is an earlier production implementation, kept verbatim
+so that its replacement can be checked against it.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from rankskew.errors import ZeroVariance
+from rankskew.series import det_dot, det_sum
+
+
+def zeta_star_from_counts_searchsorted(
+    v_sorted: np.ndarray, v_sq: np.ndarray, counts: np.ndarray, n: int
+) -> tuple[float, float, float]:
+    """Bootstrap replicate kernel that merges the two halves by `searchsorted`.
+
+    Same contract as `rankskew.skew._zeta_star_from_counts`; amplitude ties
+    between a value below and a value above the mean put the one below first.
+    """
+    m = det_dot(counts, v_sorted) / n
+    var = det_dot(counts, v_sq) / n - m * m
+    if var <= 0.0:
+        raise ZeroVariance("degenerate bootstrap resample")
+    sd = math.sqrt(var)
+    split = int(np.searchsorted(v_sorted, m))
+    # distances ascending on each side of the resample mean
+    d_lo = m - v_sorted[split - 1 :: -1] if split > 0 else v_sorted[:0]
+    c_lo = counts[split - 1 :: -1] if split > 0 else counts[:0]
+    v_lo = v_sorted[split - 1 :: -1] if split > 0 else v_sorted[:0]
+    d_hi = v_sorted[split:] - m
+    c_hi = counts[split:]
+    v_hi = v_sorted[split:]
+    cum_lo = np.cumsum(c_lo)
+    cum_hi = np.cumsum(c_hi)
+    zero = np.zeros(1)
+    other_lo = np.concatenate((zero, cum_hi))[np.searchsorted(d_hi, d_lo, side="left")]
+    other_hi = np.concatenate((zero, cum_lo))[np.searchsorted(d_lo, d_hi, side="right")]
+    start_lo = (cum_lo - c_lo) + other_lo
+    start_hi = (cum_hi - c_hi) + other_hi
+    # sum of rank weights (n - j + 1) over the block of ranks (start, start+c]
+    w_lo = c_lo * (n - start_lo) - c_lo * (c_lo - 1.0) / 2.0
+    w_hi = c_hi * (n - start_hi) - c_hi * (c_hi - 1.0) / 2.0
+    total = (det_dot(w_lo, v_lo) + det_dot(w_hi, v_hi)) - m * (det_sum(w_lo) + det_sum(w_hi))
+    return -100.0 * total / sd / (float(n) * float(n)), float(m), sd

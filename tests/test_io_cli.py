@@ -276,6 +276,23 @@ def test_cli_report_bundle(tmp_path):
         assert doc["skew_reports"][i] == json.loads((single / f"s{i}_skew_report.json").read_text())
 
 
+def test_cli_report_provenance_ignores_path_spelling(tmp_path, monkeypatch):
+    rng = np.random.default_rng(7)
+    (tmp_path / "in").mkdir()
+    for i in range(3):
+        write_series(tmp_path / "in" / f"s{i}.csv", daily(rng.standard_normal(80) * 0.01, label=f"s{i}"))
+    monkeypatch.chdir(tmp_path)
+    docs = []
+    for out, prefix in (("rel", "in"), ("abs", str(tmp_path / "in"))):
+        argv = ["report", "--seed", "3", "--bootstrap", "20", "--out-dir", out]
+        for i in range(3):
+            argv += ["--series", os.path.join(prefix, f"s{i}.csv")]
+        assert run_cli(*argv) == 0
+        docs.append((tmp_path / out / "report.json").read_bytes())
+    assert docs[0] == docs[1]
+    assert json.loads(docs[0])["provenance"]["series"] == ["s0.csv", "s1.csv", "s2.csv"]
+
+
 def test_cli_report_rejects_repeated_stems(tmp_path):
     rng = np.random.default_rng(6)
     paths = []
@@ -301,6 +318,21 @@ def test_every_flag_is_documented():
         for name, sub in action.choices.items():
             for act in sub._actions:
                 assert act.help, f"undocumented flag {act.option_strings or act.dest} in {name}"
+
+
+def test_cli_import_leaves_scipy_signal_and_stats_unloaded():
+    """`import rankskew.cli` must not pay for scipy subpackages no command uses."""
+    import rankskew
+
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(rankskew.__file__))
+    script = (
+        "import sys, rankskew.cli; "
+        "print(sorted(m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules))"
+    )
+    r = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "[]"
 
 
 def test_cli_byte_determinism(tmp_path):
