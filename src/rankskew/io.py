@@ -3,14 +3,24 @@
 All numeric output is serialized with repr(), the shortest decimal that
 round-trips to the same float64, and files always use '\\n' newlines, so
 identical inputs and seeds produce byte-identical artifacts.
+
+Series and panel CSVs are read and written a block of rows at a time. A
+file in the canonical dialect, the one the writers produce, is parsed a
+column at a time: the exact header, ASCII without quotes or whitespace
+other than '\\n', and the header's field count on every line. Any other
+file, and any file with a bad row, is read again by the row scanner,
+which also takes csv-module quoting, CRLF, blank lines, padded tokens and
+extra columns, and names the file and line of the first bad row.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import math
 import os
-from typing import Iterable
+from itertools import repeat
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -19,6 +29,15 @@ from .errors import CsvFormatError, IOWrite
 from .portfolio import Panel
 from .series import Period, RateSeries, ReturnSeries
 from .skew import RankedPnlCurve, SkewReport
+
+# Fixed sizes, not options: whole-file parsing costs memory on long series
+# for no gain in speed.
+_BLOCK_CHARS = 1 << 16  # readlines() hint: characters parsed per block
+_WRITE_ROWS = 2048  # rows formatted per write
+
+# The characters of the canonical dialect: '\n' and the printable ASCII
+# characters other than ' ' and '"'.
+_CANONICAL = bytes([ord("\n"), ord("!"), *range(ord("#"), ord("~") + 1)])
 
 
 def _fmt(x: float) -> str:
@@ -42,6 +61,183 @@ def _parse_float(token: str, path: str, line: int, what: str = "value") -> float
         raise CsvFormatError(path, line, f"bad {what} {token!r}") from None
 
 
+def _parse_value(token: str, path: str, line: int) -> float:
+    x = _parse_float(token, path, line)
+    if not math.isfinite(x):
+        raise CsvFormatError(path, line, f"non-finite value {token!r}")
+    return x
+
+
+# ---------------------------------------------------------------------------
+# Row scanner: every dialect, and the line of the first bad row
+# ---------------------------------------------------------------------------
+
+
+def _scan(path: str, header: list[str]) -> Iterator[tuple[int, list[str]]]:
+    """Yield (line number, row) for each non-blank row after the header.
+
+    The header must begin with `header`, ignoring case and padding. A row
+    with fewer fields, and any error of the csv module (such as a field
+    over `csv.field_size_limit()`), raises CsvFormatError.
+    """
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            first = next(reader, None)
+            if first is None or [c.strip().lower() for c in first[: len(header)]] != header:
+                raise CsvFormatError(path, 1, f"expected header '{','.join(header)}'")
+            for row in reader:
+                if not row or (len(row) == 1 and not row[0].strip()):
+                    continue
+                if len(row) < len(header):
+                    raise CsvFormatError(path, reader.line_num, f"expected {len(header)} columns")
+                yield reader.line_num, row
+        except csv.Error as exc:
+            raise CsvFormatError(path, reader.line_num, str(exc)) from None
+
+
+def _scan_series(path: str) -> tuple[np.ndarray, np.ndarray]:
+    """(dates, values) of any date,value file, row by row."""
+    dates: list[np.datetime64] = []
+    values: list[float] = []
+    for line, row in _scan(path, ["date", "value"]):
+        d = _parse_date(row[0], path, line)
+        if dates and d <= dates[-1]:
+            raise CsvFormatError(path, line, f"date {d} is not after {dates[-1]}")
+        dates.append(d)
+        values.append(_parse_value(row[1], path, line))
+    return np.array(dates, dtype="datetime64[D]"), np.array(values, dtype=np.float64)
+
+
+def _scan_panel(path: str) -> tuple[np.ndarray, list[str], np.ndarray]:
+    """(dates, assets, values grid) of any date,asset,value file, row by row."""
+    cells: dict[tuple[np.datetime64, str], float] = {}
+    assets: dict[str, None] = {}
+    for line, row in _scan(path, ["date", "asset", "value"]):
+        d = _parse_date(row[0], path, line)
+        a = row[1].strip()
+        if not a:
+            raise CsvFormatError(path, line, "empty asset label")
+        if (d, a) in cells:
+            raise CsvFormatError(path, line, f"duplicate cell {a}@{d}")
+        cells[d, a] = _parse_value(row[2], path, line)
+        assets.setdefault(a)
+    if not cells:
+        raise CsvFormatError(path, 1, "no data rows")
+    dates = np.array(sorted({d for d, _ in cells}), dtype="datetime64[D]")
+    values = np.full((dates.size, len(assets)), np.nan)
+    col = {a: i for i, a in enumerate(assets)}
+    pos = {d: i for i, d in enumerate(dates.tolist())}
+    for (d, a), v in cells.items():
+        values[pos[d.tolist()], col[a]] = v
+    return dates, list(assets), values
+
+
+# ---------------------------------------------------------------------------
+# Column parser: canonical files, a block at a time
+# ---------------------------------------------------------------------------
+
+
+def _column_blocks(fh, ncol: int) -> Iterator[list[list[str]] | None]:
+    """Yield the rest of `fh` in blocks of about _BLOCK_CHARS characters,
+    each as `ncol` lists of column tokens. Yield None and stop at the first
+    block outside the canonical dialect, or with a line the csv module would
+    refuse as too long."""
+    while lines := fh.readlines(_BLOCK_CHARS):
+        text = "".join(lines)
+        if (
+            not text.isascii()
+            or text.encode("ascii").translate(None, _CANONICAL)
+            or len(text) > csv.field_size_limit()
+            or set(map(str.count, lines, repeat(","))) != {ncol - 1}
+        ):
+            yield None
+            return
+        tokens = text.replace("\n", ",").split(",")
+        if text.endswith("\n"):
+            tokens.pop()
+        yield [tokens[j::ncol] for j in range(ncol)]
+
+
+def _iso_days(tokens: list[str]) -> np.ndarray:
+    """Tokens of the form YYYY-MM-DD as datetime64[D]; ValueError otherwise."""
+    text = "".join(tokens)
+    n = len(tokens)
+    if set(map(len, tokens)) - {10} or text[4::10].count("-") != n or text[7::10].count("-") != n:
+        raise ValueError("date not of the form YYYY-MM-DD")
+    return np.array(tokens, dtype="datetime64[D]")
+
+
+def _codes(code: dict[str, int], tokens: list[str]) -> np.ndarray:
+    """Integer code of each token; a new token gets the next code."""
+    for t in dict.fromkeys(tokens):
+        code.setdefault(t, len(code))
+    return np.array(list(map(code.__getitem__, tokens)), dtype=np.int64)
+
+
+def _parse_series(path: str) -> tuple[np.ndarray, np.ndarray] | None:
+    """(dates, values) of a canonical date,value file; None for any other file."""
+    dates = [np.empty(0, dtype="datetime64[D]")]
+    values = [np.empty(0)]
+    with open(path, newline="") as fh:
+        if fh.readline() != "date,value\n":
+            return None
+        for block in _column_blocks(fh, 2):
+            if block is None:
+                return None
+            try:
+                dates.append(_iso_days(block[0]))
+                values.append(np.fromiter(map(float, block[1]), np.float64, len(block[1])))
+            except ValueError:
+                return None
+    d = np.concatenate(dates)
+    v = np.concatenate(values)
+    if not (np.isfinite(v).all() and (np.diff(d.astype(np.int64)) > 0).all()):
+        return None
+    return d, v
+
+
+def _parse_panel(path: str) -> tuple[np.ndarray, list[str], np.ndarray] | None:
+    """(dates, assets, values grid) of a canonical date,asset,value file;
+    None for any other file."""
+    date_code: dict[str, int] = {}
+    asset_code: dict[str, int] = {}
+    rows, cols, values = [], [], []
+    with open(path, newline="") as fh:
+        if fh.readline() != "date,asset,value\n":
+            return None
+        for block in _column_blocks(fh, 3):
+            if block is None:
+                return None
+            try:
+                values.append(np.fromiter(map(float, block[2]), np.float64, len(block[2])))
+            except ValueError:
+                return None
+            rows.append(_codes(date_code, block[0]))
+            cols.append(_codes(asset_code, block[1]))
+    if not date_code or "" in asset_code:
+        return None
+    try:
+        days = _iso_days(list(date_code))
+    except ValueError:
+        return None
+    order = np.argsort(days)
+    dates = days[order]
+    row, col, value = np.concatenate(rows), np.concatenate(cols), np.concatenate(values)
+    # two spellings of one day, a repeated cell or a non-finite value: the scanner says where
+    if (
+        (np.diff(dates.astype(np.int64)) == 0).any()
+        or np.bincount(row * len(asset_code) + col).max() > 1
+        or not np.isfinite(value).all()
+    ):
+        return None
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    grid = np.full((dates.size, len(asset_code)), np.nan)
+    grid[rank[row], col] = value
+    return dates, list(asset_code), grid
+
+
 # ---------------------------------------------------------------------------
 # Series CSV (columns: date,value)
 # ---------------------------------------------------------------------------
@@ -60,23 +256,8 @@ def read_series(
     """
     if kind not in ("return", "price", "rate"):
         raise CsvFormatError(path, 0, f"unknown kind {kind!r}")
-    dates: list[np.datetime64] = []
-    values: list[float] = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [c.strip().lower() for c in header[:2]] != ["date", "value"]:
-            raise CsvFormatError(path, 1, "expected header 'date,value'")
-        for line_no, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) < 2:
-                raise CsvFormatError(path, line_no, "expected two columns")
-            dates.append(_parse_date(row[0], path, line_no))
-            values.append(_parse_float(row[1], path, line_no))
+    d, v = _parse_series(path) or _scan_series(path)
     name = label if label is not None else os.path.splitext(os.path.basename(path))[0]
-    d = np.array(dates, dtype="datetime64[D]")
-    v = np.array(values)
     if kind == "rate":
         return RateSeries(label=name, dates=d, rates=v)
     if kind == "price":
@@ -88,11 +269,21 @@ def read_series(
     return ReturnSeries(label=name, period=period, dates=d, values=v)
 
 
+def _row_blocks(n: int) -> Iterator[slice]:
+    """Slices of _WRITE_ROWS rows covering range(n).
+
+    A writer formats a block with one `tolist()` per column and one join:
+    `{!r}` of a float from `tolist()` is `_fmt`'s repr(float(x)).
+    """
+    return (slice(i, i + _WRITE_ROWS) for i in range(0, n, _WRITE_ROWS))
+
+
 def write_series(path: str, s: ReturnSeries) -> None:
     with open(path, "w", newline="\n") as fh:
         fh.write("date,value\n")
-        for d, v in zip(s.dates, s.values):
-            fh.write(f"{d},{_fmt(v)}\n")
+        for b in _row_blocks(len(s)):
+            dates, values = s.dates[b].astype(str).tolist(), s.values[b].tolist()
+            fh.write("".join([f"{d},{v!r}\n" for d, v in zip(dates, values)]))
 
 
 # ---------------------------------------------------------------------------
@@ -101,49 +292,21 @@ def write_series(path: str, s: ReturnSeries) -> None:
 
 
 def read_panel(path: str, period: Period = "daily") -> Panel:
-    cells: dict[tuple[np.datetime64, str], float] = {}
-    assets: list[str] = []
-    seen: set[str] = set()
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [c.strip().lower() for c in header[:3]] != ["date", "asset", "value"]:
-            raise CsvFormatError(path, 1, "expected header 'date,asset,value'")
-        for line_no, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) < 3:
-                raise CsvFormatError(path, line_no, "expected three columns")
-            d = _parse_date(row[0], path, line_no)
-            a = row[1].strip()
-            if not a:
-                raise CsvFormatError(path, line_no, "empty asset label")
-            key = (d, a)
-            if key in cells:
-                raise CsvFormatError(path, line_no, f"duplicate cell {a}@{d}")
-            cells[key] = _parse_float(row[2], path, line_no)
-            if a not in seen:
-                seen.add(a)
-                assets.append(a)
-    if not cells:
-        raise CsvFormatError(path, 1, "no data rows")
-    dates = np.array(sorted({d for d, _ in cells}), dtype="datetime64[D]")
-    values = np.full((dates.size, len(assets)), np.nan)
-    col = {a: i for i, a in enumerate(assets)}
-    pos = {d: i for i, d in enumerate(dates.tolist())}
-    for (d, a), v in cells.items():
-        values[pos[d.tolist()], col[a]] = v
+    """Load a long-format panel; a missing cell is an absent row."""
+    dates, assets, values = _parse_panel(path) or _scan_panel(path)
     return Panel(dates=dates, assets=assets, values=values, period=period)
 
 
 def write_panel(path: str, panel: Panel) -> None:
+    rows, cols = np.nonzero(np.isfinite(panel.values))
+    days = panel.dates.astype(str).astype(object)
+    assets = np.array(panel.assets, dtype=object)
     with open(path, "w", newline="\n") as fh:
         fh.write("date,asset,value\n")
-        for i, d in enumerate(panel.dates):
-            for j, a in enumerate(panel.assets):
-                v = panel.values[i, j]
-                if np.isfinite(v):
-                    fh.write(f"{d},{a},{_fmt(v)}\n")
+        for b in _row_blocks(rows.size):
+            r, c = rows[b], cols[b]
+            cells = zip(days[r].tolist(), assets[c].tolist(), panel.values[r, c].tolist())
+            fh.write("".join([f"{d},{a},{v!r}\n" for d, a, v in cells]))
 
 
 # ---------------------------------------------------------------------------
@@ -157,30 +320,21 @@ _FALSY = {"0", "false", "no"}
 
 def read_cross_section(path: str) -> CrossSection:
     rows: list[CrossSectionRow] = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [c.strip().lower() for c in header[:7]] != _CS_HEADER:
-            raise CsvFormatError(path, 1, f"expected header {','.join(_CS_HEADER)}")
-        for line_no, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) < 7:
-                raise CsvFormatError(path, line_no, "expected seven columns")
-            flag = row[6].strip().lower()
-            if flag not in _TRUTHY | _FALSY:
-                raise CsvFormatError(path, line_no, f"bad fit flag {row[6]!r}")
-            rows.append(
-                CrossSectionRow(
-                    name=row[0].strip(),
-                    sharpe=_parse_float(row[1], path, line_no, "sharpe"),
-                    ann_vol=_parse_float(row[2], path, line_no, "vol"),
-                    zeta_star=_parse_float(row[3], path, line_no, "zeta_star"),
-                    err_sharpe=_parse_float(row[4], path, line_no, "err_sharpe"),
-                    err_zeta_star=_parse_float(row[5], path, line_no, "err_zeta_star"),
-                    included_in_fit=flag in _TRUTHY,
-                )
+    for line_no, row in _scan(path, _CS_HEADER):
+        flag = row[6].strip().lower()
+        if flag not in _TRUTHY | _FALSY:
+            raise CsvFormatError(path, line_no, f"bad fit flag {row[6]!r}")
+        rows.append(
+            CrossSectionRow(
+                name=row[0].strip(),
+                sharpe=_parse_float(row[1], path, line_no, "sharpe"),
+                ann_vol=_parse_float(row[2], path, line_no, "vol"),
+                zeta_star=_parse_float(row[3], path, line_no, "zeta_star"),
+                err_sharpe=_parse_float(row[4], path, line_no, "err_sharpe"),
+                err_zeta_star=_parse_float(row[5], path, line_no, "err_zeta_star"),
+                included_in_fit=flag in _TRUTHY,
             )
+        )
     return CrossSection(rows=rows)
 
 
@@ -204,10 +358,12 @@ def write_curve_csv(path: str, curve: RankedPnlCurve, symmetrized: RankedPnlCurv
     """Ranked-P&L plot data: columns p, F and the symmetrized twin's F_sym."""
     if symmetrized.p.size != curve.p.size:
         raise IOWrite("curve and symmetrized curve differ in length")
+    cols = [np.asarray(x, dtype=np.float64) for x in (curve.p, curve.f, symmetrized.f)]
     with open(path, "w", newline="\n") as fh:
         fh.write("p,F,F_sym\n")
-        for p, f, g in zip(curve.p, curve.f, symmetrized.f):
-            fh.write(f"{_fmt(p)},{_fmt(f)},{_fmt(g)}\n")
+        for b in _row_blocks(cols[0].size):
+            rows = zip(*(c[b].tolist() for c in cols))
+            fh.write("".join([f"{p!r},{f!r},{g!r}\n" for p, f, g in rows]))
 
 
 def write_fig10_csv(path: str, rows) -> None:

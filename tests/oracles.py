@@ -10,8 +10,10 @@ import math
 
 import numpy as np
 
-from rankskew.errors import ZeroVariance
-from rankskew.series import det_dot, det_sum
+from rankskew.errors import IOWrite, ZeroVariance
+from rankskew.portfolio import Panel
+from rankskew.series import ReturnSeries, det_dot, det_sum
+from rankskew.skew import RankedPnlCurve
 
 
 def zeta_star_from_counts_searchsorted(
@@ -47,3 +49,36 @@ def zeta_star_from_counts_searchsorted(
     w_hi = c_hi * (n - start_hi) - c_hi * (c_hi - 1.0) / 2.0
     total = (det_dot(w_lo, v_lo) + det_dot(w_hi, v_hi)) - m * (det_sum(w_lo) + det_sum(w_hi))
     return -100.0 * total / sd / (float(n) * float(n)), float(m), sd
+
+
+def _fmt(x: float) -> str:
+    return repr(float(x))
+
+
+def write_series_by_row(path: str, s: ReturnSeries) -> None:
+    """Series writer that formats and writes one row at a time."""
+    with open(path, "w", newline="\n") as fh:
+        fh.write("date,value\n")
+        for d, v in zip(s.dates, s.values):
+            fh.write(f"{d},{_fmt(v)}\n")
+
+
+def write_panel_by_row(path: str, panel: Panel) -> None:
+    """Panel writer that formats and writes one cell at a time."""
+    with open(path, "w", newline="\n") as fh:
+        fh.write("date,asset,value\n")
+        for i, d in enumerate(panel.dates):
+            for j, a in enumerate(panel.assets):
+                v = panel.values[i, j]
+                if np.isfinite(v):
+                    fh.write(f"{d},{a},{_fmt(v)}\n")
+
+
+def write_curve_csv_by_row(path: str, curve: RankedPnlCurve, symmetrized: RankedPnlCurve) -> None:
+    """Curve writer that formats and writes one row at a time."""
+    if symmetrized.p.size != curve.p.size:
+        raise IOWrite("curve and symmetrized curve differ in length")
+    with open(path, "w", newline="\n") as fh:
+        fh.write("p,F,F_sym\n")
+        for p, f, g in zip(curve.p, curve.f, symmetrized.f):
+            fh.write(f"{_fmt(p)},{_fmt(f)},{_fmt(g)}\n")

@@ -60,6 +60,64 @@ def test_malformed_rows_cite_line_numbers(tmp_path):
     assert exc.value.line == 1
 
 
+@pytest.mark.parametrize(
+    "body, line",
+    [
+        ("2001-01-01,0.01\n2001-01-02,nan\n", 3),
+        ("2001-01-01,0.01\n2001-01-02,0.02\n2001-01-03,1e400\n", 4),
+        ("2001-01-01,0.01\n2001-01-03,-inf\n", 3),
+        ("2001-01-02,0.01\n2001-01-01,0.02\n", 3),
+        ("2001-01-01,0.01\n2001-01-02,0.02\n2001-01-02,0.03\n", 4),
+    ],
+)
+def test_series_data_errors_cite_file_and_line(tmp_path, body, line):
+    path = tmp_path / "s.csv"
+    path.write_text("date,value\n" + body)
+    for kind in ("return", "price", "rate"):
+        with pytest.raises(CsvFormatError) as exc:
+            read_series(str(path), kind=kind)
+        assert (exc.value.path, exc.value.line) == (str(path), line)
+
+
+def test_cli_series_data_error_names_file_and_line(tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("date,value\n2001-01-01,0.01\n2001-01-02,0.02\n2001-01-03,nan\n")
+    assert run_cli("analyze", str(bad), "--seed", "1", "--out-dir", str(tmp_path)) == 1
+    assert "bad.csv:4:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("token", ["inf", "nan", "-1e400", "NaN"])
+def test_panel_rejects_non_finite_cells(tmp_path, token):
+    path = tmp_path / "p.csv"
+    path.write_text(f"date,asset,value\n2001-01-01,a,0.1\n2001-01-01,b,{token}\n2001-01-02,b,0.2\n")
+    with pytest.raises(CsvFormatError) as exc:
+        read_panel(str(path))
+    assert exc.value.line == 3
+
+
+def test_over_long_field_cites_line(tmp_path):
+    """A field past csv.field_size_limit() is a data error in every reader."""
+    long_zero = "0." + "0" * 200_000  # a finite value, so only the length is wrong
+    cases = [
+        (read_series, "date,value\n2001-01-01,0.1\n2001-01-02,{}\n2001-01-03,0.2\n", 3),
+        (read_panel, "date,asset,value\n2001-01-01,a,0.1\n2001-01-02,a,{}\n", 3),
+        (read_cross_section, "name,sharpe,vol,zeta_star,err_sharpe,err_zeta_star,fit\nm,{},0.1,-1,0.1,0.1,1\n", 2),
+    ]
+    for reader, text, line in cases:
+        path = tmp_path / "long.csv"
+        path.write_text(text.format(long_zero))
+        with pytest.raises(CsvFormatError, match="field larger than field limit") as exc:
+            reader(str(path))
+        assert exc.value.line == line, reader.__name__
+
+
+def test_cli_over_long_field_is_a_data_error(tmp_path, capsys):
+    bad = tmp_path / "long.csv"
+    bad.write_text("date,asset,value\n2001-01-01,a,0.1\n2001-01-02," + "a" * 200_000 + ",0.2\n")
+    assert run_cli("pca", str(bad), "--out-dir", str(tmp_path)) == 1
+    assert "long.csv:3:" in capsys.readouterr().err
+
+
 def test_panel_roundtrip_and_duplicates(tmp_path):
     dates = np.datetime64("2001-01-01", "D") + np.arange(3)
     values = np.array([[0.1, np.nan], [0.2, 0.3], [np.nan, 0.4]])
