@@ -36,6 +36,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
     p = sub.add_parser("analyze", help="full skewness report plus ranked-P&L curve for one series")
+    p.set_defaults(run=_cmd_analyze)
     p.add_argument("input", help="series CSV (date,value)")
     p.add_argument("--kind", choices=["return", "price"], default="return", help="interpret values as returns or prices")
     p.add_argument("--period", choices=["daily", "monthly"], default="daily", help="sampling period of the series")
@@ -45,6 +46,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", default=".", help="directory for output artifacts")
 
     p = sub.add_parser("rankplot", help="ranked-P&L curve CSV (p,F,F_sym) for one series")
+    p.set_defaults(run=_cmd_rankplot)
     p.add_argument("input", help="series CSV (date,value)")
     p.add_argument("--kind", choices=["return", "price"], default="return", help="interpret values as returns or prices")
     p.add_argument("--period", choices=["daily", "monthly"], default="daily", help="sampling period of the series")
@@ -52,6 +54,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", default=".", help="directory for output artifacts")
 
     p = sub.add_parser("synth", help="emit synthetic samples as a series CSV")
+    p.set_defaults(run=_cmd_synth)
     p.add_argument("dist", choices=["ast", "edgeworth", "gaussian"], help="distribution family")
     p.add_argument("--nu-plus", type=float, default=None, help="right tail exponent (ast)")
     p.add_argument("--nu-minus", type=float, default=None, help="left tail exponent (ast)")
@@ -62,11 +65,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output CSV path")
 
     p = sub.add_parser("fig10", help="quadrature sweep of zeta3 and zeta* over right-tail exponents")
+    p.set_defaults(run=_cmd_fig10)
     p.add_argument("--nu-minus", type=float, default=3.5, help="fixed left tail exponent")
     p.add_argument("--nu-plus-grid", default="3.2,3.5,4,5,7,10", help="comma-separated right tail exponents")
     p.add_argument("--out", required=True, help="output CSV path")
 
     p = sub.add_parser("deciles", help="signal-ranked bucket portfolios and their decile table")
+    p.set_defaults(run=_cmd_deciles)
     p.add_argument("--returns", required=True, help="returns panel CSV (date,asset,value)")
     p.add_argument("--signal", required=True, help="signal panel CSV (date,asset,value)")
     p.add_argument("--buckets", type=int, default=10, help="number of buckets")
@@ -74,21 +79,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", default=".", help="directory for output artifacts")
 
     p = sub.add_parser("carry", help="FX carry pair returns and signal panels from spot and rate panels")
+    p.set_defaults(run=_cmd_carry)
     p.add_argument("--spot", required=True, help="spot price panel CSV (date,asset,value)")
     p.add_argument("--rates", required=True, help="annualized rate panel CSV (date,asset,value)")
     p.add_argument("--out-dir", default=".", help="directory for output artifacts")
 
     p = sub.add_parser("regress", help="Sharpe-vs-skewness regression and classification")
+    p.set_defaults(run=_cmd_regress)
     p.add_argument("input", help="cross-section CSV (name,sharpe,vol,zeta_star,err_sharpe,err_zeta_star,fit)")
     p.add_argument("--out-dir", default=".", help="directory for output artifacts")
 
     p = sub.add_parser("pca", help="rolling eigenvalue spectrum of the strategy correlation matrix")
+    p.set_defaults(run=_cmd_pca)
     p.add_argument("input", help="strategy returns panel CSV (date,asset,value)")
     p.add_argument("--window", type=int, default=252, help="window length in periods")
     p.add_argument("--step", type=int, default=21, help="step between windows")
     p.add_argument("--out-dir", default=".", help="directory for output artifacts")
 
     p = sub.add_parser("report", help="batch: analyze several series and bundle one JSON report")
+    p.set_defaults(run=_cmd_report)
     p.add_argument("--series", action="append", required=True, help="series CSV, repeatable")
     p.add_argument("--period", choices=["daily", "monthly"], default="daily", help="sampling period of the series")
     p.add_argument("--bootstrap", type=int, default=1000, help="bootstrap replicates for error bars")
@@ -129,7 +138,7 @@ def _write_curve(path: str, kind: str, args, out: _Outputs) -> ReturnSeries:
     return series
 
 
-def _cmd_analyze(args, out: _Outputs) -> None:
+def _cmd_analyze(args, parser: argparse.ArgumentParser, out: _Outputs) -> None:
     series = _write_curve(args.input, args.kind, args, out)
     benchmark = None
     if args.benchmark:
@@ -138,7 +147,7 @@ def _cmd_analyze(args, out: _Outputs) -> None:
     rio.write_json(out.add(os.path.join(args.out_dir, f"{_stem(args.input)}_skew_report.json")), report.as_dict())
 
 
-def _cmd_rankplot(args, out: _Outputs) -> None:
+def _cmd_rankplot(args, parser: argparse.ArgumentParser, out: _Outputs) -> None:
     _write_curve(args.input, args.kind, args, out)
 
 
@@ -166,7 +175,7 @@ def _cmd_fig10(args, parser: argparse.ArgumentParser, out: _Outputs) -> None:
     rio.write_fig10_csv(out.add(args.out), rows)
 
 
-def _cmd_deciles(args, out: _Outputs) -> None:
+def _cmd_deciles(args, parser: argparse.ArgumentParser, out: _Outputs) -> None:
     os.makedirs(args.out_dir, exist_ok=True)
     returns = rio.read_panel(args.returns)
     signal = rio.read_panel(args.signal)
@@ -175,7 +184,7 @@ def _cmd_deciles(args, out: _Outputs) -> None:
     rio.write_decile_csv(out.add(os.path.join(args.out_dir, "deciles.csv")), table)
 
 
-def _cmd_carry(args, out: _Outputs) -> None:
+def _cmd_carry(args, parser: argparse.ArgumentParser, out: _Outputs) -> None:
     os.makedirs(args.out_dir, exist_ok=True)
     spot = rio.read_panel(args.spot)
     rates = rio.read_panel(args.rates)
@@ -184,7 +193,7 @@ def _cmd_carry(args, out: _Outputs) -> None:
     rio.write_panel(out.add(os.path.join(args.out_dir, "carry_signal.csv")), signal)
 
 
-def _cmd_regress(args, out: _Outputs) -> None:
+def _cmd_regress(args, parser: argparse.ArgumentParser, out: _Outputs) -> None:
     os.makedirs(args.out_dir, exist_ok=True)
     cs = rio.read_cross_section(args.input)
     result = cross_section_stats(cs)
@@ -192,7 +201,7 @@ def _cmd_regress(args, out: _Outputs) -> None:
     rio.write_scatter_csv(out.add(os.path.join(args.out_dir, "scatter.csv")), cs, result)
 
 
-def _cmd_pca(args, out: _Outputs) -> None:
+def _cmd_pca(args, parser: argparse.ArgumentParser, out: _Outputs) -> None:
     os.makedirs(args.out_dir, exist_ok=True)
     panel = rio.read_panel(args.input)
     spectrum = pca_spectrum(panel, window=args.window, step=args.step)
@@ -246,24 +255,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     out = _Outputs()
     try:
-        if args.command == "analyze":
-            _cmd_analyze(args, out)
-        elif args.command == "rankplot":
-            _cmd_rankplot(args, out)
-        elif args.command == "synth":
-            _cmd_synth(args, parser, out)
-        elif args.command == "fig10":
-            _cmd_fig10(args, parser, out)
-        elif args.command == "deciles":
-            _cmd_deciles(args, out)
-        elif args.command == "carry":
-            _cmd_carry(args, out)
-        elif args.command == "regress":
-            _cmd_regress(args, out)
-        elif args.command == "pca":
-            _cmd_pca(args, out)
-        elif args.command == "report":
-            _cmd_report(args, parser, out)
+        args.run(args, parser, out)
     except (RankSkewError, OSError) as exc:
         out.discard()
         print(f"rankskew: error: {exc}", file=sys.stderr)

@@ -10,7 +10,8 @@ column at a time: the exact header, ASCII without quotes or whitespace
 other than '\\n', and the header's field count on every line. Any other
 file, and any file with a bad row, is read again by the row scanner,
 which also takes csv-module quoting, CRLF, blank lines, padded tokens and
-extra columns, and names the file and line of the first bad row.
+extra columns, and names the file and line of the first bad row. Every CSV
+is UTF-8; a file that is not names the first line that fails to decode.
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ import csv
 import json
 import math
 import os
-from itertools import repeat
+from contextlib import contextmanager
+from itertools import islice, repeat
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -56,16 +58,33 @@ def _parse_date(token: str, path: str, line: int) -> np.datetime64:
 
 def _parse_float(token: str, path: str, line: int, what: str = "value") -> float:
     try:
-        return float(token)
+        x = float(token)
     except ValueError:
         raise CsvFormatError(path, line, f"bad {what} {token!r}") from None
-
-
-def _parse_value(token: str, path: str, line: int) -> float:
-    x = _parse_float(token, path, line)
     if not math.isfinite(x):
-        raise CsvFormatError(path, line, f"non-finite value {token!r}")
+        raise CsvFormatError(path, line, f"non-finite {what} {token!r}")
     return x
+
+
+def _open_text(path: str, mode: str = "r"):
+    """Open a file as UTF-8: newlines untranslated to read, '\\n' to write."""
+    return open(path, mode, encoding="utf-8", newline="" if mode == "r" else "\n")
+
+
+@contextmanager
+def _utf8(path: str) -> Iterator[None]:
+    """Turn a decode error while reading `path` into a CsvFormatError at the
+    first line that is not UTF-8 (no UTF-8 sequence holds a newline byte)."""
+    try:
+        yield
+    except UnicodeDecodeError:
+        with open(path, "rb") as fh:
+            for line, raw in enumerate(fh, 1):
+                try:
+                    raw.decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise CsvFormatError(path, line, f"not UTF-8 text: {exc.reason}") from None
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -80,7 +99,7 @@ def _scan(path: str, header: list[str]) -> Iterator[tuple[int, list[str]]]:
     with fewer fields, and any error of the csv module (such as a field
     over `csv.field_size_limit()`), raises CsvFormatError.
     """
-    with open(path, newline="") as fh:
+    with _open_text(path) as fh:
         reader = csv.reader(fh)
         try:
             first = next(reader, None)
@@ -105,7 +124,7 @@ def _scan_series(path: str) -> tuple[np.ndarray, np.ndarray]:
         if dates and d <= dates[-1]:
             raise CsvFormatError(path, line, f"date {d} is not after {dates[-1]}")
         dates.append(d)
-        values.append(_parse_value(row[1], path, line))
+        values.append(_parse_float(row[1], path, line))
     return np.array(dates, dtype="datetime64[D]"), np.array(values, dtype=np.float64)
 
 
@@ -120,7 +139,7 @@ def _scan_panel(path: str) -> tuple[np.ndarray, list[str], np.ndarray]:
             raise CsvFormatError(path, line, "empty asset label")
         if (d, a) in cells:
             raise CsvFormatError(path, line, f"duplicate cell {a}@{d}")
-        cells[d, a] = _parse_value(row[2], path, line)
+        cells[d, a] = _parse_float(row[2], path, line)
         assets.setdefault(a)
     if not cells:
         raise CsvFormatError(path, 1, "no data rows")
@@ -179,7 +198,7 @@ def _parse_series(path: str) -> tuple[np.ndarray, np.ndarray] | None:
     """(dates, values) of a canonical date,value file; None for any other file."""
     dates = [np.empty(0, dtype="datetime64[D]")]
     values = [np.empty(0)]
-    with open(path, newline="") as fh:
+    with _open_text(path) as fh:
         if fh.readline() != "date,value\n":
             return None
         for block in _column_blocks(fh, 2):
@@ -203,7 +222,7 @@ def _parse_panel(path: str) -> tuple[np.ndarray, list[str], np.ndarray] | None:
     date_code: dict[str, int] = {}
     asset_code: dict[str, int] = {}
     rows, cols, values = [], [], []
-    with open(path, newline="") as fh:
+    with _open_text(path) as fh:
         if fh.readline() != "date,asset,value\n":
             return None
         for block in _column_blocks(fh, 3):
@@ -256,14 +275,16 @@ def read_series(
     """
     if kind not in ("return", "price", "rate"):
         raise CsvFormatError(path, 0, f"unknown kind {kind!r}")
-    d, v = _parse_series(path) or _scan_series(path)
+    with _utf8(path):
+        d, v = _parse_series(path) or _scan_series(path)
     name = label if label is not None else os.path.splitext(os.path.basename(path))[0]
     if kind == "rate":
         return RateSeries(label=name, dates=d, rates=v)
     if kind == "price":
         if np.any(v[:-1] == 0.0):
             bad = int(np.flatnonzero(v[:-1] == 0.0)[0])
-            raise CsvFormatError(path, bad + 2, "zero price cannot seed a return")
+            line, _ = next(islice(_scan(path, ["date", "value"]), bad, None))
+            raise CsvFormatError(path, line, "zero price cannot seed a return")
         v = v[1:] / v[:-1] - 1.0
         d = d[1:]
     return ReturnSeries(label=name, period=period, dates=d, values=v)
@@ -279,7 +300,7 @@ def _row_blocks(n: int) -> Iterator[slice]:
 
 
 def write_series(path: str, s: ReturnSeries) -> None:
-    with open(path, "w", newline="\n") as fh:
+    with _open_text(path, "w") as fh:
         fh.write("date,value\n")
         for b in _row_blocks(len(s)):
             dates, values = s.dates[b].astype(str).tolist(), s.values[b].tolist()
@@ -293,7 +314,8 @@ def write_series(path: str, s: ReturnSeries) -> None:
 
 def read_panel(path: str, period: Period = "daily") -> Panel:
     """Load a long-format panel; a missing cell is an absent row."""
-    dates, assets, values = _parse_panel(path) or _scan_panel(path)
+    with _utf8(path):
+        dates, assets, values = _parse_panel(path) or _scan_panel(path)
     return Panel(dates=dates, assets=assets, values=values, period=period)
 
 
@@ -301,7 +323,7 @@ def write_panel(path: str, panel: Panel) -> None:
     rows, cols = np.nonzero(np.isfinite(panel.values))
     days = panel.dates.astype(str).astype(object)
     assets = np.array(panel.assets, dtype=object)
-    with open(path, "w", newline="\n") as fh:
+    with _open_text(path, "w") as fh:
         fh.write("date,asset,value\n")
         for b in _row_blocks(rows.size):
             r, c = rows[b], cols[b]
@@ -320,27 +342,28 @@ _FALSY = {"0", "false", "no"}
 
 def read_cross_section(path: str) -> CrossSection:
     rows: list[CrossSectionRow] = []
-    for line_no, row in _scan(path, _CS_HEADER):
-        flag = row[6].strip().lower()
-        if flag not in _TRUTHY | _FALSY:
-            raise CsvFormatError(path, line_no, f"bad fit flag {row[6]!r}")
-        rows.append(
-            CrossSectionRow(
-                name=row[0].strip(),
-                sharpe=_parse_float(row[1], path, line_no, "sharpe"),
-                ann_vol=_parse_float(row[2], path, line_no, "vol"),
-                zeta_star=_parse_float(row[3], path, line_no, "zeta_star"),
-                err_sharpe=_parse_float(row[4], path, line_no, "err_sharpe"),
-                err_zeta_star=_parse_float(row[5], path, line_no, "err_zeta_star"),
-                included_in_fit=flag in _TRUTHY,
+    with _utf8(path):
+        for line_no, row in _scan(path, _CS_HEADER):
+            flag = row[6].strip().lower()
+            if flag not in _TRUTHY | _FALSY:
+                raise CsvFormatError(path, line_no, f"bad fit flag {row[6]!r}")
+            rows.append(
+                CrossSectionRow(
+                    name=row[0].strip(),
+                    sharpe=_parse_float(row[1], path, line_no, "sharpe"),
+                    ann_vol=_parse_float(row[2], path, line_no, "vol"),
+                    zeta_star=_parse_float(row[3], path, line_no, "zeta_star"),
+                    err_sharpe=_parse_float(row[4], path, line_no, "err_sharpe"),
+                    err_zeta_star=_parse_float(row[5], path, line_no, "err_zeta_star"),
+                    included_in_fit=flag in _TRUTHY,
+                )
             )
-        )
     return CrossSection(rows=rows)
 
 
 def write_scatter_csv(path: str, cs: CrossSection, result: RegressionResult) -> None:
     """Plot data for the Sharpe-vs-skewness scatter with the channel."""
-    with open(path, "w", newline="\n") as fh:
+    with _open_text(path, "w") as fh:
         fh.write("name,neg_zeta_star,sharpe,err_x,err_y,class\n")
         for r in cs.rows:
             fh.write(
@@ -359,7 +382,7 @@ def write_curve_csv(path: str, curve: RankedPnlCurve, symmetrized: RankedPnlCurv
     if symmetrized.p.size != curve.p.size:
         raise IOWrite("curve and symmetrized curve differ in length")
     cols = [np.asarray(x, dtype=np.float64) for x in (curve.p, curve.f, symmetrized.f)]
-    with open(path, "w", newline="\n") as fh:
+    with _open_text(path, "w") as fh:
         fh.write("p,F,F_sym\n")
         for b in _row_blocks(cols[0].size):
             rows = zip(*(c[b].tolist() for c in cols))
@@ -367,7 +390,7 @@ def write_curve_csv(path: str, curve: RankedPnlCurve, symmetrized: RankedPnlCurv
 
 
 def write_fig10_csv(path: str, rows) -> None:
-    with open(path, "w", newline="\n") as fh:
+    with _open_text(path, "w") as fh:
         fh.write("nu_plus,zeta3,zeta_star\n")
         for r in rows:
             z3 = "" if r.zeta3 is None else _fmt(r.zeta3)
@@ -375,7 +398,7 @@ def write_fig10_csv(path: str, rows) -> None:
 
 
 def write_decile_csv(path: str, table) -> None:
-    with open(path, "w", newline="\n") as fh:
+    with _open_text(path, "w") as fh:
         fh.write("bucket,vol_pct,zeta_star,sharpe\n")
         for r in table.rows:
             fh.write(f"{r.bucket},{_fmt(r.vol_pct)},{_fmt(r.zeta_star)},{_fmt(r.sharpe)}\n")
@@ -383,7 +406,7 @@ def write_decile_csv(path: str, table) -> None:
 
 def write_json(path: str, obj) -> None:
     try:
-        with open(path, "w", newline="\n") as fh:
+        with _open_text(path, "w") as fh:
             json.dump(obj, fh, indent=2, sort_keys=True)
             fh.write("\n")
     except OSError as exc:

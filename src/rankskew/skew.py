@@ -11,6 +11,12 @@ negative when large-amplitude returns are biased downwards. The
 standardized curve is stored per-sample (partial sums divided by N) so
 that zeta* is independent of the sample size and comparable with the
 quadrature oracles in `synth`.
+
+One kernel computes zeta*, for the sample and for every bootstrap
+resample. It ranks amplitudes with mid-rank ties: values at equal
+distance from the mean share their ranks equally, so zeta* does not
+depend on the order of the sample. On samples without such ties it is
+the area of the curve above.
 """
 
 from __future__ import annotations
@@ -109,39 +115,44 @@ def ranked_pnl(s: ReturnSeries, variant: Variant = "raw", seed: int | None = Non
     zeta_star field is filled in. "symmetrized" applies the sign
     symmetrization (seed required) and then cumulates like "raw".
     """
-    n = len(s)
-    p = np.arange(1, n + 1, dtype=np.float64) / n
-    if variant == "standardized":
-        sums, zs = _standardized_sums(s.values)
-        return RankedPnlCurve(p=p, f=sums / n, variant=variant, zeta_star=zs)
     if variant == "raw":
         v = s.values
+    elif variant == "standardized":
+        v = standardize(s).values
     elif variant == "symmetrized":
         if seed is None:
             raise InvalidParams("symmetrized variant needs a seed")
         v = symmetrize(s, seed).values
     else:
         raise InvalidParams(f"unknown curve variant {variant!r}")
-    return RankedPnlCurve(p=p, f=np.cumsum(v[amplitude_order(v)]), variant=variant)
+    n = len(s)
+    p = np.arange(1, n + 1, dtype=np.float64) / n
+    f = np.cumsum(v[amplitude_order(v)])
+    if variant != "standardized":
+        return RankedPnlCurve(p=p, f=f, variant=variant)
+    return RankedPnlCurve(p=p, f=f / n, variant=variant, zeta_star=zeta_star(s))
 
 
-def _standardized_sums(values: np.ndarray) -> tuple[np.ndarray, float]:
-    """Partial sums N*F0 of the standardized values in amplitude order, and zeta*."""
-    n = values.size
-    if n < 2:
-        raise TooShort("need at least 2 values")
-    m = np.mean(values)
-    var = np.mean((values - m) ** 2)
-    if var == 0.0:
-        raise ZeroVariance("all values equal")
-    z = (values - m) / math.sqrt(var)
-    sums = np.cumsum(z[amplitude_order(z)])
-    return sums, -100.0 * det_sum(sums) / (float(n) * float(n))
+def _sorted_centred(values: np.ndarray) -> tuple[np.ndarray, float]:
+    """The values in ascending order minus a centre m0, and m0.
+
+    m0 is the smallest value not below the mean. Centring before the
+    kernel forms E[x^2] - m^2 keeps a large offset from costing digits.
+    Shifting by a sample value rather than by the mean keeps differences
+    of tick-rounded values exact, so values at equal distance from a
+    resample mean stay exactly tied.
+    """
+    v = np.sort(values)
+    m0 = float(v[min(int(np.searchsorted(v, det_sum(v) / v.size)), v.size - 1)])
+    return v - m0, m0
 
 
 def zeta_star_of_values(values: np.ndarray) -> float:
-    """zeta* of a bare value array (standardizes internally)."""
-    return _standardized_sums(values)[1]
+    """zeta* of a bare value array: the counts kernel with unit counts."""
+    if values.size < 2:
+        raise TooShort("need at least 2 values")
+    c, _ = _sorted_centred(values)
+    return _zeta_star_from_counts(c, c * c, np.ones(c.size), c.size)[0]
 
 
 def zeta_star(s: ReturnSeries) -> float:
@@ -269,27 +280,36 @@ def small_p_exponent(curve: RankedPnlCurve, p_min: float = 0.01, p_max: float = 
 def _zeta_star_from_counts(v_sorted: np.ndarray, v_sq: np.ndarray, counts: np.ndarray, n: int) -> tuple[float, float, float]:
     """(zeta*, mean, std) of a resample given its multiplicity vector.
 
-    `v_sorted` holds the sample values in ascending order and `counts`
-    the resample multiplicities in the same order. Equivalent to
-    materializing the resample and calling zeta_star_of_values, but
-    without sorting it: |v - m| is two sorted runs, which the stable sort
-    merges in O(N). Equal values are interchangeable, so on samples whose
-    amplitude ties are all repeated values the result matches the point
-    estimate to float rounding. Distinct values at equal distance from
-    the mean are ranked below-mean first, whereas the point estimate
-    ranks them in resample order; that can move zeta* by whole units on
-    tick-rounded data (ROADMAP item 2).
+    `v_sorted` holds the sample values in ascending order, `v_sq` their
+    squares and `counts` the resample multiplicities in the same order;
+    unit counts give the sample itself. Equivalent to materializing the
+    resample and ranking it, but without sorting it: |v - m| is two sorted
+    runs, which the stable sort merges in O(N). Entries tied in amplitude
+    share their tie group's rank weights in proportion to their counts
+    (mid-rank), whichever side of the mean they lie on. The variance is
+    E[v^2] - m^2, so pass values centred near their mean.
     """
     m = det_dot(counts, v_sorted) / n
     var = det_dot(counts, v_sq) / n - m * m
     if var <= 0.0:
-        raise ZeroVariance("degenerate bootstrap resample")
+        raise ZeroVariance("all values equal")
     sd = math.sqrt(var)
-    order = np.argsort(np.abs(v_sorted - m), kind="stable")
+    d = np.abs(v_sorted - m)
+    order = np.argsort(d, kind="stable")
     c = counts[order]
     # sum of rank weights (n - j + 1) over each block of ranks (S - c, S], S = cumsum(c)
+    w_ranked = c * ((n + 0.5) - np.cumsum(c) + 0.5 * c)
+    d = d[order]
+    tied = d[1:] == d[:-1]
+    if tied.any():
+        # mid-rank: each tie group's weight is shared by count; a group drawn zero times has none
+        first = np.flatnonzero(np.concatenate(([True], ~tied)))
+        group_w = np.add.reduceat(w_ranked, first)
+        group_c = np.add.reduceat(c, first)
+        share = np.divide(group_w, group_c, out=np.zeros_like(group_w), where=group_c > 0)
+        w_ranked = c * np.repeat(share, np.diff(first, append=n))
     w = np.empty(n)
-    w[order] = c * ((n + 0.5) - np.cumsum(c) + 0.5 * c)
+    w[order] = w_ranked
     # summing each side nearest-first fixes the rounding, and so the bytes of err_zeta_star
     split = int(np.searchsorted(v_sorted, m))
     lo = slice(split - 1, None, -1) if split > 0 else slice(0, 0)
@@ -298,16 +318,15 @@ def _zeta_star_from_counts(v_sorted: np.ndarray, v_sq: np.ndarray, counts: np.nd
     return -100.0 * total / sd / (float(n) * float(n)), float(m), sd
 
 
-def _bootstrap(values: np.ndarray, period: str, n_boot: int, seed: int) -> tuple[float, float]:
+def _bootstrap(c_sorted: np.ndarray, c_sq: np.ndarray, m0: float, period: str, n_boot: int, seed: int) -> tuple[float, float]:
     """Bootstrap standard errors of (zeta*, annualized Sharpe).
 
-    i.i.d. resamples with replacement of size N; replicate b uses the
-    generator seeded with seed + b, so replicates can be evaluated in any
-    order (or in parallel) with identical results.
+    `c_sorted`, `c_sq` and `m0` come from `_sorted_centred`. i.i.d.
+    resamples with replacement of size N; replicate b uses the generator
+    seeded with seed + b, so replicates can be evaluated in any order (or
+    in parallel) with identical results.
     """
-    n = values.size
-    v_sorted = np.sort(values)
-    v_sq = v_sorted * v_sorted
+    n = c_sorted.size
     ann = math.sqrt(PERIODS_PER_YEAR[period])
     zs = np.empty(n_boot)
     sh = np.empty(n_boot)
@@ -315,9 +334,9 @@ def _bootstrap(values: np.ndarray, period: str, n_boot: int, seed: int) -> tuple
         rng = np.random.default_rng(seed + b)
         idx = rng.integers(0, n, size=n)
         counts = np.bincount(idx, minlength=n).astype(np.float64)
-        z, m, sd = _zeta_star_from_counts(v_sorted, v_sq, counts, n)
+        z, m, sd = _zeta_star_from_counts(c_sorted, c_sq, counts, n)
         zs[b] = z
-        sh[b] = m / sd * ann
+        sh[b] = (m0 + m) / sd * ann
     return float(np.std(zs, ddof=1)), float(np.std(sh, ddof=1))
 
 
@@ -333,16 +352,19 @@ def skew_report(
     if bootstrap < 2:
         raise InvalidParams(f"need at least 2 bootstrap replicates, got {bootstrap}")
     z3, kurt = classical_moments(s)
-    err_zs, err_sh = _bootstrap(s.values, s.period, bootstrap, seed)
+    c, m0 = _sorted_centred(s.values)
+    c_sq = c * c
+    n = c.size
+    err_zs, err_sh = _bootstrap(c, c_sq, m0, s.period, bootstrap, seed)
     return SkewReport(
-        zeta_star=zeta_star(s),
+        zeta_star=_zeta_star_from_counts(c, c_sq, np.ones(n), n)[0],
         zeta3=z3,
         kurtosis=kurt,
         mean_minus_median=mean_minus_median(s),
         coskew=co_skewness(s, benchmark) if benchmark is not None else None,
         err_zeta_star=err_zs,
         err_sharpe=err_sh,
-        n=len(s),
+        n=n,
         label=s.label,
         seed=seed,
         bootstrap=bootstrap,

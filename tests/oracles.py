@@ -10,10 +10,28 @@ import math
 
 import numpy as np
 
-from rankskew.errors import IOWrite, ZeroVariance
+from rankskew.errors import IOWrite, TooShort, ZeroVariance
 from rankskew.portfolio import Panel
 from rankskew.series import ReturnSeries, det_dot, det_sum
-from rankskew.skew import RankedPnlCurve
+from rankskew.skew import RankedPnlCurve, amplitude_order
+
+
+def standardized_sums(values: np.ndarray) -> tuple[np.ndarray, float]:
+    """Partial sums N*F0 of the standardized values in amplitude order, and zeta*.
+
+    The point estimate before `rankskew.skew._zeta_star_from_counts` took
+    its place; amplitude ties are ranked in the order of `values`.
+    """
+    n = values.size
+    if n < 2:
+        raise TooShort("need at least 2 values")
+    m = np.mean(values)
+    var = np.mean((values - m) ** 2)
+    if var == 0.0:
+        raise ZeroVariance("all values equal")
+    z = (values - m) / math.sqrt(var)
+    sums = np.cumsum(z[amplitude_order(z)])
+    return sums, -100.0 * det_sum(sums) / (float(n) * float(n))
 
 
 def zeta_star_from_counts_searchsorted(

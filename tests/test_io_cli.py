@@ -118,6 +118,60 @@ def test_cli_over_long_field_is_a_data_error(tmp_path, capsys):
     assert "long.csv:3:" in capsys.readouterr().err
 
 
+def test_text_that_is_not_utf8_cites_line(tmp_path):
+    """A byte that is not UTF-8 is a data error at its line in every reader."""
+    cases = [
+        (read_series, b"date,value\n2001-01-01,0.1\n2001-01-02,0.2\xe9\n", 3),
+        (read_panel, b"date,asset,value\n2001-01-01,a,0.1\n2001-01-01,caf\xe9,0.2\n2001-01-02,a,0.3\n", 3),
+        (read_cross_section, b"name,sharpe,vol,zeta_star,err_sharpe,err_zeta_star,fit\ncaf\xe9,0.5,0.1,-1,0.1,0.1,1\n", 2),
+    ]
+    for reader, data, line in cases:
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(data)
+        with pytest.raises(CsvFormatError, match="not UTF-8") as exc:
+            reader(str(path))
+        assert exc.value.line == line, reader.__name__
+
+
+def test_cli_panel_not_utf8_is_a_data_error(tmp_path, capsys):
+    bad = tmp_path / "latin1.csv"
+    bad.write_bytes(b"date,asset,value\n2001-01-01,a,0.1\n2001-01-01,caf\xe9,0.2\n2001-01-02,a,0.3\n")
+    assert run_cli("pca", str(bad), "--out-dir", str(tmp_path)) == 1
+    assert "latin1.csv:3:" in capsys.readouterr().err
+
+
+def test_panel_utf8_labels_round_trip(tmp_path):
+    path = tmp_path / "p.csv"
+    path.write_bytes("date,asset,value\n2001-01-01,café,0.1\n2001-01-02,café,0.2\n".encode("utf-8"))
+    panel = read_panel(str(path))
+    assert panel.assets == ["café"]
+    out = tmp_path / "out.csv"
+    write_panel(out, panel)
+    assert out.read_bytes() == path.read_bytes()
+
+
+def test_price_zero_cites_scanned_line(tmp_path):
+    path = tmp_path / "px.csv"
+    path.write_text("date,value\n\n2001-01-01,0\n2001-01-02,1\n2001-01-03,2\n")
+    with pytest.raises(CsvFormatError, match="zero price") as exc:
+        read_series(str(path), kind="price")
+    assert exc.value.line == 3
+
+
+@pytest.mark.parametrize("field, token", [(1, "nan"), (2, "inf"), (3, "-inf"), (4, "NaN"), (5, "1e400")])
+def test_cli_regress_non_finite_field_is_a_data_error(tmp_path, capsys, field, token):
+    row = ["m", "0.5", "0.1", "-1.0", "0.1", "0.1", "1"]
+    row[field] = token
+    cs = tmp_path / "cs.csv"
+    cs.write_text(
+        "name,sharpe,vol,zeta_star,err_sharpe,err_zeta_star,fit\n"
+        "a,0.2,0.1,-0.5,0.1,0.1,1\n" + ",".join(row) + "\nb,0.4,0.1,-1.5,0.1,0.1,1\n"
+    )
+    assert run_cli("regress", str(cs), "--out-dir", str(tmp_path)) == 1
+    assert "cs.csv:3: non-finite" in capsys.readouterr().err
+    assert not (tmp_path / "regression.json").exists()
+
+
 def test_panel_roundtrip_and_duplicates(tmp_path):
     dates = np.datetime64("2001-01-01", "D") + np.arange(3)
     values = np.array([[0.1, np.nan], [0.2, 0.3], [np.nan, 0.4]])

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.stats import rankdata
 
 from rankskew import (
     EDGEWORTH_ZETA_STAR_COEFF,
@@ -27,9 +28,9 @@ from rankskew import (
     zeta_star,
 )
 from rankskew.errors import ZeroVariance
-from rankskew.series import PERIODS_PER_YEAR
-from rankskew.skew import _bootstrap, _zeta_star_from_counts, zeta_star_of_values
-from tests.oracles import zeta_star_from_counts_searchsorted
+from rankskew.series import PERIODS_PER_YEAR, det_dot
+from rankskew.skew import _bootstrap, _sorted_centred, _zeta_star_from_counts, zeta_star_of_values
+from tests.oracles import standardized_sums, zeta_star_from_counts_searchsorted
 from tests.test_series import daily
 
 
@@ -113,6 +114,54 @@ def test_zeta_star_affine_invariance(a, b):
 def test_zeta_star_gaussian_null_is_small():
     series = gaussian_sample(300_000, 3)
     assert abs(zeta_star(series)) < 0.1
+
+
+def midrank_zeta_star(x: np.ndarray) -> float:
+    """zeta* of a materialized sample from scipy's average ranks of |x - mean|."""
+    n = x.size
+    m = np.mean(x)
+    sd = math.sqrt(np.mean((x - m) ** 2))
+    r = rankdata(np.abs(x - m), method="average")
+    return -100.0 * float(np.sum((n + 1.0 - r) * (x - m))) / sd / (float(n) * float(n))
+
+
+@given(
+    n=st.integers(min_value=3, max_value=3000),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    offset=st.sampled_from([0.0, 1e-4, -0.3, 1.0, -50.0, 1e4]),
+    scale=st.sampled_from([1e-2, 1.0, 30.0, 1e3]),
+)
+@settings(max_examples=100, deadline=None)
+def test_point_estimate_matches_standardized_sums_oracle(n, seed, offset, scale):
+    """On tie-free samples the kernel with unit counts is the old point estimate.
+
+    The oracle centres by the rounded mean, which costs it digits once the
+    offset dwarfs the scale, so the offset stays within 10 scales.
+    """
+    assume(abs(offset) <= 10.0 * scale)
+    values = np.random.default_rng(seed).standard_t(3, n) * scale + offset
+    d = np.sort(np.abs(values - np.mean(values)))
+    assume(np.all(np.diff(d) > 1e-9 * d[-1]))
+    assert zeta_star_of_values(values) == pytest.approx(standardized_sums(values)[1], rel=1e-12, abs=1e-12)
+
+
+def test_zeta_star_is_permutation_invariant():
+    rng = np.random.default_rng(17)
+    for values in (rng.standard_t(4, 1001) * 0.01, rng.integers(-4, 5, size=400) / 2):
+        assert zeta_star_of_values(rng.permutation(values)) == zeta_star_of_values(values)
+
+
+def test_zeta_star_symmetric_ties_is_zero():
+    # every amplitude is tied: the chronological rule gave 0.05, below-mean-first 25
+    assert zeta_star_of_values(np.array([-1.0, 1.0] * 500)) == 0.0
+
+
+def test_zeta_star_ties_are_mid_ranked():
+    rng = np.random.default_rng(23)
+    for _ in range(20):
+        values = rng.integers(-4, 5, size=int(rng.integers(3, 200))) / 2
+        if np.ptp(values) > 0:
+            assert zeta_star_of_values(values) == pytest.approx(midrank_zeta_star(values), abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +337,11 @@ def _replicate_or_error(kernel, v_sorted: np.ndarray, counts: np.ndarray):
 )
 @settings(max_examples=150, deadline=None)
 def test_counts_kernel_matches_searchsorted_oracle_bit_for_bit(n, seed, offset, scale, resample):
-    """On tie-free samples the kernel returns exactly the oracle's (zeta*, mean, std)."""
+    """Without amplitude ties the kernel returns exactly the oracle's (zeta*, mean, std).
+
+    The oracle ranks values tied across the resample mean below-mean first
+    and the kernel mid-ranks them, so such samples are left out.
+    """
     rng = np.random.default_rng(seed)
     v_sorted = np.sort(rng.standard_t(3, n) * scale + offset)
     assume(np.unique(v_sorted).size == n)
@@ -303,6 +356,7 @@ def test_counts_kernel_matches_searchsorted_oracle_bit_for_bit(n, seed, offset, 
         counts = np.zeros(n)
         end, next_ = (0, 1) if resample == "single_below" else (n - 1, n - 2)
         counts[end], counts[next_] = n - 1, 1
+    assume(np.unique(np.abs(v_sorted - det_dot(counts, v_sorted) / n)).size == n)
     fast = _replicate_or_error(_zeta_star_from_counts, v_sorted, counts)
     oracle = _replicate_or_error(zeta_star_from_counts_searchsorted, v_sorted, counts)
     assert fast == oracle
@@ -311,14 +365,23 @@ def test_counts_kernel_matches_searchsorted_oracle_bit_for_bit(n, seed, offset, 
 def test_bootstrap_matches_loop_over_oracle():
     values = np.random.default_rng(31).standard_t(4, 1500) * 0.01 + 0.0003
     n = values.size
-    v_sorted = np.sort(values)
+    c, m0 = _sorted_centred(values)
     zs, sh = np.empty(200), np.empty(200)
     for b in range(200):
         idx = np.random.default_rng(8 + b).integers(0, n, size=n)
         counts = np.bincount(idx, minlength=n).astype(np.float64)
-        zs[b], m, sd = zeta_star_from_counts_searchsorted(v_sorted, v_sorted * v_sorted, counts, n)
-        sh[b] = m / sd * math.sqrt(PERIODS_PER_YEAR["daily"])
-    assert _bootstrap(values, "daily", 200, 8) == (float(np.std(zs, ddof=1)), float(np.std(sh, ddof=1)))
+        zs[b], m, sd = zeta_star_from_counts_searchsorted(c, c * c, counts, n)
+        sh[b] = (m0 + m) / sd * math.sqrt(PERIODS_PER_YEAR["daily"])
+    assert _bootstrap(c, c * c, m0, "daily", 200, 8) == (float(np.std(zs, ddof=1)), float(np.std(sh, ddof=1)))
+
+
+def test_err_zeta_star_is_location_invariant():
+    x = np.random.default_rng(41).standard_t(4, 2000) * 0.01
+    x = (x + 1e6) - 1e6  # on the grid of 1e6 + x, so adding each offset below is exact
+    reports = [skew_report(daily(x + offset), bootstrap=50, seed=3) for offset in (0.0, 1e4, 1e6)]
+    for r in reports[1:]:
+        assert r.zeta_star == pytest.approx(reports[0].zeta_star, abs=1e-9)
+        assert r.err_zeta_star == pytest.approx(reports[0].err_zeta_star, abs=1e-9)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -335,18 +398,33 @@ def test_counts_kernel_with_repeated_values_matches_oracle(seed):
         assert fast == pytest.approx(oracle, rel=0.0, abs=1e-12)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="bootstrap ranks distinct values tied in amplitude below-mean first (ROADMAP item 2)",
-)
 def test_counts_kernel_amplitude_ties_match_point_estimate():
     x = np.random.default_rng(205).integers(-4, 5, size=40) / 2
     idx = np.random.default_rng(10205).integers(0, 40, size=40)
     v_sorted = np.sort(x)
     counts = np.bincount(idx, minlength=40).astype(np.float64)
     fast, _, _ = _zeta_star_from_counts(v_sorted, v_sorted * v_sorted, counts, 40)
-    # the kernel gives 10.6030, the point estimate 2.6759
+    # ranking ties below-mean first gave 10.6030, in resample order 2.6759
     assert fast == pytest.approx(zeta_star_of_values(v_sorted[idx]), abs=1e-9)
+    assert fast == pytest.approx(midrank_zeta_star(v_sorted[idx]), abs=1e-9)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_bootstrap_replicates_are_mid_ranked(seed):
+    """Each replicate is the mid-rank zeta* of its resample, ties across the mean included."""
+    rng = np.random.default_rng(seed)
+    c, _ = _sorted_centred(rng.integers(-4, 5, size=40) / 2)
+    below_mean_first_differs = 0
+    for _ in range(50):
+        counts = np.bincount(rng.integers(0, 40, size=40), minlength=40).astype(np.float64)
+        resample = np.repeat(c, counts.astype(np.int64))
+        if np.ptp(resample) == 0:
+            continue
+        fast, _, _ = _zeta_star_from_counts(c, c * c, counts, 40)
+        assert fast == pytest.approx(midrank_zeta_star(resample), abs=1e-9)
+        old, _, _ = zeta_star_from_counts_searchsorted(c, c * c, counts, 40)
+        below_mean_first_differs += abs(old - fast) > 1e-6
+    assert below_mean_first_differs > 0
 
 
 def test_skew_report_deterministic():
