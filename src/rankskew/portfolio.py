@@ -205,6 +205,11 @@ def carry_pairs(spot: Panel, rates: Panel) -> tuple[Panel, Panel]:
     for ccy in spot.assets:
         if ccy not in rate_assets:
             raise MissingRate(f"no rate history for {ccy}")
+    bad = np.argwhere(spot.values <= 0.0)
+    if bad.size:
+        t, j = bad[0]
+        price = float(spot.values[t, j])
+        raise NonFiniteValue(f"{spot.assets[j]} spot price {price!r} on {spot.dates[t]} is not positive")
     n_ccy = len(spot.assets)
     dates = spot.dates
     filled = np.column_stack(

@@ -147,17 +147,10 @@ def _sorted_centred(values: np.ndarray) -> tuple[np.ndarray, float]:
     return v - m0, m0
 
 
-def zeta_star_of_values(values: np.ndarray) -> float:
-    """zeta* of a bare value array: the counts kernel with unit counts."""
-    if values.size < 2:
-        raise TooShort("need at least 2 values")
-    c, _ = _sorted_centred(values)
-    return _zeta_star_from_counts(c, c * c, np.ones(c.size), c.size)[0]
-
-
 def zeta_star(s: ReturnSeries) -> float:
     """Ranked-P&L skewness: -100 times the mean of the F0 curve."""
-    return zeta_star_of_values(s.values)
+    c, _ = _sorted_centred(s.values)
+    return _zeta_star_from_counts(c, c * c, np.ones(c.size), c.size)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -165,25 +158,33 @@ def zeta_star(s: ReturnSeries) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _moments(c: np.ndarray, label: str) -> tuple[float, float, float]:
+    """(zeta3, excess kurtosis, (mean - median)/sigma) of the `_sorted_centred` values, with one sigma."""
+    n = c.size
+    mean = det_sum(c) / n
+    x = c - mean
+    x2 = x * x
+    m2 = det_sum(x2) / n
+    if m2 == 0.0:
+        raise ZeroVariance(f"{label}: zero variance")
+    median = 0.5 * (c[(n - 1) // 2] + c[n // 2])
+    return (
+        det_dot(x2, x) / n / m2**1.5,
+        det_dot(x2, x2) / n / (m2 * m2) - 3.0,
+        float((mean - median) / math.sqrt(m2)),
+    )
+
+
 def classical_moments(s: ReturnSeries) -> tuple[float, float]:
     """(zeta3, excess kurtosis) from population central moments."""
     if len(s) < 3:
         raise TooShort(f"{s.label}: need at least 3 points")
-    x = s.values - np.mean(s.values)
-    m2 = float(np.mean(x * x))
-    if m2 == 0.0:
-        raise ZeroVariance(f"{s.label}: zero variance")
-    m3 = float(np.mean(x**3))
-    m4 = float(np.mean(x**4))
-    return m3 / m2**1.5, m4 / (m2 * m2) - 3.0
+    return _moments(_sorted_centred(s.values)[0], s.label)[:2]
 
 
 def mean_minus_median(s: ReturnSeries) -> float:
     """(mean - median) / sigma, a robust low-moment skewness proxy."""
-    sd = float(np.std(s.values))
-    if sd == 0.0:
-        raise ZeroVariance(f"{s.label}: zero variance")
-    return float((np.mean(s.values) - np.median(s.values)) / sd)
+    return _moments(_sorted_centred(s.values)[0], s.label)[2]
 
 
 def edgeworth_zeta_star(zeta3: float, kurtosis: float) -> float:
@@ -228,15 +229,13 @@ def crossing_count(s: ReturnSeries, seed: int) -> int:
     if n < 100:
         raise TooShort(f"{s.label}: need at least 100 points")
     std = standardize(s)
-    z = std.values
-    sym = symmetrize(std, seed).values
-    support = np.sort(np.concatenate([z, sym]))
-    zs = np.sort(z)
-    ss = np.sort(sym)
-    g = (
-        np.searchsorted(zs, support, side="right")
-        - np.searchsorted(ss, support, side="right")
-    ) / n
+    pooled = np.concatenate((np.sort(std.values), np.sort(symmetrize(std, seed).values)))
+    # two sorted runs, which the stable sort merges in O(N)
+    order = np.argsort(pooled, kind="stable")
+    merged = pooled[order]
+    # G at each distinct value, read at the last entry of its group of equal values
+    last = np.flatnonzero(np.append(merged[1:] != merged[:-1], True))
+    g = np.cumsum(np.where(order < n, 1, -1))[last] / n
     band = 2.0 / math.sqrt(n)
     g = np.where(np.abs(g) < band, 0.0, g)
     signs = np.sign(g[g != 0.0])
@@ -351,8 +350,8 @@ def skew_report(
         raise TooShort(f"{s.label}: need at least 30 points for a report")
     if bootstrap < 2:
         raise InvalidParams(f"need at least 2 bootstrap replicates, got {bootstrap}")
-    z3, kurt = classical_moments(s)
     c, m0 = _sorted_centred(s.values)
+    z3, kurt, mmm = _moments(c, s.label)
     c_sq = c * c
     n = c.size
     err_zs, err_sh = _bootstrap(c, c_sq, m0, s.period, bootstrap, seed)
@@ -360,7 +359,7 @@ def skew_report(
         zeta_star=_zeta_star_from_counts(c, c_sq, np.ones(n), n)[0],
         zeta3=z3,
         kurtosis=kurt,
-        mean_minus_median=mean_minus_median(s),
+        mean_minus_median=mmm,
         coskew=co_skewness(s, benchmark) if benchmark is not None else None,
         err_zeta_star=err_zs,
         err_sharpe=err_sh,

@@ -91,9 +91,9 @@ class AsymmetricStudentT:
     var: float | None = field(init=False)
 
     def __post_init__(self) -> None:
-        if not (self.nu_plus > 0.5 and self.nu_minus > 0.5):
+        if not (0.5 < self.nu_plus < math.inf and 0.5 < self.nu_minus < math.inf):
             raise InvalidParams(
-                f"tail exponents must exceed 1/2, got ({self.nu_plus}, {self.nu_minus})"
+                f"tail exponents must be finite and exceed 1/2, got ({self.nu_plus}, {self.nu_minus})"
             )
         u_max = self._u_max()
         raw = _quad(lambda u: self._unnorm_u(u), -u_max, 0.0) + _quad(
@@ -128,14 +128,18 @@ def ast_density(x, dist: AsymmetricStudentT) -> np.ndarray:
     return dist.norm_const * np.exp(_ast_log_unnorm(np.asarray(x, dtype=np.float64), dist.nu_plus, dist.nu_minus))
 
 
+def _cdf_knots(g: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Monotone CDF at the knots x of a density sampled as g there, scaled to end at 1."""
+    cdf = np.concatenate(([0.0], cumulative_simpson(g, x=x)))
+    cdf /= cdf[-1]
+    return np.maximum.accumulate(cdf)
+
+
 def _ast_cdf_grid(dist: AsymmetricStudentT) -> tuple[np.ndarray, np.ndarray]:
     """Monotone CDF knots on a uniform grid in u = asinh(r)."""
     um = dist._u_max()
     u = np.linspace(-um, um, GRID_SIZE)
-    g = ast_density(np.sinh(u), dist) * np.cosh(u)
-    cdf = np.concatenate(([0.0], cumulative_simpson(g, x=u)))
-    cdf /= cdf[-1]
-    return u, np.maximum.accumulate(cdf)
+    return u, _cdf_knots(ast_density(np.sinh(u), dist) * np.cosh(u), u)
 
 
 def ast_sample(n: int, dist: AsymmetricStudentT, seed: int) -> ReturnSeries:
@@ -275,7 +279,7 @@ class EdgeworthDensity:
     kurt_eff: float = field(init=False)
 
     def __post_init__(self) -> None:
-        if abs(self.zeta3) > 0.3 or not (0.0 <= self.kurt <= 3.0):
+        if not (abs(self.zeta3) <= 0.3 and 0.0 <= self.kurt <= 3.0):
             raise InvalidParams(
                 f"parameters outside |zeta3| <= 0.3, kurt in [0, 3]: ({self.zeta3}, {self.kurt})"
             )
@@ -328,10 +332,7 @@ def edgeworth_sample(n: int, zeta3: float, kurt: float, seed: int) -> ReturnSeri
     dist = EdgeworthDensity(zeta3=zeta3, kurt=kurt)
     lo, hi = dist.support
     x = np.linspace(lo, hi, GRID_SIZE)
-    g = edgeworth_density(x, dist)
-    cdf = np.concatenate(([0.0], cumulative_simpson(g, x=x)))
-    cdf /= cdf[-1]
-    cdf = np.maximum.accumulate(cdf)
+    cdf = _cdf_knots(edgeworth_density(x, dist), x)
     rng = np.random.default_rng(seed)
     values = np.interp(rng.random(n), cdf, x)
     return _synthetic_series(f"edgeworth({zeta3:g},{kurt:g})", values)

@@ -12,7 +12,7 @@ import numpy as np
 
 from rankskew.errors import IOWrite, TooShort, ZeroVariance
 from rankskew.portfolio import Panel
-from rankskew.series import ReturnSeries, det_dot, det_sum
+from rankskew.series import ReturnSeries, det_dot, det_sum, standardize, symmetrize
 from rankskew.skew import RankedPnlCurve, amplitude_order
 
 
@@ -67,6 +67,50 @@ def zeta_star_from_counts_searchsorted(
     w_hi = c_hi * (n - start_hi) - c_hi * (c_hi - 1.0) / 2.0
     total = (det_dot(w_lo, v_lo) + det_dot(w_hi, v_hi)) - m * (det_sum(w_lo) + det_sum(w_hi))
     return -100.0 * total / sd / (float(n) * float(n)), float(m), sd
+
+
+def classical_moments_by_powers(s: ReturnSeries) -> tuple[float, float]:
+    """(zeta3, excess kurtosis) from `np.mean` of the powers of the mean-centred values."""
+    if len(s) < 3:
+        raise TooShort(f"{s.label}: need at least 3 points")
+    x = s.values - np.mean(s.values)
+    m2 = float(np.mean(x * x))
+    if m2 == 0.0:
+        raise ZeroVariance(f"{s.label}: zero variance")
+    m3 = float(np.mean(x**3))
+    m4 = float(np.mean(x**4))
+    return m3 / m2**1.5, m4 / (m2 * m2) - 3.0
+
+
+def mean_minus_median_by_np_median(s: ReturnSeries) -> float:
+    """(mean - median) / sigma with `np.mean`, `np.median` and `np.std` of the raw values."""
+    sd = float(np.std(s.values))
+    if sd == 0.0:
+        raise ZeroVariance(f"{s.label}: zero variance")
+    return float((np.mean(s.values) - np.median(s.values)) / sd)
+
+
+def crossing_count_searchsorted(s: ReturnSeries, seed: int) -> int:
+    """Crossing count that sorts the 2N pooled values and reads G by two `searchsorted` passes."""
+    n = len(s)
+    if n < 100:
+        raise TooShort(f"{s.label}: need at least 100 points")
+    std = standardize(s)
+    z = std.values
+    sym = symmetrize(std, seed).values
+    support = np.sort(np.concatenate([z, sym]))
+    zs = np.sort(z)
+    ss = np.sort(sym)
+    g = (
+        np.searchsorted(zs, support, side="right")
+        - np.searchsorted(ss, support, side="right")
+    ) / n
+    band = 2.0 / math.sqrt(n)
+    g = np.where(np.abs(g) < band, 0.0, g)
+    signs = np.sign(g[g != 0.0])
+    if signs.size == 0:
+        return 0
+    return int(np.count_nonzero(np.diff(signs) != 0))
 
 
 def _fmt(x: float) -> str:

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -274,6 +275,46 @@ def test_cli_unknown_flag_is_usage_error(tmp_path):
     with pytest.raises(SystemExit) as exc:
         run_cli("fig10", "--out", str(tmp_path / "f.csv"), "--bogus", "1")
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["fig10", "--nu-plus-grid", "inf,5"], "tail exponents must be finite"),
+        (["synth", "ast", "--nu-plus", "inf", "--nu-minus", "3.5", "--n", "10", "--seed", "1"], "tail exponents"),
+        (["synth", "ast", "--nu-plus", "5", "--nu-minus", "nan", "--n", "10", "--seed", "1"], "tail exponents"),
+        (["synth", "edgeworth", "--zeta3", "nan", "--n", "10", "--seed", "1"], "parameters outside"),
+        (["synth", "edgeworth", "--zeta3", "0.1", "--kurt", "nan", "--n", "10", "--seed", "1"], "parameters outside"),
+    ],
+)
+def test_cli_rejects_non_finite_distribution_parameters(tmp_path, capsys, argv, message):
+    out = tmp_path / "out.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run_cli(*argv, "--out", str(out)) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_carry_rejects_non_positive_spot(tmp_path, capsys):
+    spot = tmp_path / "spot.csv"
+    rates = tmp_path / "rates.csv"
+    dates = np.datetime64("2001-01-01", "D") + np.arange(5)
+    spot.write_text(
+        "date,asset,value\n"
+        + "\n".join(f"{d},{a},{0.0 if (i, a) == (3, 'BBB') else 1.0}" for i, d in enumerate(dates) for a in ("AAA", "BBB"))
+        + "\n"
+    )
+    rates.write_text(
+        "date,asset,value\n"
+        + "\n".join(f"{d},{a},{r}" for d in dates for a, r in (("AAA", 0.03), ("BBB", 0.01)))
+        + "\n"
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run_cli("carry", "--spot", str(spot), "--rates", str(rates), "--out-dir", str(tmp_path)) == 1
+    assert "BBB spot price 0.0 on 2001-01-04 is not positive" in capsys.readouterr().err
+    assert not (tmp_path / "carry_returns.csv").exists()
 
 
 def test_cli_data_error_exit_code_and_cleanup(tmp_path, capsys):

@@ -212,6 +212,15 @@ def test_carry_pairs_missing_rate():
         carry_pairs(spot, rates)
 
 
+@pytest.mark.parametrize("price", [0.0, -1.0])
+def test_carry_pairs_rejects_non_positive_spot(price):
+    spot = _flat_panel({"AAA": 1.0, "BBB": 2.0}, 5)
+    spot.values[2, 1] = price
+    rates = _flat_panel({"AAA": 0.03, "BBB": 0.01}, 5)
+    with pytest.raises(NonFiniteValue, match=r"BBB spot price .* on 2001-01-03"):
+        carry_pairs(spot, rates)
+
+
 def test_carry_pairs_signal_is_lagged():
     # rates jump on day 3; the signal must reflect the jump one day later
     n = 6

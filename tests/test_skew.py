@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.stats import rankdata
 
 from rankskew import (
+    AsymmetricStudentT,
     EDGEWORTH_ZETA_STAR_COEFF,
     InsufficientOverlap,
     InvalidParams,
@@ -16,6 +17,7 @@ from rankskew import (
     SignChangeInWindow,
     TooFewPoints,
     TooShort,
+    ast_sample,
     classical_moments,
     co_skewness,
     crossing_count,
@@ -29,8 +31,14 @@ from rankskew import (
 )
 from rankskew.errors import ZeroVariance
 from rankskew.series import PERIODS_PER_YEAR, det_dot
-from rankskew.skew import _bootstrap, _sorted_centred, _zeta_star_from_counts, zeta_star_of_values
-from tests.oracles import standardized_sums, zeta_star_from_counts_searchsorted
+from rankskew.skew import _bootstrap, _sorted_centred, _zeta_star_from_counts
+from tests.oracles import (
+    classical_moments_by_powers,
+    crossing_count_searchsorted,
+    mean_minus_median_by_np_median,
+    standardized_sums,
+    zeta_star_from_counts_searchsorted,
+)
 from tests.test_series import daily
 
 
@@ -87,6 +95,11 @@ def test_symmetrized_curve_needs_seed():
 # ---------------------------------------------------------------------------
 
 
+def zeta_star_of(values: np.ndarray) -> float:
+    """zeta* of a bare value array, read as a daily series."""
+    return zeta_star(daily(values))
+
+
 def test_zeta_star_hand_example():
     # standardized {-sqrt3, 1/sqrt3 x3}; partial sums (1,2,3)/sqrt3, 0;
     # per-sample curve divides by N=4, averaging gives -100*sqrt3/8
@@ -96,7 +109,7 @@ def test_zeta_star_hand_example():
 def test_zeta_star_sign_flip_antisymmetry():
     rng = np.random.default_rng(1)
     values = rng.standard_normal(257)
-    assert zeta_star_of_values(-values) == pytest.approx(-zeta_star_of_values(values), abs=1e-12)
+    assert zeta_star_of(-values) == pytest.approx(-zeta_star_of(values), abs=1e-12)
 
 
 @given(
@@ -106,8 +119,8 @@ def test_zeta_star_sign_flip_antisymmetry():
 @settings(max_examples=40, deadline=None)
 def test_zeta_star_affine_invariance(a, b):
     values = np.random.default_rng(5).standard_normal(400)
-    assert zeta_star_of_values(a * values + b) == pytest.approx(
-        zeta_star_of_values(values), abs=1e-9
+    assert zeta_star_of(a * values + b) == pytest.approx(
+        zeta_star_of(values), abs=1e-9
     )
 
 
@@ -142,18 +155,18 @@ def test_point_estimate_matches_standardized_sums_oracle(n, seed, offset, scale)
     values = np.random.default_rng(seed).standard_t(3, n) * scale + offset
     d = np.sort(np.abs(values - np.mean(values)))
     assume(np.all(np.diff(d) > 1e-9 * d[-1]))
-    assert zeta_star_of_values(values) == pytest.approx(standardized_sums(values)[1], rel=1e-12, abs=1e-12)
+    assert zeta_star_of(values) == pytest.approx(standardized_sums(values)[1], rel=1e-12, abs=1e-12)
 
 
 def test_zeta_star_is_permutation_invariant():
     rng = np.random.default_rng(17)
     for values in (rng.standard_t(4, 1001) * 0.01, rng.integers(-4, 5, size=400) / 2):
-        assert zeta_star_of_values(rng.permutation(values)) == zeta_star_of_values(values)
+        assert zeta_star_of(rng.permutation(values)) == zeta_star_of(values)
 
 
 def test_zeta_star_symmetric_ties_is_zero():
     # every amplitude is tied: the chronological rule gave 0.05, below-mean-first 25
-    assert zeta_star_of_values(np.array([-1.0, 1.0] * 500)) == 0.0
+    assert zeta_star_of(np.array([-1.0, 1.0] * 500)) == 0.0
 
 
 def test_zeta_star_ties_are_mid_ranked():
@@ -161,7 +174,7 @@ def test_zeta_star_ties_are_mid_ranked():
     for _ in range(20):
         values = rng.integers(-4, 5, size=int(rng.integers(3, 200))) / 2
         if np.ptp(values) > 0:
-            assert zeta_star_of_values(values) == pytest.approx(midrank_zeta_star(values), abs=1e-9)
+            assert zeta_star_of(values) == pytest.approx(midrank_zeta_star(values), abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -191,13 +204,61 @@ def test_mean_minus_median_sign():
 
 
 def test_mean_minus_median_agrees_with_zeta_star_sign():
-    from rankskew import AsymmetricStudentT, ast_sample
-
     for nu_plus, nu_minus in ((5.0, 3.5), (3.5, 4.0)):
         series = ast_sample(1_000_000, AsymmetricStudentT(nu_plus, nu_minus), seed=14)
         assert math.copysign(1.0, mean_minus_median(series)) == math.copysign(
             1.0, zeta_star(series)
         )
+
+
+def low_moments(s) -> tuple[float, float, float]:
+    return (*classical_moments(s), mean_minus_median(s))
+
+
+def grid_sample(n: int, seed: int, scale: float) -> np.ndarray:
+    """Heavy-tailed values on the grid of multiples of 2^-20, with repeats at small scales."""
+    return np.round(np.random.default_rng(seed).standard_t(3, n) * scale * 2.0**20) / 2.0**20
+
+
+@given(
+    n=st.integers(min_value=3, max_value=3000),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    scale=st.sampled_from([1e-4, 1e-2, 1.0, 30.0]),
+)
+@settings(max_examples=100, deadline=None)
+def test_low_moments_are_permutation_invariant(n, seed, scale):
+    x = grid_sample(n, seed, scale)
+    assume(np.ptp(x) > 0)
+    shuffled = np.random.default_rng(seed + 1).permutation(x)
+    assert low_moments(daily(shuffled)) == low_moments(daily(x))
+
+
+@given(
+    n=st.integers(min_value=3, max_value=3000),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    scale=st.sampled_from([1e-4, 1e-2, 1.0, 30.0]),
+)
+@settings(max_examples=100, deadline=None)
+def test_low_moments_are_location_invariant(n, seed, scale):
+    """x is on the grid of 2^-20, so adding either offset is exact."""
+    x = grid_sample(n, seed, scale)
+    assume(np.ptp(x) > 0)
+    base = low_moments(daily(x))
+    for offset in (1e4, 1e6):
+        assert low_moments(daily(x + offset)) == pytest.approx(base, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_low_moments_match_np_mean_oracles(seed):
+    """zeta3 and kurtosis to 1e-12 relative; (mean - median)/sigma, a difference, also to 1e-14 absolute."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 5000))
+    x = rng.standard_t(3 + seed, n) * 0.01 + 0.0002
+    for values in (x, np.round(x, 3)):
+        series = daily(values)
+        z3, kurt, mmm = low_moments(series)
+        assert (z3, kurt) == pytest.approx(classical_moments_by_powers(series), rel=1e-12, abs=0.0)
+        assert mmm == pytest.approx(mean_minus_median_by_np_median(series), rel=1e-12, abs=1e-14)
 
 
 def test_edgeworth_zeta_star_formula():
@@ -270,6 +331,23 @@ def test_crossing_count_flags_two_scale_asymmetry():
     assert crossing_count(series, seed=70) >= 4
 
 
+def test_crossing_count_matches_searchsorted_oracle():
+    """60 samples giving 0, 2, 4 and 6 crossings; every other one tick-rounded, so values tie."""
+    rng = np.random.default_rng(80)
+    for i in range(60):
+        x = three_scale_mixture(int(rng.integers(1000, 20000)), i, 0.004 * (i % 8))
+        if i % 2:
+            x = np.round(x, 1 + i % 3)
+        series = daily(x)
+        assert crossing_count(series, seed=i) == crossing_count_searchsorted(series, seed=i)
+
+
+@pytest.mark.parametrize("i", range(5))
+def test_crossing_count_matches_oracle_on_criterion_9_seeds(i):
+    series = ast_sample(1_000_000, AsymmetricStudentT(5.0, 3.5), seed=100 + i)
+    assert crossing_count(series, seed=5000 + i) == crossing_count_searchsorted(series, seed=5000 + i)
+
+
 # ---------------------------------------------------------------------------
 # Small-p exponent
 # ---------------------------------------------------------------------------
@@ -315,7 +393,7 @@ def test_counts_replicate_matches_naive_resample():
         idx = rng.integers(0, n, size=n)
         counts = np.bincount(idx, minlength=n).astype(np.float64)
         fast, m, sd = _zeta_star_from_counts(v_sorted, v_sq, counts, n)
-        naive = zeta_star_of_values(v_sorted[idx])
+        naive = zeta_star_of(v_sorted[idx])
         assert fast == pytest.approx(naive, abs=1e-10)
         assert m == pytest.approx(float(np.mean(v_sorted[idx])), abs=1e-15)
         assert sd == pytest.approx(float(np.std(v_sorted[idx])), abs=1e-15)
@@ -405,7 +483,7 @@ def test_counts_kernel_amplitude_ties_match_point_estimate():
     counts = np.bincount(idx, minlength=40).astype(np.float64)
     fast, _, _ = _zeta_star_from_counts(v_sorted, v_sorted * v_sorted, counts, 40)
     # ranking ties below-mean first gave 10.6030, in resample order 2.6759
-    assert fast == pytest.approx(zeta_star_of_values(v_sorted[idx]), abs=1e-9)
+    assert fast == pytest.approx(zeta_star_of(v_sorted[idx]), abs=1e-9)
     assert fast == pytest.approx(midrank_zeta_star(v_sorted[idx]), abs=1e-9)
 
 
