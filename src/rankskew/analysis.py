@@ -14,6 +14,9 @@ ON_LINE = "on-line"
 BELOW_LINE = "below-line"
 PURE_ALPHA = "pure-alpha"
 
+# Least share of a PCA window's dates a strategy must have populated.
+_MIN_COVERAGE = 0.8
+
 
 @dataclass(frozen=True)
 class CrossSectionRow:
@@ -155,29 +158,35 @@ class PcaSpectrum:
 
 
 def _pairwise_corr(block: np.ndarray) -> np.ndarray:
-    """Pairwise-complete Pearson correlation matrix of panel columns."""
-    k = block.shape[1]
-    corr = np.eye(k)
-    finite = np.isfinite(block)
-    for i in range(k):
-        for j in range(i + 1, k):
-            both = finite[:, i] & finite[:, j]
-            if both.sum() < 2:
-                corr[i, j] = corr[j, i] = 0.0
-                continue
-            xi = block[both, i]
-            xj = block[both, j]
-            xi = xi - xi.mean()
-            xj = xj - xj.mean()
-            denom = math.sqrt(float(np.sum(xi * xi)) * float(np.sum(xj * xj)))
-            corr[i, j] = corr[j, i] = 0.0 if denom == 0.0 else float(np.sum(xi * xj) / denom)
+    """Pairwise-complete Pearson correlation matrix of panel columns.
+
+    Each pair's sums over the rows where both columns are finite are
+    masked products of the presence mask m and the block x, zero-filled
+    and centred on each column's median. The one-pass Sxx - Sx^2/n loses
+    about eps * Sxx / var of a pair variance, so the centre must sit near
+    every pair's mean: the median does for a mostly-zero column, the mean
+    does not. A pair variance within that rounding, n * eps * Sxx, is
+    zero; a pair with a zero variance or fewer than 2 common rows has
+    correlation 0. `einsum` without `optimize` never calls threaded BLAS.
+    """
+    m = np.isfinite(block).astype(np.float64)
+    x = np.where(m > 0, block - np.nanmedian(block, axis=0), 0.0)
+    n = np.einsum("ti,tj->ij", m, m)
+    sx = np.einsum("ti,tj->ij", x, m)  # sx[i, j]: sum of column i over the rows shared with j
+    sxx = np.einsum("ti,tj->ij", x * x, m)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        var = sxx - sx * sx / n
+        cov = np.einsum("ti,tj->ij", x, x) - sx * sx.T / n
+        var[var <= n * np.finfo(np.float64).eps * sxx] = 0.0
+        corr = np.where((n >= 2) & (var > 0.0) & (var.T > 0.0), cov / np.sqrt(var * var.T), 0.0)
+    np.fill_diagonal(corr, 1.0)
     return corr
 
 
-def pca_spectrum(panel: Panel, window: int = 252, step: int = 21, min_coverage: float = 0.8) -> PcaSpectrum:
+def pca_spectrum(panel: Panel, window: int = 252, step: int = 21) -> PcaSpectrum:
     """Rolling eigenvalue spectra of the strategy correlation matrix.
 
-    Each window keeps the strategies with at least `min_coverage` of its
+    Each window keeps the strategies with at least `_MIN_COVERAGE` of its
     dates populated, builds the pairwise-complete correlation matrix and
     reports eigenvalues (descending) and the lambda1/lambda2 separation.
     Stability is the mean |cosine| between top eigenvectors of
@@ -195,16 +204,15 @@ def pca_spectrum(panel: Panel, window: int = 252, step: int = 21, min_coverage: 
     for start in range(0, n - window + 1, step):
         block = panel.values[start : start + window]
         coverage = np.isfinite(block).sum(axis=0) / window
-        cols = np.flatnonzero(coverage >= min_coverage)
+        cols = np.flatnonzero(coverage >= _MIN_COVERAGE)
         if cols.size < 2:
             continue
         sub = block[:, cols]
-        for c in range(sub.shape[1]):
-            col = sub[:, c][np.isfinite(sub[:, c])]
-            if col.size and np.ptp(col) == 0.0:
-                raise SingularWindow(
-                    f"{panel.assets[cols[c]]} is constant in the window ending {panel.dates[start + window - 1]}"
-                )
+        constant = np.nanmax(sub, axis=0) == np.nanmin(sub, axis=0)
+        if constant.any():
+            raise SingularWindow(
+                f"{panel.assets[cols[np.argmax(constant)]]} is constant in the window ending {panel.dates[start + window - 1]}"
+            )
         corr = _pairwise_corr(sub)
         evals, evecs = np.linalg.eigh(corr)
         order = np.argsort(evals)[::-1]

@@ -170,6 +170,8 @@ def _cmd_fig10(args, parser: argparse.ArgumentParser, out: _Outputs) -> None:
     try:
         grid = [float(tok) for tok in args.nu_plus_grid.split(",") if tok.strip()]
     except ValueError:
+        grid = []
+    if not grid:
         parser.error(f"bad --nu-plus-grid {args.nu_plus_grid!r}")
     rows = fig10_sweep(nu_minus=args.nu_minus, nu_plus_grid=grid)
     rio.write_fig10_csv(out.add(args.out), rows)

@@ -46,6 +46,13 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+def _check_labels(path: str, labels: Iterable[str]) -> None:
+    """Raise IOWrite for a label the unquoted dialect cannot hold."""
+    for label in labels:
+        if any(ch in label for ch in ',"\r\n'):
+            raise IOWrite(f"cannot write {path}: label {label!r} contains a comma, quote or line break")
+
+
 def _parse_date(token: str, path: str, line: int) -> np.datetime64:
     token = token.strip()
     if len(token) != 10 or token[4] != "-" or token[7] != "-":
@@ -320,6 +327,7 @@ def read_panel(path: str, period: Period = "daily") -> Panel:
 
 
 def write_panel(path: str, panel: Panel) -> None:
+    _check_labels(path, panel.assets)
     rows, cols = np.nonzero(np.isfinite(panel.values))
     days = panel.dates.astype(str).astype(object)
     assets = np.array(panel.assets, dtype=object)
@@ -363,6 +371,7 @@ def read_cross_section(path: str) -> CrossSection:
 
 def write_scatter_csv(path: str, cs: CrossSection, result: RegressionResult) -> None:
     """Plot data for the Sharpe-vs-skewness scatter with the channel."""
+    _check_labels(path, (r.name for r in cs.rows))
     with _open_text(path, "w") as fh:
         fh.write("name,neg_zeta_star,sharpe,err_x,err_y,class\n")
         for r in cs.rows:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -90,9 +89,10 @@ def rank_buckets(
     At each rebalance date the assets are ranked by the most recent
     signal strictly before that date (one-period lag: memberships never
     see information from the return period they rank). Ties are broken
-    by asset label. Bucket k of B holds ascending-signal ranks in
-    (ceil((k-1)N/B), ceil(kN/B)]; its return on each date until the next
-    rebalance is the mean over members with data.
+    by asset label. Of N ranked assets, the one at ascending-signal
+    position pos (0-based) goes to bucket pos * B // N (0-based); its
+    return on each date until the next rebalance is the mean over
+    members with data.
     """
     if n_buckets < 1:
         raise InvalidParams("need at least one bucket")
@@ -101,55 +101,39 @@ def rank_buckets(
         raise TooFewAssets(f"{len(common_assets)} assets shared with the signal panel, need {n_buckets}")
     r_cols = np.array([returns.assets.index(a) for a in common_assets])
     s_cols = np.array([signal.assets.index(a) for a in common_assets])
-    order_by_label = sorted(range(len(common_assets)), key=lambda i: common_assets[i])
+    label_rank = np.argsort(np.argsort(np.array(common_assets)))
 
+    n_dates = returns.dates.size
     reb = _rebalance_indices(returns.dates, rebalance)
-    membership = np.full(len(common_assets), -1, dtype=np.int64)  # bucket index or -1
-    bucket_dates: list[list] = [[] for _ in range(n_buckets)]
-    bucket_vals: list[list[float]] = [[] for _ in range(n_buckets)]
-
-    next_reb = 0
-    for t in range(returns.dates.size):
-        if next_reb < reb.size and t == reb[next_reb]:
-            next_reb += 1
-            sig_row = np.searchsorted(signal.dates, returns.dates[t], side="left") - 1
-            if sig_row < 0:
-                membership[:] = -1
-            else:
-                svals = signal.values[sig_row, s_cols]
-                avail = [i for i in order_by_label if np.isfinite(svals[i])]
-                n_avail = len(avail)
-                if 0 < n_avail < n_buckets:
-                    raise TooFewAssets(
-                        f"{n_avail} ranked assets at {returns.dates[t]}, need {n_buckets}"
-                    )
-                membership[:] = -1
-                if n_avail:
-                    ranked = sorted(avail, key=lambda i: svals[i])  # label order pre-applied
-                    edges = [math.ceil(k * n_avail / n_buckets) for k in range(n_buckets + 1)]
-                    for k in range(n_buckets):
-                        for pos in range(edges[k], edges[k + 1]):
-                            membership[ranked[pos]] = k
-        if not np.any(membership >= 0):
+    sig_rows = np.searchsorted(signal.dates, returns.dates[reb], side="left") - 1
+    membership = np.full((n_dates, len(common_assets)), -1, dtype=np.int64)  # bucket index or -1
+    for t, end, sig_row in zip(reb, np.append(reb[1:], n_dates), sig_rows):
+        if sig_row < 0:
             continue
-        row = returns.values[t, r_cols]
-        for k in range(n_buckets):
-            sel = (membership == k) & np.isfinite(row)
-            if np.any(sel):
-                bucket_dates[k].append(returns.dates[t])
-                bucket_vals[k].append(float(np.mean(row[sel])))
+        svals = signal.values[sig_row, s_cols]
+        avail = np.flatnonzero(np.isfinite(svals))
+        if avail.size < n_buckets:
+            if avail.size:
+                raise TooFewAssets(f"{avail.size} ranked assets at {returns.dates[t]}, need {n_buckets}")
+            continue
+        ranked = avail[np.lexsort((label_rank[avail], svals[avail]))]
+        membership[t:end, ranked] = np.arange(avail.size) * n_buckets // avail.size
 
-    out = []
-    for k in range(n_buckets):
-        out.append(
-            ReturnSeries(
-                label=f"bucket{k + 1:02d}",
-                period=returns.period,
-                dates=np.array(bucket_dates[k], dtype="datetime64[D]"),
-                values=np.array(bucket_vals[k]),
-            )
+    values = returns.values[:, r_cols]
+    day, col = np.nonzero((membership >= 0) & np.isfinite(values))
+    cell = day * n_buckets + membership[day, col]
+    sums = np.bincount(cell, weights=values[day, col], minlength=n_dates * n_buckets).reshape(n_dates, n_buckets)
+    counts = np.bincount(cell, minlength=n_dates * n_buckets).reshape(n_dates, n_buckets)
+    live = counts > 0
+    return [
+        ReturnSeries(
+            label=f"bucket{k + 1:02d}",
+            period=returns.period,
+            dates=returns.dates[live[:, k]],
+            values=sums[live[:, k], k] / counts[live[:, k], k],
         )
-    return out
+        for k in range(n_buckets)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -183,15 +167,6 @@ def long_short(long: ReturnSeries, short: ReturnSeries) -> ReturnSeries:
 # ---------------------------------------------------------------------------
 
 
-def _forward_fill_onto(dates: np.ndarray, src_dates: np.ndarray, src_values: np.ndarray) -> np.ndarray:
-    """Last known value on or before each date; NaN before the first fixing."""
-    idx = np.searchsorted(src_dates, dates, side="right") - 1
-    out = np.full(dates.size, np.nan)
-    ok = idx >= 0
-    out[ok] = src_values[idx[ok]]
-    return out
-
-
 def carry_pairs(spot: Panel, rates: Panel) -> tuple[Panel, Panel]:
     """Ordered currency-pair returns and their carry signal.
 
@@ -212,16 +187,11 @@ def carry_pairs(spot: Panel, rates: Panel) -> tuple[Panel, Panel]:
         raise NonFiniteValue(f"{spot.assets[j]} spot price {price!r} on {spot.dates[t]} is not positive")
     n_ccy = len(spot.assets)
     dates = spot.dates
-    filled = np.column_stack(
-        [
-            _forward_fill_onto(
-                dates,
-                rates.dates[np.isfinite(rates.column(c))],
-                rates.column(c)[np.isfinite(rates.column(c))],
-            )
-            for c in spot.assets
-        ]
-    )
+    # Last finite fixing on or before each spot date: row 0 of r is all
+    # NaN and stands for "no fixing yet".
+    r = np.vstack([np.full(n_ccy, np.nan), rates.values[:, [rates.assets.index(c) for c in spot.assets]]])
+    last = np.maximum.accumulate(np.where(np.isfinite(r), np.arange(r.shape[0])[:, None], 0), axis=0)
+    filled = np.take_along_axis(r, last[np.searchsorted(rates.dates, dates, side="right")], axis=0)
     logs = np.log(spot.values)
     dlog = logs[1:] - logs[:-1]
     lag_rates = filled[:-1]  # rates known at t-1, aligned with return dates[1:]

@@ -10,8 +10,8 @@ import math
 
 import numpy as np
 
-from rankskew.errors import IOWrite, TooShort, ZeroVariance
-from rankskew.portfolio import Panel
+from rankskew.errors import InvalidParams, IOWrite, TooFewAssets, TooShort, ZeroVariance
+from rankskew.portfolio import Panel, _rebalance_indices
 from rankskew.series import ReturnSeries, det_dot, det_sum, standardize, symmetrize
 from rankskew.skew import RankedPnlCurve, amplitude_order
 
@@ -144,3 +144,103 @@ def write_curve_csv_by_row(path: str, curve: RankedPnlCurve, symmetrized: Ranked
         fh.write("p,F,F_sym\n")
         for p, f, g in zip(curve.p, curve.f, symmetrized.f):
             fh.write(f"{_fmt(p)},{_fmt(f)},{_fmt(g)}\n")
+
+
+def rank_buckets_loop(
+    returns: Panel,
+    signal: Panel,
+    n_buckets: int = 10,
+    rebalance: str = "monthly",
+) -> list[ReturnSeries]:
+    """`rankskew.portfolio.rank_buckets` as a loop per date, bucket and rank position.
+
+    Bucket k of B holds ascending-signal ranks in (ceil((k-1)N/B), ceil(kN/B)].
+    """
+    if n_buckets < 1:
+        raise InvalidParams("need at least one bucket")
+    common_assets = [a for a in returns.assets if a in set(signal.assets)]
+    if len(common_assets) < n_buckets:
+        raise TooFewAssets(f"{len(common_assets)} assets shared with the signal panel, need {n_buckets}")
+    r_cols = np.array([returns.assets.index(a) for a in common_assets])
+    s_cols = np.array([signal.assets.index(a) for a in common_assets])
+    order_by_label = sorted(range(len(common_assets)), key=lambda i: common_assets[i])
+
+    reb = _rebalance_indices(returns.dates, rebalance)
+    membership = np.full(len(common_assets), -1, dtype=np.int64)  # bucket index or -1
+    bucket_dates: list[list] = [[] for _ in range(n_buckets)]
+    bucket_vals: list[list[float]] = [[] for _ in range(n_buckets)]
+
+    next_reb = 0
+    for t in range(returns.dates.size):
+        if next_reb < reb.size and t == reb[next_reb]:
+            next_reb += 1
+            sig_row = np.searchsorted(signal.dates, returns.dates[t], side="left") - 1
+            if sig_row < 0:
+                membership[:] = -1
+            else:
+                svals = signal.values[sig_row, s_cols]
+                avail = [i for i in order_by_label if np.isfinite(svals[i])]
+                n_avail = len(avail)
+                if 0 < n_avail < n_buckets:
+                    raise TooFewAssets(
+                        f"{n_avail} ranked assets at {returns.dates[t]}, need {n_buckets}"
+                    )
+                membership[:] = -1
+                if n_avail:
+                    ranked = sorted(avail, key=lambda i: svals[i])  # label order pre-applied
+                    edges = [math.ceil(k * n_avail / n_buckets) for k in range(n_buckets + 1)]
+                    for k in range(n_buckets):
+                        for pos in range(edges[k], edges[k + 1]):
+                            membership[ranked[pos]] = k
+        if not np.any(membership >= 0):
+            continue
+        row = returns.values[t, r_cols]
+        for k in range(n_buckets):
+            sel = (membership == k) & np.isfinite(row)
+            if np.any(sel):
+                bucket_dates[k].append(returns.dates[t])
+                bucket_vals[k].append(float(np.mean(row[sel])))
+
+    out = []
+    for k in range(n_buckets):
+        out.append(
+            ReturnSeries(
+                label=f"bucket{k + 1:02d}",
+                period=returns.period,
+                dates=np.array(bucket_dates[k], dtype="datetime64[D]"),
+                values=np.array(bucket_vals[k]),
+            )
+        )
+    return out
+
+
+def pairwise_corr_loop(block: np.ndarray) -> np.ndarray:
+    """`rankskew.analysis._pairwise_corr` as a loop over column pairs."""
+    k = block.shape[1]
+    corr = np.eye(k)
+    finite = np.isfinite(block)
+    for i in range(k):
+        for j in range(i + 1, k):
+            both = finite[:, i] & finite[:, j]
+            if both.sum() < 2:
+                corr[i, j] = corr[j, i] = 0.0
+                continue
+            xi = block[both, i]
+            xj = block[both, j]
+            xi = xi - xi.mean()
+            xj = xj - xj.mean()
+            denom = math.sqrt(float(np.sum(xi * xi)) * float(np.sum(xj * xj)))
+            corr[i, j] = corr[j, i] = 0.0 if denom == 0.0 else float(np.sum(xi * xj) / denom)
+    return corr
+
+
+def first_constant_column_ptp(sub: np.ndarray) -> int | None:
+    """The constant-column check of `rankskew.analysis.pca_spectrum` as a `ptp` loop.
+
+    Returns the index of the first column whose finite cells are all equal.
+    """
+    for c in range(sub.shape[1]):
+        col = sub[:, c][np.isfinite(sub[:, c])]
+        if col.size and np.ptp(col) == 0.0:
+            return c
+    return None

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rankskew import (
     CrossSection,
@@ -16,7 +18,8 @@ from rankskew import (
     cross_section_stats,
     pca_spectrum,
 )
-from rankskew.analysis import BELOW_LINE, ON_LINE, PURE_ALPHA
+from rankskew.analysis import _MIN_COVERAGE, BELOW_LINE, ON_LINE, PURE_ALPHA, _pairwise_corr
+from tests.oracles import first_constant_column_ptp, pairwise_corr_loop
 
 
 def row(name, sharpe, zs, vol=0.1, err_s=0.05, err_z=0.1, fit=True):
@@ -158,3 +161,83 @@ def test_pca_excludes_low_coverage_strategy():
     x[:200, 2] = np.nan  # only 100/252 populated in the first window
     spec = pca_spectrum(_panel_from_matrix(x), window=252, step=21)
     assert spec.windows[0].assets == ["s0", "s1"]
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_rows=st.integers(20, 300),
+    n_cols=st.integers(2, 24),
+    gaps=st.floats(0.0, 1.0 - _MIN_COVERAGE),  # the most pca_spectrum passes on
+    offset=st.sampled_from([0.0, 1.0, 1e2]),
+)
+@settings(max_examples=300, deadline=None)
+def test_pairwise_corr_matches_loop_oracle(seed, n_rows, n_cols, gaps, offset):
+    """Gaps, offsets and mostly-zero columns; pairs with fewer than 2 common rows give 0."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n_rows, n_cols)) * 10.0 ** rng.integers(-4, 2, n_cols)
+    sparse = rng.random(n_cols) < 0.3
+    x[:, sparse] = np.where(rng.random((n_rows, sparse.sum())) < 0.85, 0.0, x[:, sparse])
+    x[:, ~sparse] += offset * rng.uniform(-1.0, 1.0, n_cols - sparse.sum())
+    x[rng.random(x.shape) < gaps] = np.nan
+    got = _pairwise_corr(x)
+    assert np.max(np.abs(got - pairwise_corr_loop(x))) <= 1e-12
+    assert np.array_equal(got, got.T)
+
+
+def test_pairwise_corr_degenerate_pairs_are_zero():
+    rng = np.random.default_rng(6)
+    x = rng.standard_normal((60, 5)) * 0.01
+    x[::3, 0] = 13.37  # constant where column 1 has data: a non-dyadic value, off the centre
+    x[1::3, 1] = np.nan
+    x[2::3, 1] = np.nan
+    x[1, 2] = np.nan
+    x[1:, 3] = np.nan  # one row: fewer than 2 rows in common with any column
+    x[:30, 4] = np.nan
+    x[30:, 1] = np.nan  # columns 1 and 4 share no row
+    corr = _pairwise_corr(x)
+    assert corr[0, 1] == 0.0 and corr[1, 0] == 0.0
+    assert np.all(corr[3, [0, 1, 2, 4]] == 0.0) and corr[1, 4] == 0.0
+    assert corr[0, 2] != 0.0
+    assert np.max(np.abs(corr - pairwise_corr_loop(x))) <= 1e-12
+
+
+def _expected_singular(panel: Panel, window: int, step: int) -> str | None:
+    for start in range(0, panel.dates.size - window + 1, step):
+        block = panel.values[start : start + window]
+        cols = np.flatnonzero(np.isfinite(block).sum(axis=0) / window >= _MIN_COVERAGE)
+        if cols.size < 2:
+            continue
+        c = first_constant_column_ptp(block[:, cols])
+        if c is not None:
+            return f"{panel.assets[cols[c]]} is constant in the window ending {panel.dates[start + window - 1]}"
+    return None
+
+
+@given(seed=st.integers(0, 2**32 - 1), n_cols=st.integers(2, 6), n_flat=st.integers(0, 3))
+@settings(max_examples=60, deadline=None)
+def test_pca_constant_column_check_matches_ptp_oracle(seed, n_cols, n_flat):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((120, n_cols))
+    for _ in range(n_flat):
+        c, start = rng.integers(n_cols), rng.integers(0, 100)
+        x[start : start + rng.integers(30, 90), c] = rng.choice([0.0, 0.1, -2.5])
+    x[rng.random(x.shape) < 0.15] = np.nan
+    panel = _panel_from_matrix(x)
+    want = _expected_singular(panel, 40, 10)
+    if want is None:
+        pca_spectrum(panel, window=40, step=10)
+    else:
+        with pytest.raises(SingularWindow) as exc:
+            pca_spectrum(panel, window=40, step=10)
+        assert str(exc.value) == want
+
+
+def test_pairwise_corr_mostly_zero_column_keeps_digits():
+    """A spike off the common rows must not set the centre of a mostly-zero column."""
+    rng = np.random.default_rng(8)
+    x = np.zeros((100, 2))
+    x[:, 0] = rng.standard_normal(100)
+    x[rng.choice(90, 8, replace=False), 1] = rng.standard_normal(8) * 1e-6
+    x[95, 1] = 1.0
+    x[90:, 0] = np.nan
+    assert np.max(np.abs(_pairwise_corr(x) - pairwise_corr_loop(x))) <= 1e-12

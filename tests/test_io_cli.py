@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from rankskew import CsvFormatError, Panel, read_cross_section, read_panel, read_series, write_panel, write_series
+from rankskew import CsvFormatError, IOWrite, Panel, read_cross_section, read_panel, read_series, write_panel, write_series
 from rankskew.cli import build_parser, main
 from tests.test_series import daily
 
@@ -315,6 +315,47 @@ def test_cli_carry_rejects_non_positive_spot(tmp_path, capsys):
         assert run_cli("carry", "--spot", str(spot), "--rates", str(rates), "--out-dir", str(tmp_path)) == 1
     assert "BBB spot price 0.0 on 2001-01-04 is not positive" in capsys.readouterr().err
     assert not (tmp_path / "carry_returns.csv").exists()
+
+
+@pytest.mark.parametrize("label", ["US,D", 'say "x"', "a\rb", "a\nb"])
+def test_write_panel_rejects_labels_the_dialect_cannot_hold(tmp_path, label):
+    panel = Panel(dates=np.datetime64("2001-01-01", "D") + np.arange(2), assets=["a", label], values=np.ones((2, 2)))
+    with pytest.raises(IOWrite, match="label"):
+        write_panel(tmp_path / "p.csv", panel)
+    assert not (tmp_path / "p.csv").exists()
+
+
+def test_cli_carry_rejects_label_with_comma(tmp_path, capsys):
+    spot = tmp_path / "spot.csv"
+    rates = tmp_path / "rates.csv"
+    dates = np.datetime64("2001-01-01", "D") + np.arange(5)
+    spot.write_text("date,asset,value\n" + "".join(f'{d},"US,D",1.0\n{d},EUR,1.0\n' for d in dates))
+    rates.write_text("date,asset,value\n" + "".join(f'{d},"US,D",0.03\n{d},EUR,0.01\n' for d in dates))
+    assert run_cli("carry", "--spot", str(spot), "--rates", str(rates), "--out-dir", str(tmp_path)) == 1
+    assert "label 'US,D/EUR'" in capsys.readouterr().err
+    assert not (tmp_path / "carry_returns.csv").exists()
+    assert not (tmp_path / "carry_signal.csv").exists()
+
+
+def test_cli_regress_rejects_name_with_comma(tmp_path, capsys):
+    cs = tmp_path / "cs.csv"
+    cs.write_text(
+        "name,sharpe,vol,zeta_star,err_sharpe,err_zeta_star,fit\n"
+        '"Trend, CTA",0.8,0.1,-1.0,0.1,0.2,0\n'
+        "a,0.3,0.1,0.1,0.1,0.2,1\nb,0.5,0.1,-0.5,0.1,0.2,1\nc,0.1,0.1,0.8,0.1,0.2,1\n"
+    )
+    assert run_cli("regress", str(cs), "--out-dir", str(tmp_path)) == 1
+    assert "label 'Trend, CTA'" in capsys.readouterr().err
+    assert not (tmp_path / "scatter.csv").exists()
+    assert not (tmp_path / "regression.json").exists()
+
+
+@pytest.mark.parametrize("grid", [",", "", " , "])
+def test_cli_fig10_empty_grid_is_usage_error(tmp_path, grid):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("fig10", "--nu-plus-grid", grid, "--out", str(tmp_path / "f.csv"))
+    assert exc.value.code == 2
+    assert not (tmp_path / "f.csv").exists()
 
 
 def test_cli_data_error_exit_code_and_cleanup(tmp_path, capsys):

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rankskew import (
     AsymmetricStudentT,
@@ -12,6 +14,7 @@ from rankskew import (
     MissingRate,
     NonFiniteValue,
     Panel,
+    RankSkewError,
     TooFewAssets,
     ZeroVariance,
     ast_sample,
@@ -20,6 +23,7 @@ from rankskew import (
     long_short,
     rank_buckets,
 )
+from tests.oracles import rank_buckets_loop
 from tests.test_series import daily
 
 
@@ -127,6 +131,52 @@ def test_rank_buckets_membership_union_is_partition():
     for b in buckets:
         assert np.allclose(b.values, 1.0)
         assert b.dates.size == n_days
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except RankSkewError as exc:
+        return exc
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_days=st.integers(1, 80),
+    n_assets=st.integers(1, 14),
+    n_buckets=st.integers(1, 6),
+    tick=st.sampled_from([0.0, 0.1, 0.5, 2.0]),
+    shift=st.integers(-40, 40),
+    rebalance=st.sampled_from(["daily", "monthly"]),
+)
+@settings(max_examples=300, deadline=None)
+def test_rank_buckets_matches_loop_oracle(seed, n_days, n_assets, n_buckets, tick, shift, rebalance):
+    """Gaps, tied and tick-rounded signals, shifted signal dates, both rebalance rules."""
+    rng = np.random.default_rng(seed)
+    dates = np.datetime64("2003-01-20", "D") + np.cumsum(rng.integers(1, 9, n_days))
+    rets = rng.standard_normal((n_days, n_assets)) * 0.01
+    rets[rng.random(rets.shape) < rng.uniform(0.0, 0.6)] = np.nan
+    rets[rng.integers(n_days, size=n_assets), np.arange(n_assets)] = 0.002
+    sig = rng.standard_normal((n_days, n_assets))
+    if tick:
+        sig = np.round(sig / tick) * tick
+    sig[rng.random(sig.shape) < rng.uniform(0.0, 0.25)] = np.nan
+    sig[rng.integers(n_days, size=n_assets), np.arange(n_assets)] = 1.0
+    labels = [f"a{k:02d}" for k in rng.permutation(n_assets)]
+    returns = Panel(dates=dates, assets=labels, values=rets)
+    keep = np.flatnonzero(rng.random(n_assets) < 0.9)
+    sig_dates = dates + np.timedelta64(shift, "D")
+    signal = Panel(dates=sig_dates, assets=[labels[k] for k in keep[::-1]], values=sig[:, keep[::-1]])
+
+    got = _outcome(rank_buckets, returns, signal, n_buckets, rebalance)
+    want = _outcome(rank_buckets_loop, returns, signal, n_buckets, rebalance)
+    if isinstance(want, RankSkewError):
+        assert type(got) is type(want) and str(got) == str(want)
+        return
+    assert [b.label for b in got] == [b.label for b in want]
+    for a, b in zip(got, want):
+        assert np.array_equal(a.dates, b.dates)
+        assert np.max(np.abs(a.values - b.values), initial=0.0) <= 1e-14
 
 
 # ---------------------------------------------------------------------------
