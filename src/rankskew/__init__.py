@@ -46,7 +46,6 @@ from .io import (
     read_cross_section,
     read_panel,
     read_series,
-    render_report,
     write_curve_csv,
     write_fig10_csv,
     write_json,
@@ -105,7 +104,6 @@ from .synth import (
     edgeworth_zeta_star_exact,
     fig10_sweep,
     gaussian_sample,
-    zeta_star_of_pdf,
 )
 
 __version__ = "0.1.0"

@@ -220,7 +220,7 @@ def _cmd_report(args, parser: argparse.ArgumentParser, out: _Outputs) -> None:
     for path in args.series:
         series = _write_curve(path, "return", args, out)
         rep = skew_report(series, bootstrap=args.bootstrap, seed=args.seed)
-        reports.append(rep)
+        reports.append(rep.as_dict())
         stats = perf_stats(series)
         rows.append(
             CrossSectionRow(
@@ -232,24 +232,20 @@ def _cmd_report(args, parser: argparse.ArgumentParser, out: _Outputs) -> None:
                 err_zeta_star=rep.err_zeta_star,
             )
         )
-    regression = None
-    cs = None
+    doc = {
+        "skew_reports": reports,
+        "provenance": {
+            "series": [os.path.basename(p) for p in args.series],
+            "seed": args.seed,
+            "bootstrap": args.bootstrap,
+        },
+    }
     if len(rows) >= 3:
         cs = CrossSection(rows=rows)
         regression = cross_section_stats(cs)
-    provenance = {
-        "series": [os.path.basename(p) for p in args.series],
-        "seed": args.seed,
-        "bootstrap": args.bootstrap,
-    }
-    for p in rio.render_report(
-        args.out_dir,
-        skew_reports=reports,
-        regression=regression,
-        cross_section=cs,
-        provenance=provenance,
-    ):
-        out.add(p)
+        doc["regression"] = regression.as_dict()
+        rio.write_scatter_csv(out.add(os.path.join(args.out_dir, "scatter.csv")), cs, regression)
+    rio.write_json(out.add(os.path.join(args.out_dir, "report.json")), doc)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -30,7 +30,7 @@ from .analysis import CrossSection, CrossSectionRow, RegressionResult
 from .errors import CsvFormatError, IOWrite
 from .portfolio import Panel
 from .series import Period, RateSeries, ReturnSeries
-from .skew import RankedPnlCurve, SkewReport
+from .skew import RankedPnlCurve
 
 # Fixed sizes, not options: whole-file parsing costs memory on long series
 # for no gain in speed.
@@ -420,36 +420,3 @@ def write_json(path: str, obj) -> None:
             fh.write("\n")
     except OSError as exc:
         raise IOWrite(f"cannot write {path}: {exc}") from exc
-
-
-def render_report(
-    out_dir: str,
-    *,
-    skew_reports: Iterable[SkewReport] = (),
-    regression: RegressionResult | None = None,
-    cross_section: CrossSection | None = None,
-    provenance: dict | None = None,
-) -> list[str]:
-    """Bundle analysis results into report.json plus plot-data CSVs.
-
-    Sections without content are omitted from the JSON rather than
-    emitted as nulls; output is byte-stable for fixed inputs and seeds.
-    """
-    os.makedirs(out_dir, exist_ok=True)
-    written: list[str] = []
-    doc: dict = {}
-    reports = list(skew_reports)
-    if reports:
-        doc["skew_reports"] = [r.as_dict() for r in reports]
-    if regression is not None:
-        doc["regression"] = regression.as_dict()
-    if provenance:
-        doc["provenance"] = provenance
-    if regression is not None and cross_section is not None:
-        scatter = os.path.join(out_dir, "scatter.csv")
-        write_scatter_csv(scatter, cross_section, regression)
-        written.append(scatter)
-    report_path = os.path.join(out_dir, "report.json")
-    write_json(report_path, doc)
-    written.append(report_path)
-    return written

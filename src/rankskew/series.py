@@ -227,12 +227,14 @@ def risk_manage(s: ReturnSeries, span: int = 20) -> ReturnSeries:
         raise TooShort(f"{s.label}: need more than {span} points")
     if len(s) - span < 2:
         raise TooShort(f"{s.label}: fewer than 2 points would survive warm-up")
-    from scipy.signal import lfilter  # deferred: slow to import, and no CLI command calls this
-
     absr = np.abs(s.values)
     alpha = 2.0 / (span + 1.0)
     # EMA seeded with the first observation: ema[t] = (1-a) ema[t-1] + a |r_t|
-    ema, _ = lfilter([alpha], [1.0, alpha - 1.0], absr, zi=[(1.0 - alpha) * absr[0]])
+    ema = np.empty_like(absr)
+    prev = absr[0]
+    for t, a in enumerate(absr):
+        prev = alpha * a + (1.0 - alpha) * prev
+        ema[t] = prev
     sigma = ema * ABS_VOL_UNBIAS
     floor = _running_percentile_floor(sigma, 10.0)
     sigma = np.maximum(sigma, floor)

@@ -4,12 +4,13 @@ Two families back the verification suite: the asymmetric Student-t of
 Jones & Faddy (tail exponents nu+ and nu- on the two sides) and the
 Hermite-corrected Gaussian ("Edgeworth") family with prescribed third
 and fourth cumulants. For both, every population quantity the tests
-need — normalization, moments, zeta* — is computed by adaptive
-quadrature, independently of the samplers.
+need — normalization, moments, zeta* — is computed by one fixed
+composite Gauss-Legendre rule, independently of the samplers.
 
 Heavy tails are tamed with the substitution r = sinh(u): an integrand
-decaying like |r|^(-1-nu) becomes exp(-nu u), so plain adaptive
-quadrature reaches 1e-10 relative accuracy even for nu near 1/2.
+decaying like |r|^(-1-nu) becomes exp(-nu u), smooth on panels of equal
+width, so 16 nodes on each of 100 panels reach ~1e-14 relative accuracy
+even for nu near 1/2. Panel edges sit wherever a density may jump.
 Samplers invert a 65537-knot CDF grid in the same coordinate, which
 keeps them deterministic and portable (no rejection loops).
 """
@@ -20,13 +21,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import cumulative_simpson, quad
 
 from .errors import InvalidParams, MomentDoesNotExist, NegativeDensity
-from .series import ReturnSeries
+from .series import ReturnSeries, det_dot, det_sum
 
-QUAD_EPSREL = 1e-10
-QUAD_EPSABS = 1e-13
 GRID_SIZE = 65537
 
 EDGEWORTH_RANGE = 8.0
@@ -41,9 +39,19 @@ def _synthetic_series(label: str, values: np.ndarray) -> ReturnSeries:
     return ReturnSeries(label=label, period="daily", dates=dates, values=values)
 
 
-def _quad(fn, lo, hi) -> float:
-    val, _ = quad(fn, lo, hi, limit=600, epsabs=QUAD_EPSABS, epsrel=QUAD_EPSREL)
-    return val
+_PANELS = 100
+_GL_T, _GL_W = np.polynomial.legendre.leggauss(16)
+
+
+def _nodes(*edges: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Composite 16-node Gauss-Legendre rule, _PANELS equal panels between each pair of edges.
+
+    Returns the nodes and weights, each of shape (panels, 16), and the
+    panels' left ends.
+    """
+    ends = np.concatenate([np.linspace(a, b, _PANELS + 1)[:-1] for a, b in zip(edges, edges[1:])] + [[edges[-1]]])
+    left, half = ends[:-1], 0.5 * np.diff(ends)[:, None]
+    return left[:, None] + half * (_GL_T + 1.0), half * _GL_W, left
 
 
 # ---------------------------------------------------------------------------
@@ -95,16 +103,13 @@ class AsymmetricStudentT:
             raise InvalidParams(
                 f"tail exponents must be finite and exceed 1/2, got ({self.nu_plus}, {self.nu_minus})"
             )
-        u_max = self._u_max()
-        raw = _quad(lambda u: self._unnorm_u(u), -u_max, 0.0) + _quad(
-            lambda u: self._unnorm_u(u), 0.0, u_max
-        )
+        raw, m1, m2 = self._moments(0, 1, 2)
         object.__setattr__(self, "norm_const", 1.0 / raw)
         mean = var = None
         if min(self.nu_plus, self.nu_minus) > 1.0:
-            mean = self._raw_moment(1)
+            mean = self.norm_const * m1
             if min(self.nu_plus, self.nu_minus) > 2.0:
-                var = self._raw_moment(2) - mean * mean
+                var = self.norm_const * m2 - mean * mean
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "var", var)
 
@@ -112,15 +117,19 @@ class AsymmetricStudentT:
         # exp(-nu u) tail of the transformed integrand: make it < 1e-13 relative
         return 30.0 + 45.0 / min(self.nu_plus, self.nu_minus)
 
-    def _unnorm_u(self, u: float) -> float:
-        x = math.sinh(u)
-        return float(np.exp(_ast_log_unnorm(x, self.nu_plus, self.nu_minus))) * math.cosh(u)
+    def _moments(self, *ks: int) -> list[float]:
+        """Raw moments of the unnormalized density, from one evaluation on the nodes.
 
-    def _raw_moment(self, k: int) -> float:
-        um = self._u_max()
-        def g(u: float) -> float:
-            return math.sinh(u) ** k * self._unnorm_u(u)
-        return self.norm_const * (_quad(g, -um, 0.0) + _quad(g, 0.0, um))
+        Both tails are folded onto u >= 0 and only |x|^k is raised to a
+        power, so nu+ = nu- gives odd moments of exactly 0 and swapping
+        the exponents exactly negates them.
+        """
+        u, w, _ = _nodes(0.0, self._u_max())
+        x = np.sinh(u.ravel())
+        wc = (w * np.cosh(u)).ravel()
+        p = np.exp(_ast_log_unnorm(x, self.nu_plus, self.nu_minus))
+        q = np.exp(_ast_log_unnorm(-x, self.nu_plus, self.nu_minus))
+        return [det_dot(wc * x**k, p - q if k % 2 else p + q) for k in ks]
 
 
 def ast_density(x, dist: AsymmetricStudentT) -> np.ndarray:
@@ -128,9 +137,25 @@ def ast_density(x, dist: AsymmetricStudentT) -> np.ndarray:
     return dist.norm_const * np.exp(_ast_log_unnorm(np.asarray(x, dtype=np.float64), dist.nu_plus, dist.nu_minus))
 
 
+def _cumulative_simpson(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Cumulative Simpson integral of y(x) at x[1:]; scipy's cumulative_simpson, operation for operation."""
+    def firsts(y: np.ndarray, dx: np.ndarray) -> np.ndarray:
+        # the integral over the first interval of each knot triple, unequal widths
+        x21, x32 = dx[:-1], dx[1:]
+        r = x21 / (x21 + x32)
+        rr = r * (x21 / x32)
+        return x21 / 6 * ((3 - r) * y[:-2] + (3 + rr + r) * y[1:-1] - rr * y[2:])
+
+    dx = np.diff(x)
+    h1, h2 = firsts(y, dx), firsts(y[::-1], dx[::-1])[::-1]
+    pieces = np.empty(dx.size)
+    pieces[:-1:2], pieces[1::2], pieces[-1] = h1[::2], h2[::2], h2[-1]
+    return np.cumsum(pieces)
+
+
 def _cdf_knots(g: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Monotone CDF at the knots x of a density sampled as g there, scaled to end at 1."""
-    cdf = np.concatenate(([0.0], cumulative_simpson(g, x=x)))
+    cdf = np.concatenate(([0.0], _cumulative_simpson(g, x)))
     cdf /= cdf[-1]
     return np.maximum.accumulate(cdf)
 
@@ -160,35 +185,36 @@ def ast_zeta3_exact(dist: AsymmetricStudentT) -> float:
             f"zeta3 needs nu+- > 3, got ({dist.nu_plus}, {dist.nu_minus})"
         )
     m1 = dist.mean
-    m2 = dist._raw_moment(2)
-    m3 = dist._raw_moment(3)
+    m2, m3 = (dist.norm_const * m for m in dist._moments(2, 3))
     mu2 = m2 - m1 * m1
     mu3 = m3 - 3.0 * m1 * m2 + 2.0 * m1**3
     return mu3 / mu2**1.5
 
 
-def zeta_star_of_pdf(pdf, u_max: float) -> float:
+def _zeta_star_of_pdf(pdf, *breaks: float) -> float:
     """zeta* of a standardized density by the nested double integral.
 
     zeta* = -100 int_0^inf dx P_s(x) int_0^x dy y P_a(y), with
-    P_s/P_a the symmetric/antisymmetric parts of the density. The outer
-    integral runs in the sinh coordinate up to u_max.
+    P_s/P_a the symmetric/antisymmetric parts of the density `pdf`
+    (vectorized). Both integrals run in the sinh coordinate on the panels
+    of `_nodes(*breaks)`: 0 first, the outer limit last, and every point
+    where the density may jump in between. The inner integral at an outer
+    node is the sum of the panels to its left plus a 16-node rule on the
+    rest of its own panel.
     """
-    def inner(ux: float) -> float:
-        if ux <= 0.0:
-            return 0.0
-        val, _ = quad(
-            lambda v: math.sinh(v) * (pdf(math.sinh(v)) - pdf(-math.sinh(v))) * math.cosh(v),
-            0.0, ux, limit=300, epsabs=1e-12, epsrel=1e-9,
-        )
-        return val
+    u, w, left = _nodes(*breaks)
 
-    def outer(u: float) -> float:
-        x = math.sinh(u)
-        return (pdf(x) + pdf(-x)) * inner(u) * math.cosh(u)
+    def inner(v: np.ndarray) -> np.ndarray:
+        y = np.sinh(v)
+        return y * (pdf(y) - pdf(-y)) * np.cosh(v)
 
-    val, _ = quad(outer, 0.0, u_max, limit=600, epsabs=1e-12, epsrel=1e-9)
-    return -100.0 * val
+    half = 0.5 * (u - left[:, None])
+    v = left[:, None, None] + half[..., None] * (_GL_T + 1.0)  # 16 nodes between each u and its panel's left end
+    rest = np.add.reduce(half[..., None] * _GL_W * inner(v), axis=-1)
+    done = np.cumsum(np.add.reduce(w * inner(u), axis=-1))
+    below = np.concatenate(([0.0], done[:-1]))
+    x = np.sinh(u)
+    return -100.0 * det_dot((w * (pdf(x) + pdf(-x)) * np.cosh(u)).ravel(), (below[:, None] + rest).ravel())
 
 
 def ast_zeta_star_exact(dist: AsymmetricStudentT, standardized: bool = True) -> float:
@@ -208,15 +234,15 @@ def ast_zeta_star_exact(dist: AsymmetricStudentT, standardized: bool = True) -> 
         sd = math.sqrt(dist.var)
 
         def pdf(x):
-            return sd * float(ast_density(mu + sd * x, dist))
+            return sd * ast_density(mu + sd * x, dist)
 
         u_max = math.asinh(math.sinh(dist._u_max()) / sd + 1.0)
     else:
         def pdf(x):
-            return float(ast_density(x, dist))
+            return ast_density(x, dist)
 
         u_max = dist._u_max()
-    return zeta_star_of_pdf(pdf, u_max)
+    return _zeta_star_of_pdf(pdf, 0.0, u_max)
 
 
 @dataclass(frozen=True)
@@ -305,12 +331,17 @@ class EdgeworthDensity:
             )
         lo_x, hi_x = float(xs[lo]), float(xs[hi])
         object.__setattr__(self, "support", (lo_x, hi_x))
-        z = _quad(lambda t: float(_edgeworth_raw(t, self.zeta3, self.kurt)), lo_x, hi_x)
+        t, w, _ = _nodes(lo_x, hi_x)
+        t = t.ravel()
+        wd = w.ravel() * _edgeworth_raw(t, self.zeta3, self.kurt)
+        z = det_sum(wd)
         object.__setattr__(self, "norm", z)
-        m1 = _quad(lambda t: t * float(_edgeworth_raw(t, self.zeta3, self.kurt)), lo_x, hi_x) / z
-        m2 = _quad(lambda t: (t - m1) ** 2 * float(_edgeworth_raw(t, self.zeta3, self.kurt)), lo_x, hi_x) / z
-        m3 = _quad(lambda t: (t - m1) ** 3 * float(_edgeworth_raw(t, self.zeta3, self.kurt)), lo_x, hi_x) / z
-        m4 = _quad(lambda t: (t - m1) ** 4 * float(_edgeworth_raw(t, self.zeta3, self.kurt)), lo_x, hi_x) / z
+        m1 = det_dot(wd, t) / z
+        d = t - m1
+        d2 = d * d
+        m2 = det_dot(wd, d2) / z
+        m3 = det_dot(wd * d2, d) / z
+        m4 = det_dot(wd * d2, d2) / z
         object.__setattr__(self, "mean", m1)
         object.__setattr__(self, "var", m2)
         object.__setattr__(self, "zeta3_eff", m3 / m2**1.5)
@@ -344,11 +375,12 @@ def edgeworth_zeta_star_exact(dist: EdgeworthDensity) -> float:
     sd = math.sqrt(dist.var)
 
     def pdf(x):
-        return sd * float(edgeworth_density(mu + sd * x, dist))
+        return sd * edgeworth_density(mu + sd * x, dist)
 
     lo, hi = dist.support
+    ends = sorted(math.asinh(e) for e in ((mu - lo) / sd, (hi - mu) / sd))
     u_max = math.asinh(max(abs(lo), abs(hi)) / sd + 1.0)
-    return zeta_star_of_pdf(pdf, u_max)
+    return _zeta_star_of_pdf(pdf, 0.0, *ends, u_max)
 
 
 def gaussian_sample(n: int, seed: int) -> ReturnSeries:

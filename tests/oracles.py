@@ -1,7 +1,9 @@
 """Superseded implementations kept as test oracles.
 
 Each function here is an earlier production implementation, kept verbatim
-so that its replacement can be checked against it.
+so that its replacement can be checked against it. The one exception,
+`edgeworth_zeta_star_split_quad`, is a tighter form of the replaced
+nested `quad` that also splits at the density's jumps.
 """
 
 from __future__ import annotations
@@ -9,11 +11,36 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy.integrate import quad
 
-from rankskew.errors import InvalidParams, IOWrite, TooFewAssets, TooShort, ZeroVariance
+from rankskew.errors import (
+    InvalidParams,
+    IOWrite,
+    MomentDoesNotExist,
+    TooFewAssets,
+    TooShort,
+    WrongPeriod,
+    ZeroVariance,
+)
 from rankskew.portfolio import Panel, _rebalance_indices
-from rankskew.series import ReturnSeries, det_dot, det_sum, standardize, symmetrize
+from rankskew.series import (
+    ABS_VOL_UNBIAS,
+    ReturnSeries,
+    _running_percentile_floor,
+    det_dot,
+    det_sum,
+    standardize,
+    symmetrize,
+)
 from rankskew.skew import RankedPnlCurve, amplitude_order
+from rankskew.synth import (
+    AsymmetricStudentT,
+    EdgeworthDensity,
+    _ast_log_unnorm,
+    _edgeworth_raw,
+    ast_density,
+    edgeworth_density,
+)
 
 
 def standardized_sums(values: np.ndarray) -> tuple[np.ndarray, float]:
@@ -244,3 +271,185 @@ def first_constant_column_ptp(sub: np.ndarray) -> int | None:
         if col.size and np.ptp(col) == 0.0:
             return c
     return None
+
+
+# ---------------------------------------------------------------------------
+# Scalar adaptive quadrature of the synthetic families
+# ---------------------------------------------------------------------------
+
+QUAD_EPSREL = 1e-10
+QUAD_EPSABS = 1e-13
+
+
+def _quad(fn, lo, hi) -> float:
+    val, _ = quad(fn, lo, hi, limit=600, epsabs=QUAD_EPSABS, epsrel=QUAD_EPSREL)
+    return val
+
+
+class AsymmetricStudentTQuad(AsymmetricStudentT):
+    """`rankskew.synth.AsymmetricStudentT` with its normalization and moments by scalar `quad`."""
+
+    def __post_init__(self) -> None:
+        if not (0.5 < self.nu_plus < math.inf and 0.5 < self.nu_minus < math.inf):
+            raise InvalidParams(
+                f"tail exponents must be finite and exceed 1/2, got ({self.nu_plus}, {self.nu_minus})"
+            )
+        u_max = self._u_max()
+        raw = _quad(lambda u: self._unnorm_u(u), -u_max, 0.0) + _quad(
+            lambda u: self._unnorm_u(u), 0.0, u_max
+        )
+        object.__setattr__(self, "norm_const", 1.0 / raw)
+        mean = var = None
+        if min(self.nu_plus, self.nu_minus) > 1.0:
+            mean = self._raw_moment(1)
+            if min(self.nu_plus, self.nu_minus) > 2.0:
+                var = self._raw_moment(2) - mean * mean
+        object.__setattr__(self, "mean", mean)
+        object.__setattr__(self, "var", var)
+
+    def _unnorm_u(self, u: float) -> float:
+        x = math.sinh(u)
+        return float(np.exp(_ast_log_unnorm(x, self.nu_plus, self.nu_minus))) * math.cosh(u)
+
+    def _raw_moment(self, k: int) -> float:
+        um = self._u_max()
+        def g(u: float) -> float:
+            return math.sinh(u) ** k * self._unnorm_u(u)
+        return self.norm_const * (_quad(g, -um, 0.0) + _quad(g, 0.0, um))
+
+
+def ast_zeta3_quad(dist: AsymmetricStudentTQuad) -> float:
+    """Classical skewness by quadrature; requires both exponents > 3."""
+    if min(dist.nu_plus, dist.nu_minus) <= 3.0:
+        raise MomentDoesNotExist(
+            f"zeta3 needs nu+- > 3, got ({dist.nu_plus}, {dist.nu_minus})"
+        )
+    m1 = dist.mean
+    m2 = dist._raw_moment(2)
+    m3 = dist._raw_moment(3)
+    mu2 = m2 - m1 * m1
+    mu3 = m3 - 3.0 * m1 * m2 + 2.0 * m1**3
+    return mu3 / mu2**1.5
+
+
+def zeta_star_of_pdf(pdf, u_max: float) -> float:
+    """zeta* of a standardized density by the nested double integral.
+
+    zeta* = -100 int_0^inf dx P_s(x) int_0^x dy y P_a(y), with
+    P_s/P_a the symmetric/antisymmetric parts of the density. The outer
+    integral runs in the sinh coordinate up to u_max.
+    """
+    def inner(ux: float) -> float:
+        if ux <= 0.0:
+            return 0.0
+        val, _ = quad(
+            lambda v: math.sinh(v) * (pdf(math.sinh(v)) - pdf(-math.sinh(v))) * math.cosh(v),
+            0.0, ux, limit=300, epsabs=1e-12, epsrel=1e-9,
+        )
+        return val
+
+    def outer(u: float) -> float:
+        x = math.sinh(u)
+        return (pdf(x) + pdf(-x)) * inner(u) * math.cosh(u)
+
+    val, _ = quad(outer, 0.0, u_max, limit=600, epsabs=1e-12, epsrel=1e-9)
+    return -100.0 * val
+
+
+def ast_zeta_star_quad(dist: AsymmetricStudentTQuad, standardized: bool = True) -> float:
+    """zeta* of the density by quadrature (`rankskew.synth.ast_zeta_star_exact` on scalar `quad`)."""
+    if standardized:
+        if dist.var is None:
+            raise MomentDoesNotExist(
+                "standardized zeta* needs nu+- > 2; use standardized=False for the raw density"
+            )
+        mu = dist.mean
+        sd = math.sqrt(dist.var)
+
+        def pdf(x):
+            return sd * float(ast_density(mu + sd * x, dist))
+
+        u_max = math.asinh(math.sinh(dist._u_max()) / sd + 1.0)
+    else:
+        def pdf(x):
+            return float(ast_density(x, dist))
+
+        u_max = dist._u_max()
+    return zeta_star_of_pdf(pdf, u_max)
+
+
+def edgeworth_moments_quad(dist: EdgeworthDensity) -> tuple[float, float, float, float, float]:
+    """norm, mean, var, zeta3_eff and kurt_eff of the density by five scalar `quad`s on its support."""
+    lo_x, hi_x = dist.support
+    z = _quad(lambda t: float(_edgeworth_raw(t, dist.zeta3, dist.kurt)), lo_x, hi_x)
+    m1 = _quad(lambda t: t * float(_edgeworth_raw(t, dist.zeta3, dist.kurt)), lo_x, hi_x) / z
+    m2 = _quad(lambda t: (t - m1) ** 2 * float(_edgeworth_raw(t, dist.zeta3, dist.kurt)), lo_x, hi_x) / z
+    m3 = _quad(lambda t: (t - m1) ** 3 * float(_edgeworth_raw(t, dist.zeta3, dist.kurt)), lo_x, hi_x) / z
+    m4 = _quad(lambda t: (t - m1) ** 4 * float(_edgeworth_raw(t, dist.zeta3, dist.kurt)), lo_x, hi_x) / z
+    return z, m1, m2, m3 / m2**1.5, m4 / (m2 * m2) - 3.0
+
+
+def edgeworth_zeta_star_split_quad(dist: EdgeworthDensity) -> float:
+    """zeta* of the standardized truncated density by a nested scalar `quad` at epsrel 1e-13.
+
+    Unlike `zeta_star_of_pdf`, both integrals are split at the support
+    ends, where the truncated density jumps.
+    """
+    _, mu, var, _, _ = edgeworth_moments_quad(dist)
+    sd = math.sqrt(var)
+
+    def pdf(x):
+        return sd * float(edgeworth_density(mu + sd * x, dist))
+
+    lo, hi = dist.support
+    ends = sorted(math.asinh(e) for e in ((mu - lo) / sd, (hi - mu) / sd))
+    u_max = math.asinh(max(abs(lo), abs(hi)) / sd + 1.0)
+
+    def inner(ux: float) -> float:
+        # no split within 1e-9 of ux: quad reports bad behaviour on the sliver,
+        # which holds too little mass to matter at 1e-13
+        val, _ = quad(
+            lambda v: math.sinh(v) * (pdf(math.sinh(v)) - pdf(-math.sinh(v))) * math.cosh(v),
+            0.0, ux, points=[e for e in ends if e < ux - 1e-9] or None, limit=300, epsabs=1e-15, epsrel=1e-13,
+        )
+        return val
+
+    def outer(u: float) -> float:
+        x = math.sinh(u)
+        return (pdf(x) + pdf(-x)) * inner(u) * math.cosh(u)
+
+    val, _ = quad(outer, 0.0, u_max, points=ends, limit=600, epsabs=1e-15, epsrel=1e-13)
+    return -100.0 * val
+
+
+# ---------------------------------------------------------------------------
+# Risk management
+# ---------------------------------------------------------------------------
+
+
+def risk_manage_lfilter(s: ReturnSeries, span: int = 20) -> ReturnSeries:
+    """`rankskew.series.risk_manage` with the EMA from `scipy.signal.lfilter`."""
+    if s.period != "daily":
+        raise WrongPeriod(f"{s.label}: risk management is defined on daily series")
+    if len(s) <= span:
+        raise TooShort(f"{s.label}: need more than {span} points")
+    if len(s) - span < 2:
+        raise TooShort(f"{s.label}: fewer than 2 points would survive warm-up")
+    from scipy.signal import lfilter  # deferred: slow to import, and no CLI command calls this
+
+    absr = np.abs(s.values)
+    alpha = 2.0 / (span + 1.0)
+    # EMA seeded with the first observation: ema[t] = (1-a) ema[t-1] + a |r_t|
+    ema, _ = lfilter([alpha], [1.0, alpha - 1.0], absr, zi=[(1.0 - alpha) * absr[0]])
+    sigma = ema * ABS_VOL_UNBIAS
+    floor = _running_percentile_floor(sigma, 10.0)
+    sigma = np.maximum(sigma, floor)
+    lagged = sigma[span - 1 : -1]
+    if np.any(lagged == 0.0):
+        raise ZeroVariance(f"{s.label}: volatility estimate hit zero")
+    return ReturnSeries(
+        label=s.label,
+        period="daily",
+        dates=s.dates[span:],
+        values=s.values[span:] / lagged,
+    )

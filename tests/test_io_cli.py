@@ -369,6 +369,21 @@ def test_cli_data_error_exit_code_and_cleanup(tmp_path, capsys):
     assert not (tmp_path / "bad_ranked_pnl.csv").exists()
 
 
+def test_cli_report_write_failure_leaves_no_outputs(tmp_path):
+    """When report.json cannot be written, the scatter CSV and the curves are removed too."""
+    rng = np.random.default_rng(5)
+    series = []
+    for k in range(3):
+        path = tmp_path / f"r{k}.csv"
+        write_series(path, daily(rng.standard_t(4, 200) * 0.01, label=f"r{k}"))
+        series += ["--series", str(path)]
+    out = tmp_path / "out"
+    (out / "report.json").mkdir(parents=True)
+    code = run_cli("report", "--seed", "3", "--bootstrap", "10", "--out-dir", str(out), *series)
+    assert code == 1
+    assert sorted(p.name for p in out.iterdir()) == ["report.json"]
+
+
 def test_cli_program_error_propagates_and_cleans_up(tmp_path, monkeypatch):
     """A ValueError that is not a data error is a bug: it is re-raised, not exit 1."""
     src = tmp_path / "s.csv"
@@ -514,16 +529,13 @@ def test_every_flag_is_documented():
                 assert act.help, f"undocumented flag {act.option_strings or act.dest} in {name}"
 
 
-def test_cli_import_leaves_scipy_signal_and_stats_unloaded():
-    """`import rankskew.cli` must not pay for scipy subpackages no command uses."""
+def test_cli_import_loads_no_scipy():
+    """`import rankskew.cli` loads numpy alone: no scipy module at all."""
     import rankskew
 
     env = dict(os.environ)
     env["PYTHONPATH"] = os.path.dirname(os.path.dirname(rankskew.__file__))
-    script = (
-        "import sys, rankskew.cli; "
-        "print(sorted(m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules))"
-    )
+    script = "import sys, rankskew.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     r = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
     assert r.returncode == 0, r.stderr
     assert r.stdout.strip() == "[]"
@@ -552,9 +564,16 @@ def test_cli_byte_determinism(tmp_path):
         ["pca", "{d}/carry_returns.csv", "--window", "120", "--step", "30", "--out-dir", "{d}"],
         ["report", "--seed", "3", "--bootstrap", "30", "--out-dir", "{d}"]
         + [arg for k in range(3) for arg in ("--series", f"{inputs}/r{k}.csv")],
+        ["fig10", "--nu-plus-grid", "3.5,5", "--out", "{d}/fig10.csv"],
+        ["synth", "edgeworth", "--zeta3", "0.1", "--n", "5000", "--seed", "2", "--out", "{d}/edgeworth.csv"],
     ]
-    # one interpreter per thread count: the BLAS pool size is fixed at import
-    script = "import json, sys; from rankskew.cli import main; sys.exit(any(main(a) for a in json.loads(sys.argv[1])))"
+    # one interpreter per thread count: the BLAS pool size is fixed at import;
+    # the last line of its output lists the scipy modules the commands loaded
+    script = (
+        "import json, sys; from rankskew.cli import main; "
+        "failed = any(main(a) for a in json.loads(sys.argv[1])); "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')); sys.exit(failed)"
+    )
     env = dict(os.environ)
     outputs = []
     for run, threads in (("one", "1"), ("two", "4")):
@@ -563,12 +582,13 @@ def test_cli_byte_determinism(tmp_path):
         env["OPENBLAS_NUM_THREADS"] = threads
         env["OMP_NUM_THREADS"] = threads
         argvs = [[arg.replace("{d}", str(d)) for arg in cmd] for cmd in commands]
-        r = subprocess.run([sys.executable, "-c", script, json.dumps(argvs)], env=env, capture_output=True)
+        r = subprocess.run([sys.executable, "-c", script, json.dumps(argvs)], env=env, capture_output=True, text=True)
         assert r.returncode == 0, r.stderr
+        assert r.stdout.splitlines()[-1] == "[]"
         outputs.append({f.name: f.read_bytes() for f in sorted(d.iterdir())})
     assert sorted(outputs[0]) == sorted(
         ["samples.csv", "samples_skew_report.json", "samples_ranked_pnl.csv", "carry_returns.csv",
-         "carry_signal.csv", "deciles.csv", "pca.json", "report.json", "scatter.csv"]
+         "carry_signal.csv", "deciles.csv", "pca.json", "report.json", "scatter.csv", "fig10.csv", "edgeworth.csv"]
         + [f"r{k}_ranked_pnl.csv" for k in range(3)]
     )
     assert outputs[0] == outputs[1]

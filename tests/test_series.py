@@ -26,6 +26,7 @@ from rankskew import (
     symmetrize,
 )
 from rankskew.series import symmetrize_with_signs
+from tests.oracles import risk_manage_lfilter
 
 
 def daily(values, label="s", start="2001-01-01"):
@@ -215,6 +216,16 @@ def test_risk_manage_unit_vol_monte_carlo():
     rng = np.random.default_rng(42)
     out = risk_manage(daily(rng.standard_normal(10_000) * 0.02))
     assert abs(float(np.std(out.values)) - 1.0) < 0.05
+
+
+@pytest.mark.parametrize("n,span", [(25, 5), (25, 20), (1000, 5), (1000, 20), (1000, 63), (20_000, 20), (20_000, 63)])
+def test_risk_manage_matches_lfilter_oracle(n, span):
+    """The EMA loop reproduces `scipy.signal.lfilter` bit for bit."""
+    s = daily(np.random.default_rng(n + span).standard_t(3, n) * 0.01)
+    got = risk_manage(s, span=span)
+    want = risk_manage_lfilter(s, span=span)
+    assert np.array_equal(got.values, want.values)
+    assert np.array_equal(got.dates, want.dates)
 
 
 def test_risk_manage_errors():

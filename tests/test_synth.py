@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
+from scipy.integrate import cumulative_simpson, quad
 from scipy.special import beta as beta_fn
 from scipy.special import gamma as gamma_fn
 from scipy.stats import t as student_t
@@ -25,7 +25,15 @@ from rankskew import (
     fig10_sweep,
     gaussian_sample,
 )
-from rankskew.synth import _ast_cdf_grid
+from rankskew.synth import GRID_SIZE, _ast_cdf_grid, _cumulative_simpson
+from tests.oracles import (
+    AsymmetricStudentTQuad,
+    ast_zeta3_quad,
+    ast_zeta_star_quad,
+    edgeworth_moments_quad,
+    edgeworth_zeta_star_split_quad,
+)
+from tests.test_acceptance import AST_CASES, EDGEWORTH_CASES, SWEEP_GRID
 
 
 def jones_faddy_norm(nu_plus: float, nu_minus: float) -> float:
@@ -145,6 +153,20 @@ def test_cdf_grid_against_adaptive_quadrature():
         assert grid_val == pytest.approx(direct, abs=1e-7)
 
 
+def test_cumulative_simpson_matches_scipy_bit_for_bit():
+    """The samplers' CDF grids are scipy's cumulative_simpson to the last bit."""
+    dist = AsymmetricStudentT(5.0, 3.5)
+    um = dist._u_max()
+    u = np.linspace(-um, um, GRID_SIZE)
+    g = ast_density(np.sinh(u), dist) * np.cosh(u)
+    assert np.array_equal(_cumulative_simpson(g, u), cumulative_simpson(g, x=u))
+    for zeta3, kurt in sorted(EDGEWORTH_CASES):
+        edge = EdgeworthDensity(zeta3, kurt)
+        x = np.linspace(*edge.support, GRID_SIZE)
+        g = edgeworth_density(x, edge)
+        assert np.array_equal(_cumulative_simpson(g, x), cumulative_simpson(g, x=x))
+
+
 def test_sample_moments_match_quadrature():
     dist = AsymmetricStudentT(8.0, 8.0)
     draws = ast_sample(10_000_000, dist, seed=5).values
@@ -164,6 +186,44 @@ def test_zeta3_symmetric_zero_and_swap_antisymmetry():
     z_ba = ast_zeta3_exact(AsymmetricStudentT(3.5, 5.0))
     assert z_ab == pytest.approx(-z_ba, rel=1e-9)
     assert z_ab < 0  # thin right tail, fat left tail: negative skew
+
+
+def test_equal_exponents_give_exact_zeros_and_swap_exactly_negates():
+    assert ast_zeta3_exact(AsymmetricStudentT(4.0, 4.0)) == 0.0
+    assert ast_zeta_star_exact(AsymmetricStudentT(3.5, 3.5)) == 0.0
+    assert ast_zeta_star_exact(AsymmetricStudentT(0.7, 0.7), standardized=False) == 0.0
+    assert AsymmetricStudentT(4.0, 4.0).mean == 0.0
+    assert ast_zeta3_exact(AsymmetricStudentT(5.0, 3.5)) == -ast_zeta3_exact(AsymmetricStudentT(3.5, 5.0))
+    assert ast_zeta_star_exact(AsymmetricStudentT(5.0, 3.5)) == -ast_zeta_star_exact(AsymmetricStudentT(3.5, 5.0))
+
+
+def _close(got: float, want: float) -> bool:
+    return abs(got - want) <= 1e-12 * abs(want)
+
+
+STANDARDIZED_CASES = sorted(set(AST_CASES) | {(nup, 3.5) for nup in SWEEP_GRID} | {(2.5, 2.2)})
+
+
+@pytest.mark.parametrize("nu_plus,nu_minus", STANDARDIZED_CASES)
+def test_ast_rule_matches_scalar_quad_oracle(nu_plus, nu_minus):
+    """Normalization, mean, variance, zeta3 and zeta* agree with nested scalar `quad`."""
+    new = AsymmetricStudentT(nu_plus, nu_minus)
+    old = AsymmetricStudentTQuad(nu_plus, nu_minus)
+    for got, want in ((new.norm_const, old.norm_const), (new.mean, old.mean), (new.var, old.var)):
+        assert _close(got, want), (got, want)
+    if min(nu_plus, nu_minus) > 3.0:
+        assert _close(ast_zeta3_exact(new), ast_zeta3_quad(old))
+    assert _close(ast_zeta_star_exact(new), ast_zeta_star_quad(old))
+
+
+@pytest.mark.parametrize("nu_plus,nu_minus", [(0.7, 0.9), (1.5, 4.0)])
+def test_ast_rule_matches_scalar_quad_oracle_raw_density(nu_plus, nu_minus):
+    new = AsymmetricStudentT(nu_plus, nu_minus)
+    old = AsymmetricStudentTQuad(nu_plus, nu_minus)
+    assert _close(new.norm_const, old.norm_const)
+    got = ast_zeta_star_exact(new, standardized=False)
+    want = ast_zeta_star_quad(old, standardized=False)
+    assert _close(got, want), (got, want)
 
 
 def test_zeta3_requires_third_moment():
@@ -252,6 +312,17 @@ def test_edgeworth_zeta_star_quadrature_values():
     assert edgeworth_zeta_star_exact(EdgeworthDensity(0.1, 0.0)) == pytest.approx(
         0.53024, abs=2e-4
     )
+
+
+@pytest.mark.parametrize("zeta3,kurt", sorted(EDGEWORTH_CASES))
+def test_edgeworth_rule_matches_split_quad_oracle(zeta3, kurt):
+    """Moments and zeta* agree with scalar `quad` split at the support ends, where the density jumps."""
+    dist = EdgeworthDensity(zeta3, kurt)
+    got = (dist.norm, dist.mean, dist.var, dist.zeta3_eff, dist.kurt_eff)
+    for g, w in zip(got, edgeworth_moments_quad(dist)):
+        assert abs(g - w) <= 1e-12 * max(abs(w), 1.0), (g, w)
+    got, want = edgeworth_zeta_star_exact(dist), edgeworth_zeta_star_split_quad(dist)
+    assert _close(got, want), (got, want)
 
 
 def test_gaussian_sample_deterministic():
