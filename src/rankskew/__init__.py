@@ -88,6 +88,7 @@ from .skew import (
     mean_minus_median,
     ranked_pnl,
     skew_report,
+    skew_reports,
     small_p_exponent,
     zeta_star,
 )

@@ -18,7 +18,7 @@ from .analysis import CrossSection, CrossSectionRow, cross_section_stats, pca_sp
 from .errors import RankSkewError
 from .portfolio import carry_pairs, decile_table, rank_buckets
 from .series import ReturnSeries, perf_stats
-from .skew import ranked_pnl, skew_report
+from .skew import ranked_pnl, skew_report, skew_reports
 from .synth import (
     AsymmetricStudentT,
     ast_sample,
@@ -215,25 +215,29 @@ def _cmd_report(args, parser: argparse.ArgumentParser, out: _Outputs) -> None:
     for stem in stems:
         if stems.count(stem) > 1:
             parser.error(f"--series files need distinct names: {stem!r} repeats")
-    reports = []
-    rows = []
-    for path in args.series:
-        series = _write_curve(path, "return", args, out)
-        rep = skew_report(series, bootstrap=args.bootstrap, seed=args.seed)
-        reports.append(rep.as_dict())
-        stats = perf_stats(series)
-        rows.append(
-            CrossSectionRow(
-                name=series.label,
-                sharpe=stats.sharpe,
-                ann_vol=stats.ann_vol,
-                zeta_star=rep.zeta_star,
-                err_sharpe=rep.err_sharpe,
-                err_zeta_star=rep.err_zeta_star,
-            )
+    stats = []
+
+    def each_series():
+        # one series at a time: read it and write its curve, let skew_reports check it, then take its stats
+        for path in args.series:
+            series = _write_curve(path, "return", args, out)
+            yield series
+            stats.append(perf_stats(series))
+
+    reports = skew_reports(each_series(), bootstrap=args.bootstrap, seed=args.seed)
+    rows = [
+        CrossSectionRow(
+            name=rep.label,
+            sharpe=st.sharpe,
+            ann_vol=st.ann_vol,
+            zeta_star=rep.zeta_star,
+            err_sharpe=rep.err_sharpe,
+            err_zeta_star=rep.err_zeta_star,
         )
+        for rep, st in zip(reports, stats)
+    ]
     doc = {
-        "skew_reports": reports,
+        "skew_reports": [rep.as_dict() for rep in reports],
         "provenance": {
             "series": [os.path.basename(p) for p in args.series],
             "seed": args.seed,

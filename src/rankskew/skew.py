@@ -17,12 +17,20 @@ resample. It ranks amplitudes with mid-rank ties: values at equal
 distance from the mean share their ranks equally, so zeta* does not
 depend on the order of the sample. On samples without such ties it is
 the area of the curve above.
+
+Bootstrap errors come from i.i.d. resamples. Replicate b of a series of
+N values draws its indices from the generator seeded with seed + b, so
+the draw depends only on (seed, b, N). `skew_reports` makes each draw
+once and uses it for every series of that length: equal-length series in
+one report are resampled on the same index draws, a paired bootstrap
+when their dates align.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Iterable
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -317,26 +325,75 @@ def _zeta_star_from_counts(v_sorted: np.ndarray, v_sq: np.ndarray, counts: np.nd
     return -100.0 * total / sd / (float(n) * float(n)), float(m), sd
 
 
-def _bootstrap(c_sorted: np.ndarray, c_sq: np.ndarray, m0: float, period: str, n_boot: int, seed: int) -> tuple[float, float]:
-    """Bootstrap standard errors of (zeta*, annualized Sharpe).
+def _bootstrap(samples: list[tuple[str, np.ndarray, float, float]], n_boot: int, seed: int) -> list[tuple[float, float]]:
+    """Bootstrap standard errors of (zeta*, annualized Sharpe) of each sample.
 
-    `c_sorted`, `c_sq` and `m0` come from `_sorted_centred`. i.i.d.
-    resamples with replacement of size N; replicate b uses the generator
-    seeded with seed + b, so replicates can be evaluated in any order (or
-    in parallel) with identical results.
+    A sample is (label, c, m0, ann): `c` and `m0` come from
+    `_sorted_centred` and `ann` annualizes the Sharpe ratio. Resamples are
+    i.i.d. with replacement, of the sample's size N. Replicate b draws its
+    indices from the generator seeded with seed + b, so the draw depends
+    only on (seed, b, N): it is made once per replicate and length and
+    shared by every sample of that length, and replicates can be evaluated
+    in any order with identical results.
     """
-    n = c_sorted.size
-    ann = math.sqrt(PERIODS_PER_YEAR[period])
-    zs = np.empty(n_boot)
-    sh = np.empty(n_boot)
+    by_size: dict[int, list[int]] = {}
+    for i, (_, c, _, _) in enumerate(samples):
+        by_size.setdefault(c.size, []).append(i)
+    zs = np.empty((len(samples), n_boot))
+    sh = np.empty((len(samples), n_boot))
     for b in range(n_boot):
-        rng = np.random.default_rng(seed + b)
-        idx = rng.integers(0, n, size=n)
-        counts = np.bincount(idx, minlength=n).astype(np.float64)
-        z, m, sd = _zeta_star_from_counts(c_sorted, c_sq, counts, n)
-        zs[b] = z
-        sh[b] = (m0 + m) / sd * ann
-    return float(np.std(zs, ddof=1)), float(np.std(sh, ddof=1))
+        for n, members in by_size.items():
+            idx = np.random.default_rng(seed + b).integers(0, n, size=n)
+            counts = np.bincount(idx, minlength=n).astype(np.float64)
+            for i in members:
+                label, c, m0, ann = samples[i]
+                try:
+                    z, m, sd = _zeta_star_from_counts(c, c * c, counts, n)
+                except ZeroVariance:
+                    raise ZeroVariance(f"{label}: bootstrap resample {b} has zero variance") from None
+                zs[i, b] = z
+                sh[i, b] = (m0 + m) / sd * ann
+    return [(float(np.std(z, ddof=1)), float(np.std(h, ddof=1))) for z, h in zip(zs, sh)]
+
+
+def skew_reports(series: Iterable[ReturnSeries], bootstrap: int = 1000, seed: int = 0) -> list[SkewReport]:
+    """`skew_report` of each series, without co-skewness.
+
+    The series are taken one at a time, and of each only its sorted,
+    centred sample is kept for the bootstrap, so `series` may be a
+    generator. Every check and statistic that needs no resample is made
+    before the bootstrap, in the order of the series. Equal-length series
+    are resampled on the same index draws (see `_bootstrap`), a paired
+    bootstrap when their dates align.
+    """
+    reports = []
+    samples = []
+    for s in series:
+        if len(s) < 30:
+            raise TooShort(f"{s.label}: need at least 30 points for a report")
+        if bootstrap < 2:
+            raise InvalidParams(f"need at least 2 bootstrap replicates, got {bootstrap}")
+        c, m0 = _sorted_centred(s.values)
+        n = c.size
+        z3, kurt, mmm = _moments(c, s.label)
+        reports.append(
+            SkewReport(
+                zeta_star=_zeta_star_from_counts(c, c * c, np.ones(n), n)[0],
+                zeta3=z3,
+                kurtosis=kurt,
+                mean_minus_median=mmm,
+                coskew=None,
+                err_zeta_star=math.nan,
+                err_sharpe=math.nan,
+                n=n,
+                label=s.label,
+                seed=seed,
+                bootstrap=bootstrap,
+            )
+        )
+        samples.append((s.label, c, m0, math.sqrt(PERIODS_PER_YEAR[s.period])))
+    errors = _bootstrap(samples, bootstrap, seed)
+    return [replace(r, err_zeta_star=ez, err_sharpe=es) for r, (ez, es) in zip(reports, errors)]
 
 
 def skew_report(
@@ -346,25 +403,7 @@ def skew_report(
     seed: int = 0,
 ) -> SkewReport:
     """All skewness diagnostics for one series, with bootstrap errors."""
-    if len(s) < 30:
-        raise TooShort(f"{s.label}: need at least 30 points for a report")
-    if bootstrap < 2:
-        raise InvalidParams(f"need at least 2 bootstrap replicates, got {bootstrap}")
-    c, m0 = _sorted_centred(s.values)
-    z3, kurt, mmm = _moments(c, s.label)
-    c_sq = c * c
-    n = c.size
-    err_zs, err_sh = _bootstrap(c, c_sq, m0, s.period, bootstrap, seed)
-    return SkewReport(
-        zeta_star=_zeta_star_from_counts(c, c_sq, np.ones(n), n)[0],
-        zeta3=z3,
-        kurtosis=kurt,
-        mean_minus_median=mmm,
-        coskew=co_skewness(s, benchmark) if benchmark is not None else None,
-        err_zeta_star=err_zs,
-        err_sharpe=err_sh,
-        n=n,
-        label=s.label,
-        seed=seed,
-        bootstrap=bootstrap,
-    )
+    report = skew_reports([s], bootstrap, seed)[0]
+    if benchmark is None:
+        return report
+    return replace(report, coskew=co_skewness(s, benchmark))

@@ -460,29 +460,63 @@ def test_cli_carry(tmp_path):
     assert returns.assets == ["AAA/BBB"]
 
 
-def test_cli_report_bundle(tmp_path):
+def _report_matches_analyze(tmp_path, lengths):
+    """Run `report` on series of the given lengths; each entry and curve must be what `analyze` writes."""
     rng = np.random.default_rng(5)
     paths = []
-    for i in range(3):
+    for i, n in enumerate(lengths):
         p = tmp_path / f"s{i}.csv"
-        write_series(p, daily(rng.standard_normal(120) * 0.01 + 0.0002 * i, label=f"s{i}"))
+        write_series(p, daily(rng.standard_normal(n) * 0.01 + 0.0002 * i, label=f"s{i}"))
         paths.append(str(p))
     argv = ["report", "--seed", "3", "--bootstrap", "40", "--out-dir", str(tmp_path / "out")]
     for p in paths:
         argv += ["--series", p]
     assert run_cli(*argv) == 0
     doc = json.loads((tmp_path / "out" / "report.json").read_text())
-    assert len(doc["skew_reports"]) == 3
+    assert len(doc["skew_reports"]) == len(lengths)
     assert "regression" in doc
     assert "pca" not in doc
     assert (tmp_path / "out" / "scatter.csv").exists()
-    # report writes exactly what analyze writes for each series
     for i, p in enumerate(paths):
         single = tmp_path / f"analyze{i}"
         assert run_cli("analyze", p, "--seed", "3", "--bootstrap", "40", "--out-dir", str(single)) == 0
         curve = f"s{i}_ranked_pnl.csv"
         assert (tmp_path / "out" / curve).read_bytes() == (single / curve).read_bytes()
         assert doc["skew_reports"][i] == json.loads((single / f"s{i}_skew_report.json").read_text())
+
+
+def test_cli_report_bundle(tmp_path):
+    _report_matches_analyze(tmp_path, (120, 120, 120))
+
+
+def test_cli_report_mixed_lengths(tmp_path):
+    """Series of another length in the middle: each series still gets the draws analyze gives it."""
+    _report_matches_analyze(tmp_path, (120, 90, 120, 120))
+
+
+def test_cli_report_check_error_wins_over_later_read_error(tmp_path, capsys):
+    short = tmp_path / "s1.csv"
+    write_series(short, daily(np.random.default_rng(2).standard_normal(20) * 0.01, label="s1"))
+    out = tmp_path / "out"
+    code = run_cli(
+        "report", "--seed", "3", "--bootstrap", "10", "--out-dir", str(out),
+        "--series", str(short), "--series", str(tmp_path / "missing.csv"),
+    )
+    assert code == 1
+    assert capsys.readouterr().err == "rankskew: error: s1: need at least 30 points for a report\n"
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["analyze", "report"])
+def test_cli_bootstrap_zero_variance_names_series(tmp_path, capsys, command):
+    deg = tmp_path / "deg.csv"
+    write_series(deg, daily(np.array([0.01] * 29 + [0.02]), label="deg"))
+    out = tmp_path / "out"
+    argv = ["analyze", str(deg)] if command == "analyze" else ["report", "--series", str(deg)]
+    assert run_cli(*argv, "--seed", "1", "--bootstrap", "50", "--out-dir", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("rankskew: error: deg: bootstrap resample ") and err.endswith(" has zero variance\n")
+    assert list(out.iterdir()) == []
 
 
 def test_cli_report_provenance_ignores_path_spelling(tmp_path, monkeypatch):

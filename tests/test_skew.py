@@ -26,6 +26,7 @@ from rankskew import (
     mean_minus_median,
     ranked_pnl,
     skew_report,
+    skew_reports,
     small_p_exponent,
     zeta_star,
 )
@@ -441,16 +442,51 @@ def test_counts_kernel_matches_searchsorted_oracle_bit_for_bit(n, seed, offset, 
 
 
 def test_bootstrap_matches_loop_over_oracle():
-    values = np.random.default_rng(31).standard_t(4, 1500) * 0.01 + 0.0003
-    n = values.size
-    c, m0 = _sorted_centred(values)
-    zs, sh = np.empty(200), np.empty(200)
-    for b in range(200):
-        idx = np.random.default_rng(8 + b).integers(0, n, size=n)
-        counts = np.bincount(idx, minlength=n).astype(np.float64)
-        zs[b], m, sd = zeta_star_from_counts_searchsorted(c, c * c, counts, n)
-        sh[b] = (m0 + m) / sd * math.sqrt(PERIODS_PER_YEAR["daily"])
-    assert _bootstrap(c, c * c, m0, "daily", 200, 8) == (float(np.std(zs, ddof=1)), float(np.std(sh, ddof=1)))
+    """Each sample's errors equal a per-sample loop over the oracle kernel, equal lengths sharing draws or not."""
+    rng = np.random.default_rng(31)
+    ann = math.sqrt(PERIODS_PER_YEAR["daily"])
+    samples, want = [], []
+    for k, n in enumerate((1500, 1000, 1500)):
+        c, m0 = _sorted_centred(rng.standard_t(4, n) * 0.01 + 0.0003)
+        samples.append((f"s{k}", c, m0, ann))
+        zs, sh = np.empty(200), np.empty(200)
+        for b in range(200):
+            idx = np.random.default_rng(8 + b).integers(0, n, size=n)
+            counts = np.bincount(idx, minlength=n).astype(np.float64)
+            zs[b], m, sd = zeta_star_from_counts_searchsorted(c, c * c, counts, n)
+            sh[b] = (m0 + m) / sd * ann
+        want.append((float(np.std(zs, ddof=1)), float(np.std(sh, ddof=1))))
+    assert _bootstrap(samples, 200, 8) == want
+
+
+@given(
+    lengths=st.lists(st.sampled_from([30, 31, 47]), min_size=1, max_size=5),
+    seed=st.integers(0, 2**32 - 1),
+    boot_seed=st.integers(0, 1000),
+)
+@settings(max_examples=40, deadline=None)
+def test_skew_reports_equal_one_report_per_series(lengths, seed, boot_seed):
+    rng = np.random.default_rng(seed)
+    series = [daily(rng.standard_t(3, n) * 0.01, label=f"s{k}") for k, n in enumerate(lengths)]
+    assert skew_reports(series, bootstrap=12, seed=boot_seed) == [
+        skew_report(s, bootstrap=12, seed=boot_seed) for s in series
+    ]
+
+
+def test_skew_reports_consumes_series_in_order_and_checks_before_bootstrap():
+    """A later series' check error wins over every bootstrap; the series after it are never read."""
+    rng = np.random.default_rng(4)
+    taken = []
+
+    def gen():
+        for k, n in enumerate((40, 20, 40)):
+            taken.append(k)
+            yield daily(rng.standard_normal(n) * 0.01, label=f"s{k}")
+
+    with pytest.raises(TooShort, match="s1: need at least 30"):
+        skew_reports(gen(), bootstrap=10, seed=1)
+    assert taken == [0, 1]
+    assert skew_reports([], bootstrap=10, seed=1) == []
 
 
 def test_err_zeta_star_is_location_invariant():
