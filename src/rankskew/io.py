@@ -1,17 +1,18 @@
 """CSV/JSON ingestion and byte-stable export.
 
-All numeric output is serialized with repr(), the shortest decimal that
-round-trips to the same float64, and files always use '\\n' newlines, so
-identical inputs and seeds produce byte-identical artifacts.
+One function, _write_csv, writes every CSV a block of rows at a time:
+each float as repr(), the shortest decimal that round-trips to the same
+float64, and '\\n' newlines, so identical inputs and seeds produce
+byte-identical artifacts. A failed write raises IOWrite naming the file.
 
-Series and panel CSVs are read and written a block of rows at a time. A
-file in the canonical dialect, the one the writers produce, is parsed a
-column at a time: the exact header, ASCII without quotes or whitespace
-other than '\\n', and the header's field count on every line. Any other
-file, and any file with a bad row, is read again by the row scanner,
-which also takes csv-module quoting, CRLF, blank lines, padded tokens and
-extra columns, and names the file and line of the first bad row. Every CSV
-is UTF-8; a file that is not names the first line that fails to decode.
+Series and panel CSVs are read a block of rows at a time. A file in the
+canonical dialect, the one _write_csv produces, is parsed a column at a
+time: the exact header, ASCII without quotes or whitespace other than
+'\\n', and the header's field count on every line. Any other file, and
+any file with a bad row, is read again by the row scanner, which also
+takes csv-module quoting, CRLF, blank lines, padded tokens and extra
+columns, and names the file and line of the first bad row. Every CSV is
+UTF-8; a file that is not names the first line that fails to decode.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import math
 import os
 from contextlib import contextmanager
 from itertools import islice, repeat
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, TextIO
 
 import numpy as np
 
@@ -41,9 +42,14 @@ _WRITE_ROWS = 2048  # rows formatted per write
 # characters other than ' ' and '"'.
 _CANONICAL = bytes([ord("\n"), ord("!"), *range(ord("#"), ord("~") + 1)])
 
-
-def _fmt(x: float) -> str:
-    return repr(float(x))
+# The header of each CSV file, shared by its reader, row scanner and writer.
+_SERIES_HEADER = "date,value"
+_PANEL_HEADER = "date,asset,value"
+_CS_HEADER = "name,sharpe,vol,zeta_star,err_sharpe,err_zeta_star,fit"
+_SCATTER_HEADER = "name,neg_zeta_star,sharpe,err_x,err_y,class"
+_CURVE_HEADER = "p,F,F_sym"
+_FIG10_HEADER = "nu_plus,zeta3,zeta_star"
+_DECILE_HEADER = "bucket,vol_pct,zeta_star,sharpe"
 
 
 def _check_labels(path: str, labels: Iterable[str]) -> None:
@@ -51,6 +57,37 @@ def _check_labels(path: str, labels: Iterable[str]) -> None:
     for label in labels:
         if any(ch in label for ch in ',"\r\n'):
             raise IOWrite(f"cannot write {path}: label {label!r} contains a comma, quote or line break")
+
+
+@contextmanager
+def _writing(path: str) -> Iterator[TextIO]:
+    """`path` open to write UTF-8 text; an OSError is raised as IOWrite naming the file."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            yield fh
+    except OSError as exc:
+        raise IOWrite(f"cannot write {path}: {exc}") from exc
+
+
+def _fields(block) -> list[str]:
+    """The text of a column block. A float is the repr of a Python float (numpy 2's repr
+    of an np.float64 is 'np.float64(...)'); in a column of objects a str is itself and None
+    an empty field; a column of another dtype, such as datetime64[D] or integers, is str."""
+    block = np.asarray(block)
+    if block.dtype.kind == "f":
+        return list(map(repr, block.tolist()))
+    if block.dtype == object:
+        return [x if isinstance(x, str) else "" if x is None else repr(float(x)) for x in block.tolist()]
+    return block.astype(str).tolist()
+
+
+def _write_csv(path: str, header: str, *columns) -> None:
+    """Write `header` and a row per index of the equal-length `columns`, _WRITE_ROWS rows per write."""
+    with _writing(path) as fh:
+        fh.write(header + "\n")
+        for i in range(0, len(columns[0]), _WRITE_ROWS):
+            text = [_fields(c[i : i + _WRITE_ROWS]) for c in columns]
+            fh.write("\n".join(map(",".join, zip(*text))) + "\n")
 
 
 def _parse_date(token: str, path: str, line: int) -> np.datetime64:
@@ -73,9 +110,9 @@ def _parse_float(token: str, path: str, line: int, what: str = "value") -> float
     return x
 
 
-def _open_text(path: str, mode: str = "r"):
-    """Open a file as UTF-8: newlines untranslated to read, '\\n' to write."""
-    return open(path, mode, encoding="utf-8", newline="" if mode == "r" else "\n")
+def _open_text(path: str):
+    """Open a file to read as UTF-8, newlines untranslated."""
+    return open(path, encoding="utf-8", newline="")
 
 
 @contextmanager
@@ -99,24 +136,25 @@ def _utf8(path: str) -> Iterator[None]:
 # ---------------------------------------------------------------------------
 
 
-def _scan(path: str, header: list[str]) -> Iterator[tuple[int, list[str]]]:
+def _scan(path: str, header: str) -> Iterator[tuple[int, list[str]]]:
     """Yield (line number, row) for each non-blank row after the header.
 
-    The header must begin with `header`, ignoring case and padding. A row
-    with fewer fields, and any error of the csv module (such as a field
-    over `csv.field_size_limit()`), raises CsvFormatError.
+    The header must begin with the fields of `header`, ignoring case and
+    padding. A row with fewer fields, and any error of the csv module (such
+    as a field over `csv.field_size_limit()`), raises CsvFormatError.
     """
+    names = header.split(",")
     with _open_text(path) as fh:
         reader = csv.reader(fh)
         try:
             first = next(reader, None)
-            if first is None or [c.strip().lower() for c in first[: len(header)]] != header:
-                raise CsvFormatError(path, 1, f"expected header '{','.join(header)}'")
+            if first is None or [c.strip().lower() for c in first[: len(names)]] != names:
+                raise CsvFormatError(path, 1, f"expected header '{header}'")
             for row in reader:
                 if not row or (len(row) == 1 and not row[0].strip()):
                     continue
-                if len(row) < len(header):
-                    raise CsvFormatError(path, reader.line_num, f"expected {len(header)} columns")
+                if len(row) < len(names):
+                    raise CsvFormatError(path, reader.line_num, f"expected {len(names)} columns")
                 yield reader.line_num, row
         except csv.Error as exc:
             raise CsvFormatError(path, reader.line_num, str(exc)) from None
@@ -126,7 +164,7 @@ def _scan_series(path: str) -> tuple[np.ndarray, np.ndarray]:
     """(dates, values) of any date,value file, row by row."""
     dates: list[np.datetime64] = []
     values: list[float] = []
-    for line, row in _scan(path, ["date", "value"]):
+    for line, row in _scan(path, _SERIES_HEADER):
         d = _parse_date(row[0], path, line)
         if dates and d <= dates[-1]:
             raise CsvFormatError(path, line, f"date {d} is not after {dates[-1]}")
@@ -139,7 +177,7 @@ def _scan_panel(path: str) -> tuple[np.ndarray, list[str], np.ndarray]:
     """(dates, assets, values grid) of any date,asset,value file, row by row."""
     cells: dict[tuple[np.datetime64, str], float] = {}
     assets: dict[str, None] = {}
-    for line, row in _scan(path, ["date", "asset", "value"]):
+    for line, row in _scan(path, _PANEL_HEADER):
         d = _parse_date(row[0], path, line)
         a = row[1].strip()
         if not a:
@@ -206,7 +244,7 @@ def _parse_series(path: str) -> tuple[np.ndarray, np.ndarray] | None:
     dates = [np.empty(0, dtype="datetime64[D]")]
     values = [np.empty(0)]
     with _open_text(path) as fh:
-        if fh.readline() != "date,value\n":
+        if fh.readline() != _SERIES_HEADER + "\n":
             return None
         for block in _column_blocks(fh, 2):
             if block is None:
@@ -230,7 +268,7 @@ def _parse_panel(path: str) -> tuple[np.ndarray, list[str], np.ndarray] | None:
     asset_code: dict[str, int] = {}
     rows, cols, values = [], [], []
     with _open_text(path) as fh:
-        if fh.readline() != "date,asset,value\n":
+        if fh.readline() != _PANEL_HEADER + "\n":
             return None
         for block in _column_blocks(fh, 3):
             if block is None:
@@ -269,12 +307,7 @@ def _parse_panel(path: str) -> tuple[np.ndarray, list[str], np.ndarray] | None:
 # ---------------------------------------------------------------------------
 
 
-def read_series(
-    path: str,
-    kind: str = "return",
-    period: Period = "daily",
-    label: str | None = None,
-):
+def read_series(path: str, kind: str = "return", period: Period = "daily", label: str | None = None):
     """Load a date,value CSV as a return, price or rate stream.
 
     kind "price" converts to arithmetic returns p_t/p_{t-1} - 1; "rate"
@@ -290,28 +323,15 @@ def read_series(
     if kind == "price":
         if np.any(v[:-1] == 0.0):
             bad = int(np.flatnonzero(v[:-1] == 0.0)[0])
-            line, _ = next(islice(_scan(path, ["date", "value"]), bad, None))
+            line, _ = next(islice(_scan(path, _SERIES_HEADER), bad, None))
             raise CsvFormatError(path, line, "zero price cannot seed a return")
         v = v[1:] / v[:-1] - 1.0
         d = d[1:]
     return ReturnSeries(label=name, period=period, dates=d, values=v)
 
 
-def _row_blocks(n: int) -> Iterator[slice]:
-    """Slices of _WRITE_ROWS rows covering range(n).
-
-    A writer formats a block with one `tolist()` per column and one join:
-    `{!r}` of a float from `tolist()` is `_fmt`'s repr(float(x)).
-    """
-    return (slice(i, i + _WRITE_ROWS) for i in range(0, n, _WRITE_ROWS))
-
-
 def write_series(path: str, s: ReturnSeries) -> None:
-    with _open_text(path, "w") as fh:
-        fh.write("date,value\n")
-        for b in _row_blocks(len(s)):
-            dates, values = s.dates[b].astype(str).tolist(), s.values[b].tolist()
-            fh.write("".join([f"{d},{v!r}\n" for d, v in zip(dates, values)]))
+    _write_csv(path, _SERIES_HEADER, s.dates, s.values)
 
 
 # ---------------------------------------------------------------------------
@@ -329,21 +349,16 @@ def read_panel(path: str, period: Period = "daily") -> Panel:
 def write_panel(path: str, panel: Panel) -> None:
     _check_labels(path, panel.assets)
     rows, cols = np.nonzero(np.isfinite(panel.values))
+    # each date is formatted once; the rows gather its text
     days = panel.dates.astype(str).astype(object)
     assets = np.array(panel.assets, dtype=object)
-    with _open_text(path, "w") as fh:
-        fh.write("date,asset,value\n")
-        for b in _row_blocks(rows.size):
-            r, c = rows[b], cols[b]
-            cells = zip(days[r].tolist(), assets[c].tolist(), panel.values[r, c].tolist())
-            fh.write("".join([f"{d},{a},{v!r}\n" for d, a, v in cells]))
+    _write_csv(path, _PANEL_HEADER, days[rows], assets[cols], panel.values[rows, cols])
 
 
 # ---------------------------------------------------------------------------
 # Cross-section CSV
 # ---------------------------------------------------------------------------
 
-_CS_HEADER = ["name", "sharpe", "vol", "zeta_star", "err_sharpe", "err_zeta_star", "fit"]
 _TRUTHY = {"1", "true", "yes"}
 _FALSY = {"0", "false", "no"}
 
@@ -371,14 +386,10 @@ def read_cross_section(path: str) -> CrossSection:
 
 def write_scatter_csv(path: str, cs: CrossSection, result: RegressionResult) -> None:
     """Plot data for the Sharpe-vs-skewness scatter with the channel."""
-    _check_labels(path, (r.name for r in cs.rows))
-    with _open_text(path, "w") as fh:
-        fh.write("name,neg_zeta_star,sharpe,err_x,err_y,class\n")
-        for r in cs.rows:
-            fh.write(
-                f"{r.name},{_fmt(-r.zeta_star)},{_fmt(r.sharpe)},"
-                f"{_fmt(r.err_zeta_star)},{_fmt(r.err_sharpe)},{result.classifications[r.name]}\n"
-            )
+    names = [r.name for r in cs.rows]
+    _check_labels(path, names)
+    numbers = zip(*((-r.zeta_star, r.sharpe, r.err_zeta_star, r.err_sharpe) for r in cs.rows))
+    _write_csv(path, _SCATTER_HEADER, names, *numbers, [result.classifications[n] for n in names])
 
 
 # ---------------------------------------------------------------------------
@@ -390,33 +401,19 @@ def write_curve_csv(path: str, curve: RankedPnlCurve, symmetrized: RankedPnlCurv
     """Ranked-P&L plot data: columns p, F and the symmetrized twin's F_sym."""
     if symmetrized.p.size != curve.p.size:
         raise IOWrite("curve and symmetrized curve differ in length")
-    cols = [np.asarray(x, dtype=np.float64) for x in (curve.p, curve.f, symmetrized.f)]
-    with _open_text(path, "w") as fh:
-        fh.write("p,F,F_sym\n")
-        for b in _row_blocks(cols[0].size):
-            rows = zip(*(c[b].tolist() for c in cols))
-            fh.write("".join([f"{p!r},{f!r},{g!r}\n" for p, f, g in rows]))
+    _write_csv(path, _CURVE_HEADER, *(np.asarray(x, dtype=np.float64) for x in (curve.p, curve.f, symmetrized.f)))
 
 
 def write_fig10_csv(path: str, rows) -> None:
-    with _open_text(path, "w") as fh:
-        fh.write("nu_plus,zeta3,zeta_star\n")
-        for r in rows:
-            z3 = "" if r.zeta3 is None else _fmt(r.zeta3)
-            fh.write(f"{_fmt(r.nu_plus)},{z3},{_fmt(r.zeta_star)}\n")
+    """The fig10 sweep, a Fig10Row's fields per row; a zeta3 that does not exist is an empty field."""
+    rows = list(rows)
+    _write_csv(path, _FIG10_HEADER, *([getattr(r, f) for r in rows] for f in _FIG10_HEADER.split(",")))
 
 
 def write_decile_csv(path: str, table) -> None:
-    with _open_text(path, "w") as fh:
-        fh.write("bucket,vol_pct,zeta_star,sharpe\n")
-        for r in table.rows:
-            fh.write(f"{r.bucket},{_fmt(r.vol_pct)},{_fmt(r.zeta_star)},{_fmt(r.sharpe)}\n")
+    _write_csv(path, _DECILE_HEADER, *([getattr(r, f) for r in table.rows] for f in _DECILE_HEADER.split(",")))
 
 
 def write_json(path: str, obj) -> None:
-    try:
-        with _open_text(path, "w") as fh:
-            json.dump(obj, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    except OSError as exc:
-        raise IOWrite(f"cannot write {path}: {exc}") from exc
+    with _writing(path) as fh:
+        fh.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")

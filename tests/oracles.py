@@ -13,6 +13,7 @@ import math
 import numpy as np
 from scipy.integrate import quad
 
+from rankskew.analysis import CrossSection, RegressionResult
 from rankskew.errors import (
     InvalidParams,
     IOWrite,
@@ -22,6 +23,7 @@ from rankskew.errors import (
     WrongPeriod,
     ZeroVariance,
 )
+from rankskew.io import _check_labels
 from rankskew.portfolio import Panel, _rebalance_indices
 from rankskew.series import (
     ABS_VOL_UNBIAS,
@@ -144,6 +146,11 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+def _open_text(path: str, mode: str = "r"):
+    """Open a file as UTF-8: newlines untranslated to read, '\\n' to write."""
+    return open(path, mode, encoding="utf-8", newline="" if mode == "r" else "\n")
+
+
 def write_series_by_row(path: str, s: ReturnSeries) -> None:
     """Series writer that formats and writes one row at a time."""
     with open(path, "w", newline="\n") as fh:
@@ -171,6 +178,33 @@ def write_curve_csv_by_row(path: str, curve: RankedPnlCurve, symmetrized: Ranked
         fh.write("p,F,F_sym\n")
         for p, f, g in zip(curve.p, curve.f, symmetrized.f):
             fh.write(f"{_fmt(p)},{_fmt(f)},{_fmt(g)}\n")
+
+
+def write_scatter_csv_by_row(path: str, cs: CrossSection, result: RegressionResult) -> None:
+    """Plot data for the Sharpe-vs-skewness scatter with the channel."""
+    _check_labels(path, (r.name for r in cs.rows))
+    with _open_text(path, "w") as fh:
+        fh.write("name,neg_zeta_star,sharpe,err_x,err_y,class\n")
+        for r in cs.rows:
+            fh.write(
+                f"{r.name},{_fmt(-r.zeta_star)},{_fmt(r.sharpe)},"
+                f"{_fmt(r.err_zeta_star)},{_fmt(r.err_sharpe)},{result.classifications[r.name]}\n"
+            )
+
+
+def write_fig10_csv_by_row(path: str, rows) -> None:
+    with _open_text(path, "w") as fh:
+        fh.write("nu_plus,zeta3,zeta_star\n")
+        for r in rows:
+            z3 = "" if r.zeta3 is None else _fmt(r.zeta3)
+            fh.write(f"{_fmt(r.nu_plus)},{z3},{_fmt(r.zeta_star)}\n")
+
+
+def write_decile_csv_by_row(path: str, table) -> None:
+    with _open_text(path, "w") as fh:
+        fh.write("bucket,vol_pct,zeta_star,sharpe\n")
+        for r in table.rows:
+            fh.write(f"{r.bucket},{_fmt(r.vol_pct)},{_fmt(r.zeta_star)},{_fmt(r.sharpe)}\n")
 
 
 def rank_buckets_loop(

@@ -9,10 +9,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rankskew import (
+    CrossSection,
+    CrossSectionRow,
     CsvFormatError,
+    DecileRow,
+    DecileTable,
+    Fig10Row,
     Panel,
     RankSkewError,
     RateSeries,
+    RegressionResult,
     ReturnSeries,
     read_panel,
     read_series,
@@ -21,7 +27,14 @@ from rankskew import (
 )
 from rankskew import io as rio
 from rankskew.skew import RankedPnlCurve
-from tests.oracles import write_curve_csv_by_row, write_panel_by_row, write_series_by_row
+from tests.oracles import (
+    write_curve_csv_by_row,
+    write_decile_csv_by_row,
+    write_fig10_csv_by_row,
+    write_panel_by_row,
+    write_scatter_csv_by_row,
+    write_series_by_row,
+)
 
 # ---------------------------------------------------------------------------
 # Readers: the column parser agrees with the row scanner on any text
@@ -196,7 +209,9 @@ def test_canonical_files_take_the_column_path(tmp_path, monkeypatch):
 # Writers: byte-identical to the row-at-a-time writers
 # ---------------------------------------------------------------------------
 
-_SPECIAL = [0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e-310, 1e300, -1e300, 3.0, -17.0, 0.1, 2.0**53]
+# with the values at repr's switches to exponent notation: 1e-05 and 1e+16
+_SPECIAL = [0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e-310, 1e300, -1e300, 3.0, -17.0, 0.1, 2.0**53,
+            0.0001, 1e-05, 9999999999999998.0, 1e16, -1e16]
 
 
 def _floats(rng, n: int) -> np.ndarray:
@@ -205,27 +220,51 @@ def _floats(rng, n: int) -> np.ndarray:
     return rng.permutation(x)
 
 
+def _table_fields(rng, n: int) -> list[float]:
+    """Table fields as the library makes them: np.float64 and float mixed."""
+    return [np.float64(x) if k % 2 else x for k, x in enumerate(_floats(rng, n).tolist())]
+
+
+def _same_bytes(tmp_path, write, by_row, *args) -> None:
+    write(tmp_path / "new.csv", *args)
+    by_row(tmp_path / "old.csv", *args)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
 @pytest.mark.parametrize("offset", [-1, 0, 1])
 def test_writers_match_row_writers_byte_for_byte(tmp_path, offset):
     rng = np.random.default_rng(11 + offset)
     n = rio._WRITE_ROWS + offset
     dates = np.datetime64("1950-06-01", "D") + np.cumsum(rng.integers(1, 40, n))
     series = ReturnSeries(label="s", period="daily", dates=dates, values=_floats(rng, n))
-    write_series(tmp_path / "new.csv", series)
-    write_series_by_row(tmp_path / "old.csv", series)
-    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+    _same_bytes(tmp_path, write_series, write_series_by_row, series)
 
     p = np.arange(1, n + 1) / n
     curve = RankedPnlCurve(p=p, f=np.cumsum(_floats(rng, n)), variant="raw")
     twin = RankedPnlCurve(p=p, f=_floats(rng, n), variant="symmetrized")
-    rio.write_curve_csv(tmp_path / "new.csv", curve, twin)
-    write_curve_csv_by_row(tmp_path / "old.csv", curve, twin)
-    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+    _same_bytes(tmp_path, rio.write_curve_csv, write_curve_csv_by_row, curve, twin)
 
     # n cells in all, a third of the grid missing
     values = _floats(rng, 3 * (n // 2)).reshape(-1, 3)
     values.flat[rng.choice(values.size, values.size - n, replace=False)] = np.nan
     panel = Panel(dates=dates[: n // 2], assets=["x", "y", "é"], values=values)
-    write_panel(tmp_path / "new.csv", panel)
-    write_panel_by_row(tmp_path / "old.csv", panel)
-    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+    _same_bytes(tmp_path, write_panel, write_panel_by_row, panel)
+
+    # zeta3 is missing in every third row, then in none
+    sweep = [Fig10Row(nu_plus=a, zeta3=None if k % 3 == 0 else b, zeta_star=c)
+             for k, (a, b, c) in enumerate(zip(*(_table_fields(rng, n) for _ in range(3))))]
+    _same_bytes(tmp_path, rio.write_fig10_csv, write_fig10_csv_by_row, sweep)
+    rio.write_fig10_csv(tmp_path / "iter.csv", iter(sweep))  # any iterable of rows
+    assert (tmp_path / "iter.csv").read_bytes() == (tmp_path / "new.csv").read_bytes()
+    _same_bytes(tmp_path, rio.write_fig10_csv, write_fig10_csv_by_row, sweep[1::3])
+
+    table = DecileTable(rows=[DecileRow(bucket=k + 1, vol_pct=v, zeta_star=z, sharpe=h)
+                              for k, (v, z, h) in enumerate(zip(*(_table_fields(rng, n) for _ in range(3))))])
+    _same_bytes(tmp_path, rio.write_decile_csv, write_decile_csv_by_row, table)
+
+    rows = [CrossSectionRow(name=f"s{k}é", sharpe=h, ann_vol=1.0, zeta_star=z, err_sharpe=abs(eh), err_zeta_star=abs(ez))
+            for k, (h, z, eh, ez) in enumerate(zip(*(_table_fields(rng, n) for _ in range(4))))]
+    classes = {r.name: ("on-line", "below-line", "pure-alpha")[k % 3] for k, r in enumerate(rows)}
+    result = RegressionResult(intercept=0.0, slope=1.0, corr_skew_sr=0.0, corr_vol_sr=0.0, channel_halfwidth=0.1,
+                              classifications=classes)
+    _same_bytes(tmp_path, rio.write_scatter_csv, write_scatter_csv_by_row, CrossSection(rows=rows), result)

@@ -384,6 +384,49 @@ def test_cli_report_write_failure_leaves_no_outputs(tmp_path):
     assert sorted(p.name for p in out.iterdir()) == ["report.json"]
 
 
+_SERIES_ARGS = ["--series", "{in}/r0.csv", "--series", "{in}/r1.csv", "--series", "{in}/r2.csv"]
+
+
+@pytest.mark.parametrize(
+    "command, blocked",
+    [
+        (["synth", "gaussian", "--n", "50", "--seed", "1", "--out", "{out}/x.csv"], "x.csv"),
+        (["fig10", "--nu-plus-grid", "5", "--out", "{out}/fig10.csv"], "fig10.csv"),
+        (["analyze", "{in}/r0.csv", "--seed", "1", "--bootstrap", "10", "--out-dir", "{out}"], "r0_ranked_pnl.csv"),
+        (["rankplot", "{in}/r0.csv", "--seed", "1", "--out-dir", "{out}"], "r0_ranked_pnl.csv"),
+        (["report", "--seed", "3", "--bootstrap", "10", "--out-dir", "{out}", *_SERIES_ARGS], "scatter.csv"),
+        (["regress", "{in}/cs.csv", "--out-dir", "{out}"], "scatter.csv"),
+        (["carry", "--spot", "{in}/spot.csv", "--rates", "{in}/rates.csv", "--out-dir", "{out}"], "carry_signal.csv"),
+        (["deciles", "--returns", "{in}/rets.csv", "--signal", "{in}/sig.csv", "--buckets", "2",
+          "--rebalance", "daily", "--out-dir", "{out}"], "deciles.csv"),
+    ],
+    ids=lambda v: v[0] if isinstance(v, list) else None,
+)
+def test_cli_csv_write_failure_is_named_and_leaves_no_outputs(tmp_path, capsys, command, blocked):
+    """A CSV output path that is a directory: exit 1, an error naming the path, and no outputs left."""
+    inputs = tmp_path / "in"
+    inputs.mkdir()
+    rng = np.random.default_rng(8)
+    for k in range(3):
+        write_series(inputs / f"r{k}.csv", daily(rng.standard_t(4, 200) * 0.01, label=f"r{k}"))
+    (inputs / "cs.csv").write_text(
+        "name,sharpe,vol,zeta_star,err_sharpe,err_zeta_star,fit\n"
+        "a,0.3,0.1,0.1,0.1,0.2,1\nb,0.5,0.1,-0.5,0.1,0.2,1\nc,0.1,0.1,0.8,0.1,0.2,1\n"
+    )
+    dates = np.datetime64("2001-01-01", "D") + np.arange(40)
+    write_panel(inputs / "spot.csv", Panel(dates=dates, assets=["AAA", "BBB"], values=np.ones((40, 2))))
+    write_panel(inputs / "rates.csv", Panel(dates=dates, assets=["AAA", "BBB"], values=np.full((40, 2), 0.02)))
+    assets = ["a0", "a1", "a2", "a3"]
+    write_panel(inputs / "rets.csv", Panel(dates=dates, assets=assets, values=rng.standard_normal((40, 4)) * 0.01))
+    write_panel(inputs / "sig.csv", Panel(dates=dates, assets=assets, values=np.arange(4) + 0.1 * np.arange(40)[:, None]))
+    out = tmp_path / "out"
+    (out / blocked).mkdir(parents=True)
+    argv = [arg.replace("{in}", str(inputs)).replace("{out}", str(out)) for arg in command]
+    assert run_cli(*argv) == 1
+    assert f"cannot write {out / blocked}" in capsys.readouterr().err
+    assert [p.name for p in out.iterdir()] == [blocked]
+
+
 def test_cli_program_error_propagates_and_cleans_up(tmp_path, monkeypatch):
     """A ValueError that is not a data error is a bug: it is re-raised, not exit 1."""
     src = tmp_path / "s.csv"
