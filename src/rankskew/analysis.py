@@ -199,8 +199,10 @@ def pca_spectrum(panel: Panel, window: int = 252, step: int = 21) -> PcaSpectrum
     n = panel.dates.size
     if window > n:
         raise TooShort(f"window {window} exceeds history {n}")
-    windows: list[WindowSpectrum] = []
-    tops: list[tuple[list[str], np.ndarray]] = []
+    # every window's matrix first, so the checks fail in window order; then one
+    # stacked eigh per matrix size, which leaves BLAS no gaps to spin in
+    kept: list[tuple[int, np.ndarray]] = []
+    mats: list[np.ndarray] = []
     for start in range(0, n - window + 1, step):
         block = panel.values[start : start + window]
         coverage = np.isfinite(block).sum(axis=0) / window
@@ -213,8 +215,19 @@ def pca_spectrum(panel: Panel, window: int = 252, step: int = 21) -> PcaSpectrum
             raise SingularWindow(
                 f"{panel.assets[cols[np.argmax(constant)]]} is constant in the window ending {panel.dates[start + window - 1]}"
             )
-        corr = _pairwise_corr(sub)
-        evals, evecs = np.linalg.eigh(corr)
+        kept.append((start, cols))
+        mats.append(_pairwise_corr(sub))
+    by_size: dict[int, list[int]] = {}
+    for i, corr in enumerate(mats):
+        by_size.setdefault(corr.shape[0], []).append(i)
+    eig: list = [None] * len(mats)
+    for members in by_size.values():
+        evals, evecs = np.linalg.eigh(np.stack([mats[i] for i in members]))
+        for i, ev, vec in zip(members, evals, evecs):
+            eig[i] = (ev, vec)
+    windows: list[WindowSpectrum] = []
+    tops: list[tuple[list[str], np.ndarray]] = []
+    for (start, cols), (evals, evecs) in zip(kept, eig):
         order = np.argsort(evals)[::-1]
         evals = evals[order]
         top = evecs[:, order[0]]

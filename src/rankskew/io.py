@@ -255,8 +255,10 @@ def _parse_series(path: str) -> tuple[np.ndarray, np.ndarray] | None:
             except ValueError:
                 return None
     d = np.concatenate(dates)
+    del dates
     v = np.concatenate(values)
-    if not (np.isfinite(v).all() and (np.diff(d.astype(np.int64)) > 0).all()):
+    del values
+    if not (np.isfinite(v).all() and (d[1:] > d[:-1]).all()):
         return None
     return d, v
 

@@ -158,7 +158,7 @@ def _sorted_centred(values: np.ndarray) -> tuple[np.ndarray, float]:
 def zeta_star(s: ReturnSeries) -> float:
     """Ranked-P&L skewness: -100 times the mean of the F0 curve."""
     c, _ = _sorted_centred(s.values)
-    return _zeta_star_from_counts(c, c * c, np.ones(c.size), c.size)[0]
+    return _zeta_star_from_counts(c, np.ones(c.size), c.size)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -284,44 +284,55 @@ def small_p_exponent(curve: RankedPnlCurve, p_min: float = 0.01, p_max: float = 
 # ---------------------------------------------------------------------------
 
 
-def _zeta_star_from_counts(v_sorted: np.ndarray, v_sq: np.ndarray, counts: np.ndarray, n: int) -> tuple[float, float, float]:
+def _zeta_star_from_counts(v_sorted: np.ndarray, counts: np.ndarray, n: int) -> tuple[float, float, float]:
     """(zeta*, mean, std) of a resample given its multiplicity vector.
 
-    `v_sorted` holds the sample values in ascending order, `v_sq` their
-    squares and `counts` the resample multiplicities in the same order;
-    unit counts give the sample itself. Equivalent to materializing the
-    resample and ranking it, but without sorting it: |v - m| is two sorted
-    runs, which the stable sort merges in O(N). Entries tied in amplitude
-    share their tie group's rank weights in proportion to their counts
-    (mid-rank), whichever side of the mean they lie on. The variance is
-    E[v^2] - m^2, so pass values centred near their mean.
+    `v_sorted` holds the sample values in ascending order and `counts` the
+    resample multiplicities in the same order; unit counts give the sample
+    itself. Equivalent to materializing the resample and ranking it, but
+    without sorting it: |v - m| is two sorted runs, which the stable sort
+    merges in O(N). Entries tied in amplitude share their tie group's rank
+    weights in proportion to their counts (mid-rank), whichever side of the
+    mean they lie on. The variance is E[v^2] - m^2, so pass values centred
+    near their mean. Each step writes into a buffer whose contents are
+    spent, so a call holds about four N-arrays at a time.
     """
     m = det_dot(counts, v_sorted) / n
-    var = det_dot(counts, v_sq) / n - m * m
+    t = v_sorted * v_sorted
+    t *= counts
+    var = det_sum(t) / n - m * m
     if var <= 0.0:
         raise ZeroVariance("all values equal")
     sd = math.sqrt(var)
-    d = np.abs(v_sorted - m)
-    order = np.argsort(d, kind="stable")
-    c = counts[order]
-    # sum of rank weights (n - j + 1) over each block of ranks (S - c, S], S = cumsum(c)
-    w_ranked = c * ((n + 0.5) - np.cumsum(c) + 0.5 * c)
-    d = d[order]
+    np.subtract(v_sorted, m, out=t)
+    np.abs(t, out=t)
+    order = t.argsort(kind="stable")
+    d = t.take(order)
     tied = d[1:] == d[:-1]
+    del d
+    c = counts.take(order)
+    # sum of rank weights (n - j + 1) over each block of ranks (S - c, S], S = cumsum(c)
+    w_ranked = c.cumsum()
+    np.subtract(n + 0.5, w_ranked, out=w_ranked)
+    np.multiply(c, 0.5, out=t)
+    w_ranked += t
+    w_ranked *= c
     if tied.any():
         # mid-rank: each tie group's weight is shared by count; a group drawn zero times has none
         first = np.flatnonzero(np.concatenate(([True], ~tied)))
-        group_w = np.add.reduceat(w_ranked, first)
         group_c = np.add.reduceat(c, first)
-        share = np.divide(group_w, group_c, out=np.zeros_like(group_w), where=group_c > 0)
-        w_ranked = c * np.repeat(share, np.diff(first, append=n))
-    w = np.empty(n)
+        share = np.add.reduceat(w_ranked, first)
+        np.divide(share, group_c, out=share, where=group_c > 0)  # elsewhere the weight sum is 0
+        del group_c, t  # t is spent; the repeated shares take its place
+        t = share.repeat(np.diff(first, append=n))
+        np.multiply(c, t, out=w_ranked)
+    w = t
     w[order] = w_ranked
+    wv = np.multiply(w, v_sorted, out=c)
     # summing each side nearest-first fixes the rounding, and so the bytes of err_zeta_star
-    split = int(np.searchsorted(v_sorted, m))
+    split = int(v_sorted.searchsorted(m))
     lo = slice(split - 1, None, -1) if split > 0 else slice(0, 0)
-    w_lo, v_lo, w_hi, v_hi = w[lo], v_sorted[lo], w[split:], v_sorted[split:]
-    total = (det_dot(w_lo, v_lo) + det_dot(w_hi, v_hi)) - m * (det_sum(w_lo) + det_sum(w_hi))
+    total = (det_sum(wv[lo]) + det_sum(wv[split:])) - m * (det_sum(w[lo]) + det_sum(w[split:]))
     return -100.0 * total / sd / (float(n) * float(n)), float(m), sd
 
 
@@ -343,12 +354,12 @@ def _bootstrap(samples: list[tuple[str, np.ndarray, float, float]], n_boot: int,
     sh = np.empty((len(samples), n_boot))
     for b in range(n_boot):
         for n, members in by_size.items():
-            idx = np.random.default_rng(seed + b).integers(0, n, size=n)
-            counts = np.bincount(idx, minlength=n).astype(np.float64)
+            # one expression, so the index array is freed before any kernel runs
+            counts = np.bincount(np.random.default_rng(seed + b).integers(0, n, size=n), minlength=n).astype(np.float64)
             for i in members:
                 label, c, m0, ann = samples[i]
                 try:
-                    z, m, sd = _zeta_star_from_counts(c, c * c, counts, n)
+                    z, m, sd = _zeta_star_from_counts(c, counts, n)
                 except ZeroVariance:
                     raise ZeroVariance(f"{label}: bootstrap resample {b} has zero variance") from None
                 zs[i, b] = z
@@ -378,7 +389,7 @@ def skew_reports(series: Iterable[ReturnSeries], bootstrap: int = 1000, seed: in
         z3, kurt, mmm = _moments(c, s.label)
         reports.append(
             SkewReport(
-                zeta_star=_zeta_star_from_counts(c, c * c, np.ones(n), n)[0],
+                zeta_star=_zeta_star_from_counts(c, np.ones(n), n)[0],
                 zeta3=z3,
                 kurtosis=kurt,
                 mean_minus_median=mmm,

@@ -13,12 +13,14 @@ import math
 import numpy as np
 from scipy.integrate import quad
 
-from rankskew.analysis import CrossSection, RegressionResult
+from rankskew.analysis import _MIN_COVERAGE, CrossSection, PcaSpectrum, RegressionResult, WindowSpectrum, _pairwise_corr
 from rankskew.errors import (
     InvalidParams,
     IOWrite,
     MomentDoesNotExist,
+    SingularWindow,
     TooFewAssets,
+    TooFewRows,
     TooShort,
     WrongPeriod,
     ZeroVariance,
@@ -94,6 +96,50 @@ def zeta_star_from_counts_searchsorted(
     # sum of rank weights (n - j + 1) over the block of ranks (start, start+c]
     w_lo = c_lo * (n - start_lo) - c_lo * (c_lo - 1.0) / 2.0
     w_hi = c_hi * (n - start_hi) - c_hi * (c_hi - 1.0) / 2.0
+    total = (det_dot(w_lo, v_lo) + det_dot(w_hi, v_hi)) - m * (det_sum(w_lo) + det_sum(w_hi))
+    return -100.0 * total / sd / (float(n) * float(n)), float(m), sd
+
+
+def zeta_star_from_counts_allocating(v_sorted: np.ndarray, v_sq: np.ndarray, counts: np.ndarray, n: int) -> tuple[float, float, float]:
+    """(zeta*, mean, std) of a resample given its multiplicity vector; a fresh array per step.
+
+    The replicate kernel before `rankskew.skew._zeta_star_from_counts`
+    dropped `v_sq` and reused its buffers.
+
+    `v_sorted` holds the sample values in ascending order, `v_sq` their
+    squares and `counts` the resample multiplicities in the same order;
+    unit counts give the sample itself. Equivalent to materializing the
+    resample and ranking it, but without sorting it: |v - m| is two sorted
+    runs, which the stable sort merges in O(N). Entries tied in amplitude
+    share their tie group's rank weights in proportion to their counts
+    (mid-rank), whichever side of the mean they lie on. The variance is
+    E[v^2] - m^2, so pass values centred near their mean.
+    """
+    m = det_dot(counts, v_sorted) / n
+    var = det_dot(counts, v_sq) / n - m * m
+    if var <= 0.0:
+        raise ZeroVariance("all values equal")
+    sd = math.sqrt(var)
+    d = np.abs(v_sorted - m)
+    order = np.argsort(d, kind="stable")
+    c = counts[order]
+    # sum of rank weights (n - j + 1) over each block of ranks (S - c, S], S = cumsum(c)
+    w_ranked = c * ((n + 0.5) - np.cumsum(c) + 0.5 * c)
+    d = d[order]
+    tied = d[1:] == d[:-1]
+    if tied.any():
+        # mid-rank: each tie group's weight is shared by count; a group drawn zero times has none
+        first = np.flatnonzero(np.concatenate(([True], ~tied)))
+        group_w = np.add.reduceat(w_ranked, first)
+        group_c = np.add.reduceat(c, first)
+        share = np.divide(group_w, group_c, out=np.zeros_like(group_w), where=group_c > 0)
+        w_ranked = c * np.repeat(share, np.diff(first, append=n))
+    w = np.empty(n)
+    w[order] = w_ranked
+    # summing each side nearest-first fixes the rounding, and so the bytes of err_zeta_star
+    split = int(np.searchsorted(v_sorted, m))
+    lo = slice(split - 1, None, -1) if split > 0 else slice(0, 0)
+    w_lo, v_lo, w_hi, v_hi = w[lo], v_sorted[lo], w[split:], v_sorted[split:]
     total = (det_dot(w_lo, v_lo) + det_dot(w_hi, v_hi)) - m * (det_sum(w_lo) + det_sum(w_hi))
     return -100.0 * total / sd / (float(n) * float(n)), float(m), sd
 
@@ -293,6 +339,69 @@ def pairwise_corr_loop(block: np.ndarray) -> np.ndarray:
             denom = math.sqrt(float(np.sum(xi * xi)) * float(np.sum(xj * xj)))
             corr[i, j] = corr[j, i] = 0.0 if denom == 0.0 else float(np.sum(xi * xj) / denom)
     return corr
+
+
+def pca_spectrum_per_window(panel: Panel, window: int = 252, step: int = 21) -> PcaSpectrum:
+    """`rankskew.analysis.pca_spectrum` with one `eigh` call per window.
+
+    Each window keeps the strategies with at least `_MIN_COVERAGE` of its
+    dates populated, builds the pairwise-complete correlation matrix and
+    reports eigenvalues (descending) and the lambda1/lambda2 separation.
+    Stability is the mean |cosine| between top eigenvectors of
+    consecutive windows, compared on their common strategies.
+    """
+    if len(panel.assets) < 2:
+        raise TooFewRows("need at least 2 strategies")
+    if window < 2 or step < 1:
+        raise InvalidParams(f"need window >= 2 and step >= 1, got window {window}, step {step}")
+    n = panel.dates.size
+    if window > n:
+        raise TooShort(f"window {window} exceeds history {n}")
+    windows: list[WindowSpectrum] = []
+    tops: list[tuple[list[str], np.ndarray]] = []
+    for start in range(0, n - window + 1, step):
+        block = panel.values[start : start + window]
+        coverage = np.isfinite(block).sum(axis=0) / window
+        cols = np.flatnonzero(coverage >= _MIN_COVERAGE)
+        if cols.size < 2:
+            continue
+        sub = block[:, cols]
+        constant = np.nanmax(sub, axis=0) == np.nanmin(sub, axis=0)
+        if constant.any():
+            raise SingularWindow(
+                f"{panel.assets[cols[np.argmax(constant)]]} is constant in the window ending {panel.dates[start + window - 1]}"
+            )
+        corr = _pairwise_corr(sub)
+        evals, evecs = np.linalg.eigh(corr)
+        order = np.argsort(evals)[::-1]
+        evals = evals[order]
+        top = evecs[:, order[0]]
+        sep = float(evals[0] / evals[1]) if evals[1] > 1e-12 else None
+        names = [panel.assets[c] for c in cols]
+        windows.append(
+            WindowSpectrum(
+                end_date=panel.dates[start + window - 1],
+                assets=names,
+                eigenvalues=[float(v) for v in evals],
+                separation=sep,
+            )
+        )
+        tops.append((names, top))
+
+    stability = None
+    cosines = []
+    for (na, va), (nb, vb) in zip(tops[:-1], tops[1:]):
+        common = [x for x in na if x in set(nb)]
+        if len(common) < 2:
+            continue
+        sa = np.array([va[na.index(x)] for x in common])
+        sb = np.array([vb[nb.index(x)] for x in common])
+        norm = float(np.linalg.norm(sa) * np.linalg.norm(sb))
+        if norm > 0:
+            cosines.append(abs(float(np.dot(sa, sb)) / norm))
+    if cosines:
+        stability = float(np.mean(cosines))
+    return PcaSpectrum(windows=windows, top_vector_stability=stability)
 
 
 def first_constant_column_ptp(sub: np.ndarray) -> int | None:

@@ -19,7 +19,7 @@ from rankskew import (
     pca_spectrum,
 )
 from rankskew.analysis import _MIN_COVERAGE, BELOW_LINE, ON_LINE, PURE_ALPHA, _pairwise_corr
-from tests.oracles import first_constant_column_ptp, pairwise_corr_loop
+from tests.oracles import first_constant_column_ptp, pairwise_corr_loop, pca_spectrum_per_window
 
 
 def row(name, sharpe, zs, vol=0.1, err_s=0.05, err_z=0.1, fit=True):
@@ -161,6 +161,20 @@ def test_pca_excludes_low_coverage_strategy():
     x[:200, 2] = np.nan  # only 100/252 populated in the first window
     spec = pca_spectrum(_panel_from_matrix(x), window=252, step=21)
     assert spec.windows[0].assets == ["s0", "s1"]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_pca_stacked_eigh_matches_per_window_calls(seed):
+    """Windows of 3, 4 and 5 strategies, interleaved, give exactly the per-window `eigh` spectra."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((900, 5)) @ rng.standard_normal((5, 5))
+    x[rng.random(x.shape) < 0.05] = np.nan
+    x[100:220, 4] = np.nan  # out of the windows overlapping these rows
+    x[500:650, 3:] = np.nan
+    spec = pca_spectrum(_panel_from_matrix(x), window=120, step=40)
+    assert {len(w.assets) for w in spec.windows} == {3, 4, 5}
+    want = pca_spectrum_per_window(_panel_from_matrix(x), window=120, step=40)
+    assert spec.as_dict() == want.as_dict()
 
 
 @given(

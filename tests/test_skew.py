@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -38,6 +39,7 @@ from tests.oracles import (
     crossing_count_searchsorted,
     mean_minus_median_by_np_median,
     standardized_sums,
+    zeta_star_from_counts_allocating,
     zeta_star_from_counts_searchsorted,
 )
 from tests.test_series import daily
@@ -387,22 +389,21 @@ def test_counts_replicate_matches_naive_resample():
     """The O(N) counts path agrees with sort-based zeta* to 1e-10 and gives the resample's mean and std."""
     values = np.random.default_rng(9).standard_normal(50_000) * 0.01 + 0.0001
     v_sorted = np.sort(values)
-    v_sq = v_sorted * v_sorted
     n = values.size
     for b in range(5):
         rng = np.random.default_rng(100 + b)
         idx = rng.integers(0, n, size=n)
         counts = np.bincount(idx, minlength=n).astype(np.float64)
-        fast, m, sd = _zeta_star_from_counts(v_sorted, v_sq, counts, n)
+        fast, m, sd = _zeta_star_from_counts(v_sorted, counts, n)
         naive = zeta_star_of(v_sorted[idx])
         assert fast == pytest.approx(naive, abs=1e-10)
         assert m == pytest.approx(float(np.mean(v_sorted[idx])), abs=1e-15)
         assert sd == pytest.approx(float(np.std(v_sorted[idx])), abs=1e-15)
 
 
-def _replicate_or_error(kernel, v_sorted: np.ndarray, counts: np.ndarray):
+def _replicate_or_error(kernel, *args):
     try:
-        return kernel(v_sorted, v_sorted * v_sorted, counts, v_sorted.size)
+        return kernel(*args)
     except ZeroVariance:
         return "ZeroVariance"
 
@@ -436,9 +437,76 @@ def test_counts_kernel_matches_searchsorted_oracle_bit_for_bit(n, seed, offset, 
         end, next_ = (0, 1) if resample == "single_below" else (n - 1, n - 2)
         counts[end], counts[next_] = n - 1, 1
     assume(np.unique(np.abs(v_sorted - det_dot(counts, v_sorted) / n)).size == n)
-    fast = _replicate_or_error(_zeta_star_from_counts, v_sorted, counts)
-    oracle = _replicate_or_error(zeta_star_from_counts_searchsorted, v_sorted, counts)
+    fast = _replicate_or_error(_zeta_star_from_counts, v_sorted, counts, n)
+    oracle = _replicate_or_error(zeta_star_from_counts_searchsorted, v_sorted, v_sorted * v_sorted, counts, n)
     assert fast == oracle
+
+
+@given(
+    n=st.one_of(st.sampled_from([2, 3, 8, 9, 128, 129]), st.integers(min_value=2, max_value=5000)),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    offset=st.sampled_from([0.0, 1e-4, -0.3, 1.0, -50.0, 1e4]),
+    scale=st.sampled_from([1e-4, 1e-2, 1.0, 30.0]),
+    decimals=st.sampled_from([None, None, None, 0, 2, 4]),
+    centred=st.booleans(),
+    resample=st.sampled_from(["iid", "sparse", "unit", "single_below", "single_above"]),
+)
+@settings(max_examples=300, deadline=None)
+def test_counts_kernel_matches_allocating_oracle_bit_for_bit(n, seed, offset, scale, decimals, centred, resample):
+    """The buffer-reusing kernel returns exactly the allocating kernel's (zeta*, mean, std), or the same ZeroVariance.
+
+    Rounded samples tie in amplitude, within a side of the resample mean and
+    across it; lengths 8/9 and 128/129 put the split at both parities of the
+    pairwise summation's blocks.
+    """
+    rng = np.random.default_rng(seed)
+    x = rng.standard_t(3, n) * scale + offset
+    if decimals is not None:
+        x = np.round(x, decimals)
+    v_sorted = _sorted_centred(x)[0] if centred else np.sort(x)
+    if resample == "iid":
+        counts = np.bincount(rng.integers(0, n, size=n), minlength=n).astype(np.float64)
+    elif resample == "sparse":
+        counts = np.bincount(rng.integers(0, max(1, n // 2), size=n), minlength=n).astype(np.float64)
+        counts = counts[rng.permutation(n)]
+    elif resample == "unit":
+        counts = np.ones(n)
+    else:
+        counts = np.zeros(n)
+        end, next_ = (0, 1) if resample == "single_below" else (n - 1, n - 2)
+        counts[end], counts[next_] = n - 1, 1
+    fast = _replicate_or_error(_zeta_star_from_counts, v_sorted, counts, n)
+    oracle = _replicate_or_error(zeta_star_from_counts_allocating, v_sorted, v_sorted * v_sorted, counts, n)
+    assert fast == oracle
+
+
+def test_counts_kernel_zero_variance_matches_allocating_oracle():
+    v_sorted = np.array([-1.0, 0.0, 0.5, 2.0])
+    for counts in (np.array([0.0, 4.0, 0.0, 0.0]), np.array([0.0, 0.0, 0.0, 4.0])):
+        assert _replicate_or_error(_zeta_star_from_counts, v_sorted, counts, 4) == "ZeroVariance"
+        assert _replicate_or_error(zeta_star_from_counts_allocating, v_sorted, v_sorted * v_sorted, counts, 4) == "ZeroVariance"
+
+
+def _peak_arrays(fn, *args, n: int) -> float:
+    """Peak memory `fn(*args)` allocates, in float64 arrays of length n."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] / (8 * n)
+    finally:
+        tracemalloc.stop()
+
+
+def test_counts_kernel_peak_allocation_is_bounded():
+    """One replicate at N = 1e5 holds at most 4.5 N-arrays at a time (the allocating kernel 5.6, and its callers' c*c one more)."""
+    n = 100_000
+    rng = np.random.default_rng(61)
+    c, _ = _sorted_centred(rng.standard_t(4, n) * 0.01)
+    counts = np.bincount(rng.integers(0, n, size=n), minlength=n).astype(np.float64)
+    assert _peak_arrays(_zeta_star_from_counts, c, counts, n, n=n) <= 4.5
+    # tick-rounded values take the mid-rank branch
+    c = np.round(c, 3)
+    assert _peak_arrays(_zeta_star_from_counts, c, counts, n, n=n) <= 4.5
 
 
 def test_bootstrap_matches_loop_over_oracle():
@@ -507,7 +575,7 @@ def test_counts_kernel_with_repeated_values_matches_oracle(seed):
     assert np.unique(v_sorted).size < n
     for b in range(5):
         counts = np.bincount(rng.integers(0, n, size=n), minlength=n).astype(np.float64)
-        fast = _zeta_star_from_counts(v_sorted, v_sorted * v_sorted, counts, n)
+        fast = _zeta_star_from_counts(v_sorted, counts, n)
         oracle = zeta_star_from_counts_searchsorted(v_sorted, v_sorted * v_sorted, counts, n)
         assert fast == pytest.approx(oracle, rel=0.0, abs=1e-12)
 
@@ -517,7 +585,7 @@ def test_counts_kernel_amplitude_ties_match_point_estimate():
     idx = np.random.default_rng(10205).integers(0, 40, size=40)
     v_sorted = np.sort(x)
     counts = np.bincount(idx, minlength=40).astype(np.float64)
-    fast, _, _ = _zeta_star_from_counts(v_sorted, v_sorted * v_sorted, counts, 40)
+    fast, _, _ = _zeta_star_from_counts(v_sorted, counts, 40)
     # ranking ties below-mean first gave 10.6030, in resample order 2.6759
     assert fast == pytest.approx(zeta_star_of(v_sorted[idx]), abs=1e-9)
     assert fast == pytest.approx(midrank_zeta_star(v_sorted[idx]), abs=1e-9)
@@ -534,7 +602,7 @@ def test_bootstrap_replicates_are_mid_ranked(seed):
         resample = np.repeat(c, counts.astype(np.int64))
         if np.ptp(resample) == 0:
             continue
-        fast, _, _ = _zeta_star_from_counts(c, c * c, counts, 40)
+        fast, _, _ = _zeta_star_from_counts(c, counts, 40)
         assert fast == pytest.approx(midrank_zeta_star(resample), abs=1e-9)
         old, _, _ = zeta_star_from_counts_searchsorted(c, c * c, counts, 40)
         below_mean_first_differs += abs(old - fast) > 1e-6
