@@ -20,10 +20,11 @@ the area of the curve above.
 
 Bootstrap errors come from i.i.d. resamples. Replicate b of a series of
 N values draws its indices from the generator seeded with seed + b, so
-the draw depends only on (seed, b, N). `skew_reports` makes each draw
-once and uses it for every series of that length: equal-length series in
-one report are resampled on the same index draws, a paired bootstrap
-when their dates align.
+the draw depends only on (seed, b, N). A draw is the multiplicity of each
+sample entry and the list of entries drawn at least once; only those are
+ranked. `skew_reports` makes each draw once and uses it for every series
+of that length: equal-length series in one report are resampled on the
+same index draws, a paired bootstrap when their dates align.
 """
 
 from __future__ import annotations
@@ -152,7 +153,8 @@ def _sorted_centred(values: np.ndarray) -> tuple[np.ndarray, float]:
     """
     v = np.sort(values)
     m0 = float(v[min(int(np.searchsorted(v, det_sum(v) / v.size)), v.size - 1)])
-    return v - m0, m0
+    v -= m0
+    return v, m0
 
 
 def zeta_star(s: ReturnSeries) -> float:
@@ -176,9 +178,13 @@ def _moments(c: np.ndarray, label: str) -> tuple[float, float, float]:
     if m2 == 0.0:
         raise ZeroVariance(f"{label}: zero variance")
     median = 0.5 * (c[(n - 1) // 2] + c[n // 2])
+    # the products x^2 x and x^2 x^2 go into the spent x, so two N-arrays are held
+    x *= x2
+    m3 = det_sum(x) / n
+    np.multiply(x2, x2, out=x)
     return (
-        det_dot(x2, x) / n / m2**1.5,
-        det_dot(x2, x2) / n / (m2 * m2) - 3.0,
+        m3 / m2**1.5,
+        det_sum(x) / n / (m2 * m2) - 3.0,
         float((mean - median) / math.sqrt(m2)),
     )
 
@@ -284,7 +290,9 @@ def small_p_exponent(curve: RankedPnlCurve, p_min: float = 0.01, p_max: float = 
 # ---------------------------------------------------------------------------
 
 
-def _zeta_star_from_counts(v_sorted: np.ndarray, counts: np.ndarray, n: int) -> tuple[float, float, float]:
+def _zeta_star_from_counts(
+    v_sorted: np.ndarray, counts: np.ndarray, n: int, drawn: np.ndarray | None = None
+) -> tuple[float, float, float]:
     """(zeta*, mean, std) of a resample given its multiplicity vector.
 
     `v_sorted` holds the sample values in ascending order and `counts` the
@@ -294,8 +302,14 @@ def _zeta_star_from_counts(v_sorted: np.ndarray, counts: np.ndarray, n: int) -> 
     merges in O(N). Entries tied in amplitude share their tie group's rank
     weights in proportion to their counts (mid-rank), whichever side of the
     mean they lie on. The variance is E[v^2] - m^2, so pass values centred
-    near their mean. Each step writes into a buffer whose contents are
-    spent, so a call holds about four N-arrays at a time.
+    near their mean.
+
+    `drawn` lists the entries with a nonzero count in ascending order, and
+    only those are ranked; None ranks every entry. An entry drawn zero times
+    has weight 0 either way and moves no other entry's ranks, and the sums
+    run over all N entries in one fixed order, so both give the same bytes.
+    Each step writes into a buffer whose contents are spent, so a call holds
+    three to four N-arrays at a time, fewer with `drawn`.
     """
     m = det_dot(counts, v_sorted) / n
     t = v_sorted * v_sorted
@@ -304,35 +318,47 @@ def _zeta_star_from_counts(v_sorted: np.ndarray, counts: np.ndarray, n: int) -> 
     if var <= 0.0:
         raise ZeroVariance("all values equal")
     sd = math.sqrt(var)
-    np.subtract(v_sorted, m, out=t)
-    np.abs(t, out=t)
-    order = t.argsort(kind="stable")
-    d = t.take(order)
-    tied = d[1:] == d[:-1]
-    del d
-    c = counts.take(order)
-    # sum of rank weights (n - j + 1) over each block of ranks (S - c, S], S = cumsum(c)
-    w_ranked = c.cumsum()
-    np.subtract(n + 0.5, w_ranked, out=w_ranked)
-    np.multiply(c, 0.5, out=t)
-    w_ranked += t
-    w_ranked *= c
+    if drawn is None:
+        d = np.subtract(v_sorted, m, out=t)
+    else:
+        d = v_sorted.take(drawn)
+        d -= m
+    del t
+    np.abs(d, out=d)
+    order = d.argsort(kind="stable")
+    d_ranked = d.take(order)
+    tied = d_ranked[1:] == d_ranked[:-1]
+    del d_ranked
+    pos = order if drawn is None else drawn.take(order)
+    del order
+    c = counts.take(pos)
+    # each unit of count in a block of ranks (a, b] weighs the mean rank weight n + 0.5 - (a + b)/2, and
+    # an entry's block is (S - c, S], S = cumsum(c); every step is exact in integers and halves
+    x = c.cumsum(out=d)
+    x += x
+    x -= c  # a + b
     if tied.any():
-        # mid-rank: each tie group's weight is shared by count; a group drawn zero times has none
-        first = np.flatnonzero(np.concatenate(([True], ~tied)))
-        group_c = np.add.reduceat(c, first)
-        share = np.add.reduceat(w_ranked, first)
-        np.divide(share, group_c, out=share, where=group_c > 0)  # elsewhere the weight sum is 0
-        del group_c, t  # t is spent; the repeated shares take its place
-        t = share.repeat(np.diff(first, append=n))
-        np.multiply(c, t, out=w_ranked)
-    w = t
-    w[order] = w_ranked
-    wv = np.multiply(w, v_sorted, out=c)
+        # mid-rank: a run of equal distances, entries first..last, shares one block from the first's a to
+        # the last's b; a lone entry's block is already its own, so only the runs are rewritten
+        edges = np.flatnonzero(np.diff(np.concatenate(([False], tied, [False]))))
+        first, last = edges[::2], edges[1::2]
+        run_ends = ((x[first] - c[first]) + (x[last] + c[last])) * 0.5
+        in_run = np.append(tied, False)
+        in_run[1:] |= tied
+        x[in_run] = run_ends.repeat(last - first + 1)
+    x *= 0.5
+    np.subtract(n + 0.5, x, out=x)
+    x *= c  # a run drawn zero times weighs 0, like any entry drawn zero times
+    del c
+    w = np.zeros(n)
+    w[pos] = x
+    del x, pos
     # summing each side nearest-first fixes the rounding, and so the bytes of err_zeta_star
     split = int(v_sorted.searchsorted(m))
     lo = slice(split - 1, None, -1) if split > 0 else slice(0, 0)
-    total = (det_sum(wv[lo]) + det_sum(wv[split:])) - m * (det_sum(w[lo]) + det_sum(w[split:]))
+    w_total = det_sum(w[lo]) + det_sum(w[split:])
+    wv = np.multiply(w, v_sorted, out=w)
+    total = (det_sum(wv[lo]) + det_sum(wv[split:])) - m * w_total
     return -100.0 * total / sd / (float(n) * float(n)), float(m), sd
 
 
@@ -343,9 +369,11 @@ def _bootstrap(samples: list[tuple[str, np.ndarray, float, float]], n_boot: int,
     `_sorted_centred` and `ann` annualizes the Sharpe ratio. Resamples are
     i.i.d. with replacement, of the sample's size N. Replicate b draws its
     indices from the generator seeded with seed + b, so the draw depends
-    only on (seed, b, N): it is made once per replicate and length and
-    shared by every sample of that length, and replicates can be evaluated
-    in any order with identical results.
+    only on (seed, b, N). The draw is the multiplicity vector `counts` and
+    the list of entries it draws at all (about 63 % of them): both are made
+    once per replicate and length and shared by every sample of that
+    length, and replicates can be evaluated in any order with identical
+    results.
     """
     by_size: dict[int, list[int]] = {}
     for i, (_, c, _, _) in enumerate(samples):
@@ -356,10 +384,11 @@ def _bootstrap(samples: list[tuple[str, np.ndarray, float, float]], n_boot: int,
         for n, members in by_size.items():
             # one expression, so the index array is freed before any kernel runs
             counts = np.bincount(np.random.default_rng(seed + b).integers(0, n, size=n), minlength=n).astype(np.float64)
+            drawn = (counts > 0).nonzero()[0]
             for i in members:
                 label, c, m0, ann = samples[i]
                 try:
-                    z, m, sd = _zeta_star_from_counts(c, counts, n)
+                    z, m, sd = _zeta_star_from_counts(c, counts, n, drawn)
                 except ZeroVariance:
                     raise ZeroVariance(f"{label}: bootstrap resample {b} has zero variance") from None
                 zs[i, b] = z

@@ -1,11 +1,11 @@
 """Golden artifacts: fixed-seed CLI runs and the committed files they must reproduce.
 
 Each case writes its inputs from a fixed numpy seed, runs one CLI command
-and returns the artifacts it wrote. `tests/test_golden.py` compares them
-with the files under `tests/golden/<case>/`; `scripts/regen_golden.py`
-rewrites those files. Text and integers must match exactly and floats to
-`REL_TOL` relative, since numpy's SIMD math may differ in the last ulp
-across CPUs.
+with its outputs in a given directory and returns the artifacts it wrote.
+`tests/test_golden.py` compares them with the files under
+`tests/golden/<case>/`; `scripts/regen_golden.py` rewrites those files.
+Text and integers must match exactly and floats to `REL_TOL` relative,
+since numpy's SIMD math may differ in the last ulp across CPUs.
 """
 
 from __future__ import annotations
@@ -30,14 +30,29 @@ def _series(path: str, values: np.ndarray, start: str = "2003-01-06") -> str:
     return path
 
 
-def _analyze(work: str) -> list[str]:
+def _analyze(work: str, out: str) -> list[str]:
     rng = np.random.default_rng(20110)
     x = _series(os.path.join(work, "ana.csv"), rng.standard_t(3, 64) * 0.01 + 0.0005)
     bench = _series(os.path.join(work, "bench.csv"), rng.standard_normal(70) * 0.008, start="2003-01-02")
-    return ["analyze", x, "--benchmark", bench, "--bootstrap", "40", "--seed", "5"]
+    return ["analyze", x, "--benchmark", bench, "--bootstrap", "40", "--seed", "5", "--out-dir", out]
 
 
-def _report(work: str) -> list[str]:
+def _rankplot(work: str, out: str) -> list[str]:
+    rng = np.random.default_rng(20113)
+    # tick-rounded: amplitude ties keep chronological order in the curve
+    x = _series(os.path.join(work, "rank.csv"), np.round(rng.standard_t(3, 80) * 0.01, 3))
+    return ["rankplot", x, "--seed", "6", "--out-dir", out]
+
+
+def _synth_ast(work: str, out: str) -> list[str]:
+    return ["synth", "ast", "--nu-plus", "5", "--nu-minus", "3.5", "--n", "200", "--seed", "7", "--out", os.path.join(out, "ast.csv")]
+
+
+def _fig10(work: str, out: str) -> list[str]:
+    return ["fig10", "--nu-minus", "3.5", "--nu-plus-grid", "3.2,5,10", "--out", os.path.join(out, "sweep.csv")]
+
+
+def _report(work: str, out: str) -> list[str]:
     rng = np.random.default_rng(20111)
     paths = [
         _series(os.path.join(work, "a.csv"), rng.standard_t(3, 48) * 0.01 + 0.001),
@@ -46,10 +61,10 @@ def _report(work: str) -> list[str]:
         _series(os.path.join(work, "c.csv"), -np.abs(rng.standard_normal(36)) * 0.01 + 0.004),
         _series(os.path.join(work, "d.csv"), rng.standard_t(5, 60) * 0.02 - 0.001),
     ]
-    return ["report", *(arg for p in paths for arg in ("--series", p)), "--bootstrap", "30", "--seed", "9"]
+    return ["report", *(arg for p in paths for arg in ("--series", p)), "--bootstrap", "30", "--seed", "9", "--out-dir", out]
 
 
-def _pca(work: str) -> list[str]:
+def _pca(work: str, out: str) -> list[str]:
     rng = np.random.default_rng(20112)
     x = rng.standard_normal((240, 5)) @ rng.standard_normal((5, 5)) * 0.01
     x[rng.random(x.shape) < 0.05] = np.nan
@@ -57,10 +72,18 @@ def _pca(work: str) -> list[str]:
     dates = np.datetime64("2005-03-01", "D") + np.arange(240)
     path = os.path.join(work, "panel.csv")
     write_panel(path, Panel(dates=dates, assets=[f"s{k}" for k in range(5)], values=x))
-    return ["pca", path, "--window", "60", "--step", "30"]
+    return ["pca", path, "--window", "60", "--step", "30", "--out-dir", out]
 
 
-CASES: dict[str, Callable[[str], list[str]]] = {"analyze": _analyze, "report": _report, "pca": _pca}
+#: case name -> function of (input directory, output directory) giving the CLI arguments
+CASES: dict[str, Callable[[str, str], list[str]]] = {
+    "analyze": _analyze,
+    "rankplot": _rankplot,
+    "synth_ast": _synth_ast,
+    "fig10": _fig10,
+    "report": _report,
+    "pca": _pca,
+}
 
 
 def run_case(name: str, work: str) -> dict[str, bytes]:
@@ -68,8 +91,9 @@ def run_case(name: str, work: str) -> dict[str, bytes]:
     inputs = os.path.join(work, "in")
     out = os.path.join(work, "out")
     os.makedirs(inputs)
-    argv = CASES[name](inputs)
-    if main([*argv, "--out-dir", out]) != 0:
+    os.makedirs(out)
+    argv = CASES[name](inputs, out)
+    if main(argv) != 0:
         raise RuntimeError(f"golden case {name} failed: rankskew {' '.join(argv)}")
     artifacts = {}
     for f in sorted(os.listdir(out)):

@@ -449,15 +449,17 @@ def test_counts_kernel_matches_searchsorted_oracle_bit_for_bit(n, seed, offset, 
     scale=st.sampled_from([1e-4, 1e-2, 1.0, 30.0]),
     decimals=st.sampled_from([None, None, None, 0, 2, 4]),
     centred=st.booleans(),
-    resample=st.sampled_from(["iid", "sparse", "unit", "single_below", "single_above"]),
+    resample=st.sampled_from(["iid", "sparse", "unit", "single_below", "single_above", "one_value", "two_values"]),
 )
 @settings(max_examples=300, deadline=None)
 def test_counts_kernel_matches_allocating_oracle_bit_for_bit(n, seed, offset, scale, decimals, centred, resample):
-    """The buffer-reusing kernel returns exactly the allocating kernel's (zeta*, mean, std), or the same ZeroVariance.
+    """The buffer-reusing kernel returns exactly the allocating kernel's (zeta*, mean, std), or the same ZeroVariance,
+    whether it ranks every entry or only the drawn ones.
 
     Rounded samples tie in amplitude, within a side of the resample mean and
-    across it; lengths 8/9 and 128/129 put the split at both parities of the
-    pairwise summation's blocks.
+    across it, and their tie groups mix drawn and undrawn entries; lengths
+    8/9 and 128/129 put the split at both parities of the pairwise
+    summation's blocks.
     """
     rng = np.random.default_rng(seed)
     x = rng.standard_t(3, n) * scale + offset
@@ -471,20 +473,47 @@ def test_counts_kernel_matches_allocating_oracle_bit_for_bit(n, seed, offset, sc
         counts = counts[rng.permutation(n)]
     elif resample == "unit":
         counts = np.ones(n)
+    elif resample == "one_value":
+        counts = np.zeros(n)
+        counts[rng.integers(0, n)] = n
+    elif resample == "two_values":
+        counts = np.zeros(n)
+        i, j = rng.choice(n, size=2, replace=False)
+        counts[i] = rng.integers(1, n)
+        counts[j] = n - counts[i]
     else:
         counts = np.zeros(n)
         end, next_ = (0, 1) if resample == "single_below" else (n - 1, n - 2)
         counts[end], counts[next_] = n - 1, 1
-    fast = _replicate_or_error(_zeta_star_from_counts, v_sorted, counts, n)
     oracle = _replicate_or_error(zeta_star_from_counts_allocating, v_sorted, v_sorted * v_sorted, counts, n)
-    assert fast == oracle
+    assert _replicate_or_error(_zeta_star_from_counts, v_sorted, counts, n) == oracle
+    assert _replicate_or_error(_zeta_star_from_counts, v_sorted, counts, n, (counts > 0).nonzero()[0]) == oracle
 
 
 def test_counts_kernel_zero_variance_matches_allocating_oracle():
-    v_sorted = np.array([-1.0, 0.0, 0.5, 2.0])
-    for counts in (np.array([0.0, 4.0, 0.0, 0.0]), np.array([0.0, 0.0, 0.0, 4.0])):
-        assert _replicate_or_error(_zeta_star_from_counts, v_sorted, counts, 4) == "ZeroVariance"
-        assert _replicate_or_error(zeta_star_from_counts_allocating, v_sorted, v_sorted * v_sorted, counts, 4) == "ZeroVariance"
+    v_sorted = np.array([-1.0, 0.0, 0.5, 0.5, 2.0])
+    # one entry drawn, or two entries of one value
+    for counts in ([0.0, 5.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0, 5.0], [0.0, 0.0, 2.0, 3.0, 0.0]):
+        counts = np.array(counts)
+        assert _replicate_or_error(_zeta_star_from_counts, v_sorted, counts, 5) == "ZeroVariance"
+        assert _replicate_or_error(_zeta_star_from_counts, v_sorted, counts, 5, counts.nonzero()[0]) == "ZeroVariance"
+        assert _replicate_or_error(zeta_star_from_counts_allocating, v_sorted, v_sorted * v_sorted, counts, 5) == "ZeroVariance"
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_counts_kernel_ranks_drawn_entries_of_mixed_tie_groups(seed):
+    """Amplitude tie groups with drawn and undrawn members, across the mean too: ranking only the drawn entries gives the oracle's bytes."""
+    rng = np.random.default_rng(seed)
+    c, _ = _sorted_centred(rng.integers(-4, 5, size=40) / 2)
+    mixed = 0
+    for _ in range(50):
+        counts = np.bincount(rng.integers(0, 40, size=40), minlength=40).astype(np.float64)
+        oracle = _replicate_or_error(zeta_star_from_counts_allocating, c, c * c, counts, 40)
+        assert _replicate_or_error(_zeta_star_from_counts, c, counts, 40, (counts > 0).nonzero()[0]) == oracle
+        d = np.abs(c - det_dot(counts, c) / 40)
+        groups = [counts[d == x] for x in np.unique(d)]
+        mixed += any(g.min() == 0.0 < g.max() for g in groups)
+    assert mixed > 0
 
 
 def _peak_arrays(fn, *args, n: int) -> float:
@@ -498,30 +527,53 @@ def _peak_arrays(fn, *args, n: int) -> float:
 
 
 def test_counts_kernel_peak_allocation_is_bounded():
-    """One replicate at N = 1e5 holds at most 4.5 N-arrays at a time (the allocating kernel 5.6, and its callers' c*c one more)."""
+    """One replicate at N = 1e5 holds at most 4.5 N-arrays at a time, counting the list of drawn entries when one is
+    passed (the allocating kernel 5.6, and its callers' c*c one more; scattered ties took 7.25 before the mid-rank
+    branch rewrote runs only)."""
     n = 100_000
     rng = np.random.default_rng(61)
     c, _ = _sorted_centred(rng.standard_t(4, n) * 0.01)
     counts = np.bincount(rng.integers(0, n, size=n), minlength=n).astype(np.float64)
-    assert _peak_arrays(_zeta_star_from_counts, c, counts, n, n=n) <= 4.5
-    # tick-rounded values take the mid-rank branch
-    c = np.round(c, 3)
-    assert _peak_arrays(_zeta_star_from_counts, c, counts, n, n=n) <= 4.5
+    samples = {
+        "untied": c,
+        # tick-rounded values take the mid-rank branch with few, long runs of ties
+        "tick-rounded": np.round(c, 3),
+        # a few ties scattered over the sample: many short runs
+        "scattered ties": _sorted_centred(np.round(rng.standard_t(4, n), 7))[0],
+    }
+    for name, v in samples.items():
+        assert _peak_arrays(_zeta_star_from_counts, v, counts, n, n=n) <= 4.5, name
+        assert _peak_arrays(lambda: _zeta_star_from_counts(v, counts, n, (counts > 0).nonzero()[0]), n=n) <= 4.5, name
+
+
+def test_skew_report_peak_allocation_is_bounded():
+    """A whole report at N = 1e5 holds at most 5.5 N-arrays at a time (6.13 while the point estimate held its
+    distances and their cumsum at once)."""
+    x = np.random.default_rng(62).standard_t(4, 100_000) * 0.01
+    s = daily(x)
+    assert _peak_arrays(lambda: skew_report(s, bootstrap=4, seed=1), n=x.size) <= 5.5
 
 
 def test_bootstrap_matches_loop_over_oracle():
-    """Each sample's errors equal a per-sample loop over the oracle kernel, equal lengths sharing draws or not."""
+    """Each sample's errors equal a per-sample loop over an oracle kernel, equal lengths sharing draws or not,
+    tick-rounded samples among them."""
     rng = np.random.default_rng(31)
     ann = math.sqrt(PERIODS_PER_YEAR["daily"])
     samples, want = [], []
-    for k, n in enumerate((1500, 1000, 1500)):
-        c, m0 = _sorted_centred(rng.standard_t(4, n) * 0.01 + 0.0003)
+    for k, (n, decimals) in enumerate(((1500, None), (1000, None), (1500, None), (1000, 3), (700, 3))):
+        x = rng.standard_t(4, n) * 0.01 + 0.0003
+        # the searchsorted oracle ranks amplitude ties below-mean first, the allocating one mid-ranks them
+        oracle = zeta_star_from_counts_searchsorted
+        if decimals is not None:
+            x = np.round(x, decimals)
+            oracle = zeta_star_from_counts_allocating
+        c, m0 = _sorted_centred(x)
         samples.append((f"s{k}", c, m0, ann))
         zs, sh = np.empty(200), np.empty(200)
         for b in range(200):
             idx = np.random.default_rng(8 + b).integers(0, n, size=n)
             counts = np.bincount(idx, minlength=n).astype(np.float64)
-            zs[b], m, sd = zeta_star_from_counts_searchsorted(c, c * c, counts, n)
+            zs[b], m, sd = oracle(c, c * c, counts, n)
             sh[b] = (m0 + m) / sd * ann
         want.append((float(np.std(zs, ddof=1)), float(np.std(sh, ddof=1))))
     assert _bootstrap(samples, 200, 8) == want
