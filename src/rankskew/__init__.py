@@ -21,7 +21,6 @@ from .errors import (
     CsvFormatError,
     DegenerateX,
     DuplicateLabel,
-    EmptyInput,
     InsufficientOverlap,
     InvalidParams,
     IOWrite,
@@ -29,7 +28,6 @@ from .errors import (
     MomentDoesNotExist,
     NegativeDensity,
     NonFiniteValue,
-    NoRateCoverage,
     RankSkewError,
     ShapeMismatch,
     SignChangeInWindow,
@@ -66,12 +64,8 @@ from .series import (
     PERIOD_DT,
     PERIODS_PER_YEAR,
     PerfStats,
-    RateSeries,
     ReturnSeries,
-    StandardizedSeries,
     aggregate_monthly,
-    equal_weight_aggregate,
-    excess_returns,
     perf_stats,
     risk_manage,
     standardize,
@@ -84,7 +78,6 @@ from .skew import (
     classical_moments,
     co_skewness,
     crossing_count,
-    edgeworth_zeta_star,
     mean_minus_median,
     ranked_pnl,
     skew_report,

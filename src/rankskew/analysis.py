@@ -48,8 +48,8 @@ class RegressionResult:
 
     intercept: float
     slope: float
-    corr_skew_sr: float
-    corr_vol_sr: float
+    corr_skew_sr: float | None  # None when a column is constant
+    corr_vol_sr: float | None
     channel_halfwidth: float
     classifications: dict[str, str]
 
@@ -64,12 +64,14 @@ class RegressionResult:
         }
 
 
-def _pearson(x: np.ndarray, y: np.ndarray) -> float:
+def _pearson(x: np.ndarray, y: np.ndarray) -> float | None:
+    """Pearson correlation; None, not NaN, when either column is constant."""
+    if np.ptp(x) == 0.0 or np.ptp(y) == 0.0:
+        # not a zero test on the centred sums: the mean of equal values may be off by an ulp
+        return None
     xc = x - x.mean()
     yc = y - y.mean()
     denom = math.sqrt(float(np.sum(xc * xc)) * float(np.sum(yc * yc)))
-    if denom == 0.0:
-        return float("nan")
     return float(np.sum(xc * yc) / denom)
 
 

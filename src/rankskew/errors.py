@@ -19,14 +19,6 @@ class WrongPeriod(RankSkewError):
     pass
 
 
-class NoRateCoverage(RankSkewError):
-    pass
-
-
-class EmptyInput(RankSkewError):
-    pass
-
-
 class InsufficientOverlap(RankSkewError):
     pass
 

@@ -28,9 +28,9 @@ from typing import Iterable, Iterator, TextIO
 import numpy as np
 
 from .analysis import CrossSection, CrossSectionRow, RegressionResult
-from .errors import CsvFormatError, IOWrite
+from .errors import CsvFormatError, InvalidParams, IOWrite
 from .portfolio import Panel
-from .series import Period, RateSeries, ReturnSeries
+from .series import Period, ReturnSeries
 from .skew import RankedPnlCurve
 
 # Fixed sizes, not options: whole-file parsing costs memory on long series
@@ -309,19 +309,17 @@ def _parse_panel(path: str) -> tuple[np.ndarray, list[str], np.ndarray] | None:
 # ---------------------------------------------------------------------------
 
 
-def read_series(path: str, kind: str = "return", period: Period = "daily", label: str | None = None):
-    """Load a date,value CSV as a return, price or rate stream.
+def read_series(path: str, kind: str = "return", period: Period = "daily") -> ReturnSeries:
+    """Load a date,value CSV as a return series labelled with the file's stem.
 
-    kind "price" converts to arithmetic returns p_t/p_{t-1} - 1; "rate"
-    yields a RateSeries of annualized fractions; "return" is passthrough.
+    kind "price" converts prices to arithmetic returns p_t/p_{t-1} - 1;
+    "return" is passthrough.
     """
-    if kind not in ("return", "price", "rate"):
-        raise CsvFormatError(path, 0, f"unknown kind {kind!r}")
+    if kind not in ("return", "price"):
+        raise InvalidParams(f"unknown kind {kind!r}, expected 'return' or 'price'")
     with _utf8(path):
         d, v = _parse_series(path) or _scan_series(path)
-    name = label if label is not None else os.path.splitext(os.path.basename(path))[0]
-    if kind == "rate":
-        return RateSeries(label=name, dates=d, rates=v)
+    name = os.path.splitext(os.path.basename(path))[0]
     if kind == "price":
         if np.any(v[:-1] == 0.0):
             bad = int(np.flatnonzero(v[:-1] == 0.0)[0])
@@ -341,11 +339,11 @@ def write_series(path: str, s: ReturnSeries) -> None:
 # ---------------------------------------------------------------------------
 
 
-def read_panel(path: str, period: Period = "daily") -> Panel:
-    """Load a long-format panel; a missing cell is an absent row."""
+def read_panel(path: str) -> Panel:
+    """Load a long-format daily panel; a missing cell is an absent row."""
     with _utf8(path):
         dates, assets, values = _parse_panel(path) or _scan_panel(path)
-    return Panel(dates=dates, assets=assets, values=values, period=period)
+    return Panel(dates=dates, assets=assets, values=values)
 
 
 def write_panel(path: str, panel: Panel) -> None:
@@ -417,5 +415,10 @@ def write_decile_csv(path: str, table) -> None:
 
 
 def write_json(path: str, obj) -> None:
+    """Write `obj` as strict JSON; a NaN or infinity is refused with IOWrite before the file is opened."""
+    try:
+        text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise IOWrite(f"cannot write {path}: {exc}") from exc
     with _writing(path) as fh:
-        fh.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+        fh.write(text + "\n")

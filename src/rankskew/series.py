@@ -2,7 +2,7 @@
 
 Conventions used throughout: arithmetic (additive) returns, population
 (N-divisor) moments, 252 daily / 12 monthly periods per year, and a
-1/252 (resp. 1/12) year accrual per period for rate legs.
+1/252 (resp. 1/12) year accrual per period for an annualized rate.
 """
 
 from __future__ import annotations
@@ -10,14 +10,12 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-from typing import Literal, Sequence
+from typing import Literal
 
 import numpy as np
 
 from .errors import (
-    EmptyInput,
     NonFiniteValue,
-    NoRateCoverage,
     ShapeMismatch,
     TooShort,
     UnsortedDates,
@@ -86,40 +84,6 @@ class ReturnSeries:
 
 
 @dataclass(frozen=True)
-class RateSeries:
-    """Annualized rates (fraction/year), carried forward between fixings."""
-
-    label: str
-    dates: np.ndarray
-    rates: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "dates", _as_dates(self.dates))
-        object.__setattr__(self, "rates", _as_values(self.rates))
-        if self.rates.size < 1:
-            raise EmptyInput(f"{self.label}: empty rate series")
-        if self.dates.size > 1 and not np.all(np.diff(self.dates).astype(np.int64) > 0):
-            raise UnsortedDates(f"{self.label}: dates must be strictly increasing")
-        if not np.all(np.isfinite(self.rates)):
-            raise NonFiniteValue(f"{self.label}: non-finite rate value")
-
-    def __len__(self) -> int:
-        return int(self.rates.size)
-
-
-@dataclass(frozen=True)
-class StandardizedSeries(ReturnSeries):
-    """Return series rescaled to zero mean and unit population variance.
-
-    ``m`` and ``s`` record the original mean and scale so the affine map
-    is invertible.
-    """
-
-    m: float = 0.0
-    s: float = 1.0
-
-
-@dataclass(frozen=True)
 class PerfStats:
     ann_vol: float
     ann_return: float
@@ -133,7 +97,7 @@ class PerfStats:
 # ---------------------------------------------------------------------------
 
 
-def standardize(s: ReturnSeries) -> StandardizedSeries:
+def standardize(s: ReturnSeries) -> ReturnSeries:
     """Affinely map returns to zero mean, unit variance (population divisor).
 
     The N-divisor makes the cumulative sum of the output end exactly at
@@ -143,35 +107,7 @@ def standardize(s: ReturnSeries) -> StandardizedSeries:
     var = float(np.mean((s.values - m) ** 2))
     if var == 0.0:
         raise ZeroVariance(f"{s.label}: all returns equal")
-    scale = math.sqrt(var)
-    return StandardizedSeries(
-        label=s.label,
-        period=s.period,
-        dates=s.dates,
-        values=(s.values - m) / scale,
-        m=m,
-        s=scale,
-    )
-
-
-def excess_returns(asset: ReturnSeries, funding: RateSeries) -> ReturnSeries:
-    """Subtract the funding-rate accrual from each return.
-
-    The rate applied at date t is the last fixing on or before t
-    (last-known-value carry-forward), times the per-period accrual.
-    """
-    idx = np.searchsorted(funding.dates, asset.dates, side="right") - 1
-    if idx[0] < 0:
-        raise NoRateCoverage(
-            f"{funding.label}: no rate on or before first asset date {asset.dates[0]}"
-        )
-    dt = PERIOD_DT[asset.period]
-    return ReturnSeries(
-        label=asset.label,
-        period=asset.period,
-        dates=asset.dates,
-        values=asset.values - funding.rates[idx] * dt,
-    )
+    return ReturnSeries(label=s.label, period=s.period, dates=s.dates, values=(s.values - m) / math.sqrt(var))
 
 
 def aggregate_monthly(daily: ReturnSeries) -> ReturnSeries:
@@ -249,12 +185,6 @@ def risk_manage(s: ReturnSeries, span: int = 20) -> ReturnSeries:
     )
 
 
-def symmetrize_with_signs(values: np.ndarray, signs: np.ndarray) -> np.ndarray:
-    """Core transform r -> m + eps (r - m) for an explicit sign vector."""
-    m = np.mean(values)
-    return m + signs * (values - m)
-
-
 def symmetrize(s: ReturnSeries, seed: int) -> ReturnSeries:
     """Destroy asymmetry by flipping each excursion around the sample mean.
 
@@ -264,12 +194,8 @@ def symmetrize(s: ReturnSeries, seed: int) -> ReturnSeries:
     """
     rng = np.random.default_rng(seed)
     eps = rng.integers(0, 2, size=len(s)) * 2 - 1
-    return ReturnSeries(
-        label=s.label,
-        period=s.period,
-        dates=s.dates,
-        values=symmetrize_with_signs(s.values, eps),
-    )
+    m = np.mean(s.values)
+    return ReturnSeries(label=s.label, period=s.period, dates=s.dates, values=m + eps * (s.values - m))
 
 
 def perf_stats(s: ReturnSeries) -> PerfStats:
@@ -288,25 +214,3 @@ def perf_stats(s: ReturnSeries) -> PerfStats:
         t_stat=sharpe * math.sqrt(years),
         n_periods=len(s),
     )
-
-
-def equal_weight_aggregate(series: Sequence[ReturnSeries], label: str = "ew") -> ReturnSeries:
-    """Average the series date by date over whichever of them have a point.
-
-    The output covers the union of all dates; a series simply drops out
-    of the average where it has no observation (returns are never
-    forward-filled).
-    """
-    if len(series) == 0:
-        raise EmptyInput("no series to aggregate")
-    period = series[0].period
-    if any(s.period != period for s in series):
-        raise WrongPeriod("all series must share one period")
-    all_dates = np.unique(np.concatenate([s.dates for s in series]))
-    sums = np.zeros(all_dates.size)
-    counts = np.zeros(all_dates.size)
-    for s in series:
-        pos = np.searchsorted(all_dates, s.dates)
-        sums[pos] += s.values
-        counts[pos] += 1.0
-    return ReturnSeries(label=label, period=period, dates=all_dates, values=sums / counts)

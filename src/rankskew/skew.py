@@ -201,15 +201,6 @@ def mean_minus_median(s: ReturnSeries) -> float:
     return _moments(_sorted_centred(s.values)[0], s.label)[2]
 
 
-def edgeworth_zeta_star(zeta3: float, kurtosis: float) -> float:
-    """Weak-non-Gaussian prediction C * zeta3 * (1 - kurt/24).
-
-    Valid for small |zeta3|; see EDGEWORTH_ZETA_STAR_COEFF for how C was
-    pinned and for the bracket's limitation at nonzero kurtosis.
-    """
-    return EDGEWORTH_ZETA_STAR_COEFF * zeta3 * (1.0 - kurtosis / 24.0)
-
-
 def co_skewness(s: ReturnSeries, benchmark: ReturnSeries) -> float:
     """E[(r - mu)(b - mu_b)^2] / (sigma sigma_b^2) over common dates."""
     common, ia, ib = np.intersect1d(s.dates, benchmark.dates, return_indices=True)
@@ -406,13 +397,13 @@ def skew_reports(series: Iterable[ReturnSeries], bootstrap: int = 1000, seed: in
     are resampled on the same index draws (see `_bootstrap`), a paired
     bootstrap when their dates align.
     """
+    if bootstrap < 2:
+        raise InvalidParams(f"need at least 2 bootstrap replicates, got {bootstrap}")
     reports = []
     samples = []
     for s in series:
         if len(s) < 30:
             raise TooShort(f"{s.label}: need at least 30 points for a report")
-        if bootstrap < 2:
-            raise InvalidParams(f"need at least 2 bootstrap replicates, got {bootstrap}")
         c, m0 = _sorted_centred(s.values)
         n = c.size
         z3, kurt, mmm = _moments(c, s.label)

@@ -11,7 +11,6 @@ since numpy's SIMD math may differ in the last ulp across CPUs.
 from __future__ import annotations
 
 import json
-import math
 import os
 from collections.abc import Callable
 
@@ -27,6 +26,13 @@ REL_TOL = 1e-12
 def _series(path: str, values: np.ndarray, start: str = "2003-01-06") -> str:
     dates = np.datetime64(start, "D") + np.arange(values.size)
     write_series(path, ReturnSeries(label="x", period="daily", dates=dates, values=values))
+    return path
+
+
+def _panel(path: str, values: np.ndarray, start: str, assets: list[str] | None = None, step: int = 1) -> str:
+    dates = np.datetime64(start, "D") + step * np.arange(values.shape[0])
+    assets = assets or [f"a{k:02d}" for k in range(values.shape[1])]
+    write_panel(path, Panel(dates=dates, assets=assets, values=values))
     return path
 
 
@@ -46,6 +52,14 @@ def _rankplot(work: str, out: str) -> list[str]:
 
 def _synth_ast(work: str, out: str) -> list[str]:
     return ["synth", "ast", "--nu-plus", "5", "--nu-minus", "3.5", "--n", "200", "--seed", "7", "--out", os.path.join(out, "ast.csv")]
+
+
+def _synth_edgeworth(work: str, out: str) -> list[str]:
+    return ["synth", "edgeworth", "--zeta3", "0.2", "--kurt", "1", "--n", "200", "--seed", "8", "--out", os.path.join(out, "edgeworth.csv")]
+
+
+def _synth_gaussian(work: str, out: str) -> list[str]:
+    return ["synth", "gaussian", "--n", "200", "--seed", "9", "--out", os.path.join(out, "gaussian.csv")]
 
 
 def _fig10(work: str, out: str) -> list[str]:
@@ -69,10 +83,46 @@ def _pca(work: str, out: str) -> list[str]:
     x = rng.standard_normal((240, 5)) @ rng.standard_normal((5, 5)) * 0.01
     x[rng.random(x.shape) < 0.05] = np.nan
     x[90:150, 4] = np.nan  # windows over these rows keep 4 strategies
-    dates = np.datetime64("2005-03-01", "D") + np.arange(240)
-    path = os.path.join(work, "panel.csv")
-    write_panel(path, Panel(dates=dates, assets=[f"s{k}" for k in range(5)], values=x))
+    path = _panel(os.path.join(work, "panel.csv"), x, "2005-03-01", [f"s{k}" for k in range(5)])
     return ["pca", path, "--window", "60", "--step", "30", "--out-dir", out]
+
+
+def _deciles(work: str, out: str) -> list[str]:
+    rng = np.random.default_rng(20114)
+    r = rng.standard_t(4, (150, 12)) * 0.01
+    r[rng.random(r.shape) < 0.05] = np.nan
+    s = rng.standard_normal((150, 12))
+    s[rng.random(s.shape) < 0.1] = np.nan
+    returns = _panel(os.path.join(work, "returns.csv"), r, "2006-01-02")
+    # the signal starts later: rebalance dates before its first row hold no members
+    signal = _panel(os.path.join(work, "signal.csv"), s[20:], "2006-01-22")
+    return ["deciles", "--returns", returns, "--signal", signal, "--buckets", "4", "--out-dir", out]
+
+
+def _carry(work: str, out: str) -> list[str]:
+    rng = np.random.default_rng(20115)
+    spot = np.exp(np.cumsum(rng.standard_normal((30, 4)) * 0.006, axis=0)) * np.array([1.0, 1.3, 110.0, 0.7])
+    rates = rng.uniform(0.0, 0.05, (10, 4))
+    rates[3, 1] = np.nan  # a missing fixing carries the previous one forward
+    ccys = ["AUD", "EUR", "JPY", "USD"]
+    spot_path = _panel(os.path.join(work, "spot.csv"), spot, "2007-05-01", ccys)
+    # fixings every third day from the third spot date: earlier dates have no rate yet
+    rates_path = _panel(os.path.join(work, "rates.csv"), rates, "2007-05-03", ccys, step=3)
+    return ["carry", "--spot", spot_path, "--rates", rates_path, "--out-dir", out]
+
+
+def _regress(work: str, out: str) -> list[str]:
+    # distinct Sharpes and vols; "alpha" sits far above the line and is held out of the fit
+    path = os.path.join(work, "xsec.csv")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("name,sharpe,vol,zeta_star,err_sharpe,err_zeta_star,fit\n")
+        fh.write("fx,0.62,0.09,-1.1,0.2,0.3,1\n")
+        fh.write("hml,0.41,0.11,-0.4,0.21,0.25,1\n")
+        fh.write("smb,0.18,0.1,0.3,0.19,0.28,1\n")
+        fh.write("umd,0.7,0.15,-1.6,0.22,0.35,1\n")
+        fh.write("trend,0.05,0.13,1.2,0.2,0.31,1\n")
+        fh.write("alpha,1.9,0.07,0.5,0.25,0.2,0\n")
+    return ["regress", path, "--out-dir", out]
 
 
 #: case name -> function of (input directory, output directory) giving the CLI arguments
@@ -80,9 +130,14 @@ CASES: dict[str, Callable[[str, str], list[str]]] = {
     "analyze": _analyze,
     "rankplot": _rankplot,
     "synth_ast": _synth_ast,
+    "synth_edgeworth": _synth_edgeworth,
+    "synth_gaussian": _synth_gaussian,
     "fig10": _fig10,
     "report": _report,
     "pca": _pca,
+    "deciles": _deciles,
+    "carry": _carry,
+    "regress": _regress,
 }
 
 
@@ -125,7 +180,7 @@ def _same_json(want, got) -> bool:
     if isinstance(want, list):
         return len(want) == len(got) and all(map(_same_json, want, got))
     if isinstance(want, float):
-        return (math.isnan(want) and math.isnan(got)) or _same_number(want, got)
+        return _same_number(want, got)
     return want == got
 
 

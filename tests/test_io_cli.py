@@ -9,7 +9,18 @@ import warnings
 import numpy as np
 import pytest
 
-from rankskew import CsvFormatError, IOWrite, Panel, read_cross_section, read_panel, read_series, write_panel, write_series
+from rankskew import (
+    CsvFormatError,
+    InvalidParams,
+    IOWrite,
+    Panel,
+    read_cross_section,
+    read_panel,
+    read_series,
+    write_json,
+    write_panel,
+    write_series,
+)
 from rankskew.cli import build_parser, main
 from tests.test_series import daily
 
@@ -38,11 +49,12 @@ def test_price_kind_converts_to_returns(tmp_path):
     assert series.values[1] == pytest.approx(99.99 / 101.0 - 1.0)
 
 
-def test_rate_kind(tmp_path):
+@pytest.mark.parametrize("kind", ["rate", "Return", ""])
+def test_unknown_kind_is_a_caller_error(tmp_path, kind):
     path = tmp_path / "r.csv"
-    path.write_text("date,value\n2001-01-01,0.05\n")
-    rate = read_series(str(path), kind="rate")
-    assert rate.rates[0] == 0.05
+    path.write_text("date,value\n2001-01-01,0.05\n2001-01-02,0.04\n")
+    with pytest.raises(InvalidParams, match=f"unknown kind {kind!r}"):
+        read_series(str(path), kind=kind)
 
 
 def test_malformed_rows_cite_line_numbers(tmp_path):
@@ -74,7 +86,7 @@ def test_malformed_rows_cite_line_numbers(tmp_path):
 def test_series_data_errors_cite_file_and_line(tmp_path, body, line):
     path = tmp_path / "s.csv"
     path.write_text("date,value\n" + body)
-    for kind in ("return", "price", "rate"):
+    for kind in ("return", "price"):
         with pytest.raises(CsvFormatError) as exc:
             read_series(str(path), kind=kind)
         assert (exc.value.path, exc.value.line) == (str(path), line)
@@ -440,6 +452,35 @@ def test_cli_program_error_propagates_and_cleans_up(tmp_path, monkeypatch):
     with pytest.raises(ValueError, match="internal bug"):
         run_cli("analyze", str(src), "--seed", "1", "--out-dir", str(out))
     assert list(out.iterdir()) == []
+
+
+def _strict_json(text: str):
+    def refuse(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("constant, nulls", [("sharpe", {"corr_skew_sr", "corr_vol_sr"}), ("vol", {"corr_vol_sr"})])
+def test_cli_regress_constant_column_writes_null_correlation(tmp_path, constant, nulls):
+    cs = tmp_path / "cs.csv"
+    rows = ["name,sharpe,vol,zeta_star,err_sharpe,err_zeta_star,fit"]
+    for i, zs in enumerate((-1.0, 0.0, 0.5)):
+        sharpe, vol = (0.5, 0.1 + 0.05 * i) if constant == "sharpe" else (0.2 + 0.3 * i, 0.1)
+        rows.append(f"s{i},{sharpe},{vol},{zs},0.1,0.1,1")
+    cs.write_text("\n".join(rows) + "\n")
+    assert run_cli("regress", str(cs), "--out-dir", str(tmp_path)) == 0
+    reg = _strict_json((tmp_path / "regression.json").read_text())
+    assert {k for k in ("corr_skew_sr", "corr_vol_sr") if reg[k] is None} == nulls
+
+
+def test_write_json_refuses_non_finite_before_opening(tmp_path):
+    path = tmp_path / "x.json"
+    for value in (float("nan"), float("inf")):
+        with pytest.raises(IOWrite) as exc:
+            write_json(str(path), {"a": [1.0, value]})
+        assert str(exc.value).startswith(f"cannot write {path}: Out of range float values")
+        assert not path.exists()
 
 
 def test_cli_regress_and_deciles_and_pca(tmp_path):

@@ -22,7 +22,6 @@ from rankskew import (
     classical_moments,
     co_skewness,
     crossing_count,
-    edgeworth_zeta_star,
     gaussian_sample,
     mean_minus_median,
     ranked_pnl,
@@ -265,9 +264,6 @@ def test_low_moments_match_np_mean_oracles(seed):
 
 
 def test_edgeworth_zeta_star_formula():
-    assert edgeworth_zeta_star(0.0, 0.7) == 0.0
-    assert edgeworth_zeta_star(0.1, 24.0) == pytest.approx(0.0, abs=1e-15)
-    assert edgeworth_zeta_star(0.1, 0.0) == pytest.approx(EDGEWORTH_ZETA_STAR_COEFF * 0.1)
     assert EDGEWORTH_ZETA_STAR_COEFF == pytest.approx(50.0 / (3.0 * math.pi), rel=1e-15)
 
 
@@ -607,6 +603,18 @@ def test_skew_reports_consumes_series_in_order_and_checks_before_bootstrap():
         skew_reports(gen(), bootstrap=10, seed=1)
     assert taken == [0, 1]
     assert skew_reports([], bootstrap=10, seed=1) == []
+
+
+@pytest.mark.parametrize("bootstrap", [1, 0, -3])
+def test_skew_reports_checks_bootstrap_before_reading_a_series(bootstrap):
+    def unread():
+        raise AssertionError("a series was read")
+        yield
+
+    with pytest.raises(InvalidParams, match=f"need at least 2 bootstrap replicates, got {bootstrap}"):
+        skew_reports(unread(), bootstrap=bootstrap, seed=1)
+    with pytest.raises(InvalidParams):
+        skew_reports([], bootstrap=bootstrap, seed=1)
 
 
 def test_err_zeta_star_is_location_invariant():
