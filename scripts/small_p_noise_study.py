@@ -16,16 +16,17 @@ from __future__ import annotations
 
 import numpy as np
 
-from rankskew import edgeworth_sample, ranked_pnl
+from rankskew import SMALL_P_WINDOW, edgeworth_sample, ranked_pnl
 
 
 def main(n: int = 1_000_000, seeds: int = 10) -> None:
+    p_min, p_max = SMALL_P_WINDOW
     slopes = []
     sign_changes = []
     for seed in range(seeds):
         series = edgeworth_sample(n, 0.2, 1.0, seed)
         curve = ranked_pnl(series, "standardized")
-        w = (curve.p >= 0.01) & (curve.p <= 0.2)
+        w = (curve.p >= p_min) & (curve.p <= p_max)
         f, p = curve.f[w], curve.p[w]
         nz = f != 0.0
         slopes.append(float(np.polyfit(np.log(p[nz]), np.log(np.abs(f[nz])), 1)[0]))
@@ -43,7 +44,7 @@ def main(n: int = 1_000_000, seeds: int = 10) -> None:
                     f"noise={se[k]:.3e} S/N={abs(curve.f[k]) / se[k]:.2f}"
                 )
     print()
-    print(f"sign changes inside [0.01, 0.2] per seed: {sign_changes}")
+    print(f"sign changes inside [{p_min}, {p_max}] per seed: {sign_changes}")
     print(f"literal OLS slopes: {[round(s, 3) for s in slopes]}")
     print(f"mean={np.mean(slopes):.3f} sd={np.std(slopes, ddof=1):.3f}")
 

@@ -61,7 +61,6 @@ from .portfolio import (
     rank_buckets,
 )
 from .series import (
-    PERIOD_DT,
     PERIODS_PER_YEAR,
     PerfStats,
     ReturnSeries,
@@ -73,6 +72,7 @@ from .series import (
 )
 from .skew import (
     EDGEWORTH_ZETA_STAR_COEFF,
+    SMALL_P_WINDOW,
     RankedPnlCurve,
     SkewReport,
     classical_moments,

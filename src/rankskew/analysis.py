@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -54,14 +54,7 @@ class RegressionResult:
     classifications: dict[str, str]
 
     def as_dict(self) -> dict:
-        return {
-            "intercept": self.intercept,
-            "slope": self.slope,
-            "corr_skew_sr": self.corr_skew_sr,
-            "corr_vol_sr": self.corr_vol_sr,
-            "channel_halfwidth": self.channel_halfwidth,
-            "classifications": dict(self.classifications),
-        }
+        return asdict(self)
 
 
 def _pearson(x: np.ndarray, y: np.ndarray) -> float | None:

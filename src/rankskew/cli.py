@@ -12,13 +12,14 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 
 from . import io as rio
 from .analysis import CrossSection, CrossSectionRow, cross_section_stats, pca_spectrum
 from .errors import RankSkewError
 from .portfolio import carry_pairs, decile_table, rank_buckets
-from .series import ReturnSeries, perf_stats
-from .skew import ranked_pnl, skew_report, skew_reports
+from .series import ReturnSeries, perf_stats, symmetrize
+from .skew import co_skewness, ranked_pnl, skew_reports
 from .synth import (
     AsymmetricStudentT,
     ast_sample,
@@ -133,17 +134,25 @@ def _write_curve(path: str, kind: str, args, out: _Outputs) -> ReturnSeries:
     os.makedirs(args.out_dir, exist_ok=True)
     series = rio.read_series(path, kind=kind, period=args.period)
     curve = ranked_pnl(series, "raw")
-    sym = ranked_pnl(series, "symmetrized", seed=args.seed)
+    sym = ranked_pnl(symmetrize(series, args.seed))
     rio.write_curve_csv(out.add(os.path.join(args.out_dir, f"{_stem(path)}_ranked_pnl.csv")), curve, sym)
     return series
 
 
 def _cmd_analyze(args, parser: argparse.ArgumentParser, out: _Outputs) -> None:
-    series = _write_curve(args.input, args.kind, args, out)
-    benchmark = None
-    if args.benchmark:
-        benchmark = rio.read_series(args.benchmark, kind="return", period=args.period)
-    report = skew_report(series, benchmark=benchmark, bootstrap=args.bootstrap, seed=args.seed)
+    read = []
+
+    def one_series():
+        # like report: skew_reports checks --bootstrap before this reads or writes anything
+        series = _write_curve(args.input, args.kind, args, out)
+        benchmark = rio.read_series(args.benchmark, period=args.period) if args.benchmark else None
+        read.append((series, benchmark))
+        yield series
+
+    (report,) = skew_reports(one_series(), bootstrap=args.bootstrap, seed=args.seed)
+    series, benchmark = read[0]
+    if benchmark is not None:
+        report = replace(report, coskew=co_skewness(series, benchmark))
     rio.write_json(out.add(os.path.join(args.out_dir, f"{_stem(args.input)}_skew_report.json")), report.as_dict())
 
 

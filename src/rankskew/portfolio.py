@@ -17,18 +17,17 @@ from .errors import (
     TooFewAssets,
     UnsortedDates,
 )
-from .series import PERIOD_DT, Period, ReturnSeries, perf_stats, risk_manage
+from .series import ReturnSeries, perf_stats, risk_manage
 from .skew import zeta_star
 
 
 @dataclass(frozen=True)
 class Panel:
-    """(date, asset) grid of optional values; NaN marks a missing cell."""
+    """(date, asset) grid of optional daily values; NaN marks a missing cell."""
 
     dates: np.ndarray
     assets: list[str]
     values: np.ndarray  # shape (n_dates, n_assets)
-    period: Period = "daily"
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "dates", np.asarray(self.dates, dtype="datetime64[D]"))
@@ -44,9 +43,6 @@ class Panel:
         if not np.all(populated):
             empty = [a for a, ok in zip(self.assets, populated) if not ok]
             raise NonFiniteValue(f"assets with no populated cell: {empty}")
-
-    def column(self, asset: str) -> np.ndarray:
-        return self.values[:, self.assets.index(asset)]
 
 
 @dataclass(frozen=True)
@@ -128,7 +124,7 @@ def rank_buckets(
     return [
         ReturnSeries(
             label=f"bucket{k + 1:02d}",
-            period=returns.period,
+            period="daily",
             dates=returns.dates[live[:, k]],
             values=sums[live[:, k], k] / counts[live[:, k], k],
         )
@@ -198,7 +194,7 @@ def carry_pairs(spot: Panel, rates: Panel) -> tuple[Panel, Panel]:
 
     ii, jj = np.where(~np.eye(n_ccy, dtype=bool))
     sig = lag_rates[:, ii] - lag_rates[:, jj]
-    ret = dlog[:, ii] - dlog[:, jj] + sig * PERIOD_DT["daily"]
+    ret = dlog[:, ii] - dlog[:, jj] + sig * (1.0 / 252.0)
     live = np.isfinite(sig) & (sig > 0.0) & np.isfinite(ret)
     ret = np.where(live, ret, np.nan)
     sig = np.where(live, sig, np.nan)
@@ -207,8 +203,8 @@ def carry_pairs(spot: Panel, rates: Panel) -> tuple[Panel, Panel]:
     labels = [f"{spot.assets[i]}/{spot.assets[j]}" for i, j in zip(ii[keep], jj[keep])]
     out_dates = dates[1:]
     return (
-        Panel(dates=out_dates, assets=labels, values=ret[:, keep], period="daily"),
-        Panel(dates=out_dates, assets=labels, values=sig[:, keep], period="daily"),
+        Panel(dates=out_dates, assets=labels, values=ret[:, keep]),
+        Panel(dates=out_dates, assets=labels, values=sig[:, keep]),
     )
 
 

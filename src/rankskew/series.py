@@ -1,8 +1,7 @@
 """Dated return-series algebra.
 
 Conventions used throughout: arithmetic (additive) returns, population
-(N-divisor) moments, 252 daily / 12 monthly periods per year, and a
-1/252 (resp. 1/12) year accrual per period for an annualized rate.
+(N-divisor) moments, and 252 daily / 12 monthly periods per year.
 """
 
 from __future__ import annotations
@@ -26,9 +25,6 @@ from .errors import (
 Period = Literal["daily", "monthly"]
 
 PERIODS_PER_YEAR: dict[str, int] = {"daily": 252, "monthly": 12}
-
-#: annualized-rate accrual per period
-PERIOD_DT: dict[str, float] = {"daily": 1.0 / 252.0, "monthly": 1.0 / 12.0}
 
 ABS_VOL_UNBIAS = math.sqrt(math.pi / 2.0)  # E|Z| = sqrt(2/pi) for Z ~ N(0,1)
 
@@ -89,7 +85,6 @@ class PerfStats:
     ann_return: float
     sharpe: float
     t_stat: float
-    n_periods: int
 
 
 # ---------------------------------------------------------------------------
@@ -212,5 +207,4 @@ def perf_stats(s: ReturnSeries) -> PerfStats:
         ann_return=mean * a,
         sharpe=sharpe,
         t_stat=sharpe * math.sqrt(years),
-        n_periods=len(s),
     )

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -60,7 +60,10 @@ from .series import (
 #: small-(zeta3, kurt) approximation.
 EDGEWORTH_ZETA_STAR_COEFF = 50.0 / (3.0 * math.pi)
 
-Variant = str  # "raw" | "standardized" | "symmetrized"
+#: Rank-fraction window [p_min, p_max] of the small-p power-law fit.
+SMALL_P_WINDOW = (0.01, 0.2)
+
+Variant = str  # "raw" | "standardized"
 
 
 @dataclass(frozen=True)
@@ -70,7 +73,6 @@ class RankedPnlCurve:
     p: np.ndarray
     f: np.ndarray
     variant: Variant
-    zeta_star: float | None = None
 
 
 @dataclass(frozen=True)
@@ -88,20 +90,9 @@ class SkewReport:
     bootstrap: int = 0
 
     def as_dict(self) -> dict:
-        d = {
-            "zeta_star": self.zeta_star,
-            "zeta3": self.zeta3,
-            "kurtosis": self.kurtosis,
-            "mean_minus_median": self.mean_minus_median,
-            "err_zeta_star": self.err_zeta_star,
-            "err_sharpe": self.err_sharpe,
-            "n": self.n,
-            "label": self.label,
-            "seed": self.seed,
-            "bootstrap": self.bootstrap,
-        }
-        if self.coskew is not None:
-            d["coskew"] = self.coskew
+        d = asdict(self)
+        if self.coskew is None:
+            del d["coskew"]
         return d
 
 
@@ -115,31 +106,23 @@ def amplitude_order(values: np.ndarray) -> np.ndarray:
     return np.argsort(np.abs(values), kind="stable")
 
 
-def ranked_pnl(s: ReturnSeries, variant: Variant = "raw", seed: int | None = None) -> RankedPnlCurve:
+def ranked_pnl(s: ReturnSeries, variant: Variant = "raw") -> RankedPnlCurve:
     """Ranked-amplitude P&L curve of a series.
 
     variant "raw" cumulates the returns as given, so f[-1] equals the
     chronological total P&L exactly. "standardized" standardizes first
-    and divides the partial sums by N (see module docstring); its
-    zeta_star field is filled in. "symmetrized" applies the sign
-    symmetrization (seed required) and then cumulates like "raw".
+    and divides the partial sums by N (see module docstring).
     """
     if variant == "raw":
         v = s.values
     elif variant == "standardized":
         v = standardize(s).values
-    elif variant == "symmetrized":
-        if seed is None:
-            raise InvalidParams("symmetrized variant needs a seed")
-        v = symmetrize(s, seed).values
     else:
         raise InvalidParams(f"unknown curve variant {variant!r}")
     n = len(s)
     p = np.arange(1, n + 1, dtype=np.float64) / n
     f = np.cumsum(v[amplitude_order(v)])
-    if variant != "standardized":
-        return RankedPnlCurve(p=p, f=f, variant=variant)
-    return RankedPnlCurve(p=p, f=f / n, variant=variant, zeta_star=zeta_star(s))
+    return RankedPnlCurve(p=p, f=f if variant == "raw" else f / n, variant=variant)
 
 
 def _sorted_centred(values: np.ndarray) -> tuple[np.ndarray, float]:
@@ -254,14 +237,15 @@ def crossing_count(s: ReturnSeries, seed: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def small_p_exponent(curve: RankedPnlCurve, p_min: float = 0.01, p_max: float = 0.2) -> float:
-    """OLS slope of log|F0(p)| against log p on [p_min, p_max].
+def small_p_exponent(curve: RankedPnlCurve) -> float:
+    """OLS slope of log|F0(p)| against log p on `SMALL_P_WINDOW`.
 
     The curve must be the standardized variant and single-signed on the
     window; the generic small-p law gives a slope of 3.
     """
     if curve.variant != "standardized":
         raise InvalidParams("small-p exponent is defined on the standardized curve")
+    p_min, p_max = SMALL_P_WINDOW
     w = (curve.p >= p_min) & (curve.p <= p_max)
     f = curve.f[w]
     p = curve.p[w]
@@ -388,7 +372,7 @@ def _bootstrap(samples: list[tuple[str, np.ndarray, float, float]], n_boot: int,
 
 
 def skew_reports(series: Iterable[ReturnSeries], bootstrap: int = 1000, seed: int = 0) -> list[SkewReport]:
-    """`skew_report` of each series, without co-skewness.
+    """All skewness diagnostics of each series, with bootstrap errors, without co-skewness.
 
     The series are taken one at a time, and of each only its sorted,
     centred sample is kept for the bootstrap, so `series` may be a
@@ -427,14 +411,6 @@ def skew_reports(series: Iterable[ReturnSeries], bootstrap: int = 1000, seed: in
     return [replace(r, err_zeta_star=ez, err_sharpe=es) for r, (ez, es) in zip(reports, errors)]
 
 
-def skew_report(
-    s: ReturnSeries,
-    benchmark: ReturnSeries | None = None,
-    bootstrap: int = 1000,
-    seed: int = 0,
-) -> SkewReport:
-    """All skewness diagnostics for one series, with bootstrap errors."""
-    report = skew_reports([s], bootstrap, seed)[0]
-    if benchmark is None:
-        return report
-    return replace(report, coskew=co_skewness(s, benchmark))
+def skew_report(s: ReturnSeries, bootstrap: int = 1000, seed: int = 0) -> SkewReport:
+    """`skew_reports` of one series."""
+    return skew_reports([s], bootstrap, seed)[0]

@@ -217,32 +217,21 @@ def _zeta_star_of_pdf(pdf, *breaks: float) -> float:
     return -100.0 * det_dot((w * (pdf(x) + pdf(-x)) * np.cosh(u)).ravel(), (below[:, None] + rest).ravel())
 
 
-def ast_zeta_star_exact(dist: AsymmetricStudentT, standardized: bool = True) -> float:
-    """zeta* of the density by quadrature.
+def ast_zeta_star_exact(dist: AsymmetricStudentT) -> float:
+    """zeta* of the standardized density by quadrature.
 
-    The standardized form (the one the sample estimator converges to)
-    needs a finite variance, hence nu+- > 2. The integral itself stays
-    finite down to nu = 1/2 for a fixed location/scale choice; pass
-    standardized=False to integrate the raw density in that regime.
+    This is the value the sample estimator converges to; it needs a
+    finite variance, hence nu+- > 2.
     """
-    if standardized:
-        if dist.var is None:
-            raise MomentDoesNotExist(
-                "standardized zeta* needs nu+- > 2; use standardized=False for the raw density"
-            )
-        mu = dist.mean
-        sd = math.sqrt(dist.var)
+    if dist.var is None:
+        raise MomentDoesNotExist(f"standardized zeta* needs nu+- > 2, got ({dist.nu_plus}, {dist.nu_minus})")
+    mu = dist.mean
+    sd = math.sqrt(dist.var)
 
-        def pdf(x):
-            return sd * ast_density(mu + sd * x, dist)
+    def pdf(x):
+        return sd * ast_density(mu + sd * x, dist)
 
-        u_max = math.asinh(math.sinh(dist._u_max()) / sd + 1.0)
-    else:
-        def pdf(x):
-            return ast_density(x, dist)
-
-        u_max = dist._u_max()
-    return _zeta_star_of_pdf(pdf, 0.0, u_max)
+    return _zeta_star_of_pdf(pdf, 0.0, math.asinh(math.sinh(dist._u_max()) / sd + 1.0))
 
 
 @dataclass(frozen=True)

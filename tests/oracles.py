@@ -313,7 +313,7 @@ def rank_buckets_loop(
         out.append(
             ReturnSeries(
                 label=f"bucket{k + 1:02d}",
-                period=returns.period,
+                period="daily",
                 dates=np.array(bucket_dates[k], dtype="datetime64[D]"),
                 values=np.array(bucket_vals[k]),
             )
@@ -499,26 +499,17 @@ def zeta_star_of_pdf(pdf, u_max: float) -> float:
     return -100.0 * val
 
 
-def ast_zeta_star_quad(dist: AsymmetricStudentTQuad, standardized: bool = True) -> float:
-    """zeta* of the density by quadrature (`rankskew.synth.ast_zeta_star_exact` on scalar `quad`)."""
-    if standardized:
-        if dist.var is None:
-            raise MomentDoesNotExist(
-                "standardized zeta* needs nu+- > 2; use standardized=False for the raw density"
-            )
-        mu = dist.mean
-        sd = math.sqrt(dist.var)
+def ast_zeta_star_quad(dist: AsymmetricStudentTQuad) -> float:
+    """zeta* of the standardized density by quadrature (`rankskew.synth.ast_zeta_star_exact` on scalar `quad`)."""
+    if dist.var is None:
+        raise MomentDoesNotExist("standardized zeta* needs nu+- > 2")
+    mu = dist.mean
+    sd = math.sqrt(dist.var)
 
-        def pdf(x):
-            return sd * float(ast_density(mu + sd * x, dist))
+    def pdf(x):
+        return sd * float(ast_density(mu + sd * x, dist))
 
-        u_max = math.asinh(math.sinh(dist._u_max()) / sd + 1.0)
-    else:
-        def pdf(x):
-            return float(ast_density(x, dist))
-
-        u_max = dist._u_max()
-    return zeta_star_of_pdf(pdf, u_max)
+    return zeta_star_of_pdf(pdf, math.asinh(math.sinh(dist._u_max()) / sd + 1.0))
 
 
 def edgeworth_moments_quad(dist: EdgeworthDensity) -> tuple[float, float, float, float, float]:

@@ -26,6 +26,7 @@ from rankskew import (
     CrossSection,
     CrossSectionRow,
     EdgeworthDensity,
+    SMALL_P_WINDOW,
     SignChangeInWindow,
     ast_sample,
     ast_zeta3_exact,
@@ -334,7 +335,8 @@ def test_criterion_8_small_p_law_sampled():
         slope = small_p_exponent(curve)
         note = "single-signed window"
     except SignChangeInWindow:
-        w = (curve.p >= 0.01) & (curve.p <= 0.2)
+        p_min, p_max = SMALL_P_WINDOW
+        w = (curve.p >= p_min) & (curve.p <= p_max)
         f = curve.f[w]
         p = curve.p[w]
         nz = f != 0.0

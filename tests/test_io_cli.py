@@ -444,10 +444,11 @@ def test_cli_program_error_propagates_and_cleans_up(tmp_path, monkeypatch):
     src = tmp_path / "s.csv"
     write_series(src, daily(np.random.default_rng(1).standard_normal(40) * 0.01, label="s"))
 
-    def broken(*args, **kwargs):
+    def broken(series, *args, **kwargs):
+        list(series)  # the curve is written before the bug strikes
         raise ValueError("internal bug")
 
-    monkeypatch.setattr("rankskew.cli.skew_report", broken)
+    monkeypatch.setattr("rankskew.cli.skew_reports", broken)
     out = tmp_path / "out"
     with pytest.raises(ValueError, match="internal bug"):
         run_cli("analyze", str(src), "--seed", "1", "--out-dir", str(out))
@@ -588,6 +589,25 @@ def test_cli_report_check_error_wins_over_later_read_error(tmp_path, capsys):
     )
     assert code == 1
     assert capsys.readouterr().err == "rankskew: error: s1: need at least 30 points for a report\n"
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "missing.csv"],
+        ["analyze", "x.csv", "--benchmark", "missing.csv"],
+        ["report", "--series", "missing.csv"],
+    ],
+    ids=["analyze-input", "analyze-benchmark", "report-input"],
+)
+def test_cli_bootstrap_count_checked_before_any_read(tmp_path, capsys, monkeypatch, argv):
+    write_series(tmp_path / "x.csv", daily(np.random.default_rng(3).standard_normal(60) * 0.01, label="x"))
+    monkeypatch.chdir(tmp_path)
+    out = tmp_path / "out"
+    out.mkdir()
+    assert run_cli(*argv, "--bootstrap", "1", "--seed", "1", "--out-dir", str(out)) == 1
+    assert capsys.readouterr().err == "rankskew: error: need at least 2 bootstrap replicates, got 1\n"
     assert list(out.iterdir()) == []
 
 

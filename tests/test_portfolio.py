@@ -32,6 +32,10 @@ def make_panel(values: np.ndarray, assets: list[str], start="2001-01-01") -> Pan
     return Panel(dates=dates, assets=assets, values=values)
 
 
+def column(panel: Panel, asset: str) -> np.ndarray:
+    return panel.values[:, panel.assets.index(asset)]
+
+
 # ---------------------------------------------------------------------------
 # Panel basics
 # ---------------------------------------------------------------------------
@@ -43,7 +47,7 @@ def test_panel_validation():
     with pytest.raises(DuplicateLabel):
         make_panel(np.zeros((3, 2)), ["a", "a"])
     p = make_panel(np.arange(6.0).reshape(3, 2), ["a", "b"])
-    assert np.allclose(p.column("b"), [1.0, 3.0, 5.0])
+    assert np.allclose(column(p, "b"), [1.0, 3.0, 5.0])
 
 
 # ---------------------------------------------------------------------------
@@ -239,9 +243,9 @@ def test_carry_pairs_accrual_arithmetic():
     rates = _flat_panel({"AAA": 0.03, "BBB": 0.0048}, 6)
     returns, signal = carry_pairs(spot, rates)
     assert returns.assets == ["AAA/BBB"]
-    col = returns.column("AAA/BBB")
+    col = column(returns, "AAA/BBB")
     assert np.allclose(col[np.isfinite(col)], 0.0252 / 252.0)
-    sig = signal.column("AAA/BBB")
+    sig = column(signal, "AAA/BBB")
     assert np.allclose(sig[np.isfinite(sig)], 0.0252)
 
 
@@ -280,7 +284,7 @@ def test_carry_pairs_signal_is_lagged():
     rate_vals[3:, 0] = 0.05
     rates = Panel(dates=dates, assets=["A", "B"], values=rate_vals)
     _, signal = carry_pairs(spot, rates)
-    sig = signal.column("A/B")
+    sig = column(signal, "A/B")
     # return dates start at day 2; jump known at t-1 shows from day 5 (index 3)
     assert np.allclose(sig[:3], 0.01)
     assert np.allclose(sig[3:], 0.04)

@@ -191,7 +191,6 @@ def test_zeta3_symmetric_zero_and_swap_antisymmetry():
 def test_equal_exponents_give_exact_zeros_and_swap_exactly_negates():
     assert ast_zeta3_exact(AsymmetricStudentT(4.0, 4.0)) == 0.0
     assert ast_zeta_star_exact(AsymmetricStudentT(3.5, 3.5)) == 0.0
-    assert ast_zeta_star_exact(AsymmetricStudentT(0.7, 0.7), standardized=False) == 0.0
     assert AsymmetricStudentT(4.0, 4.0).mean == 0.0
     assert ast_zeta3_exact(AsymmetricStudentT(5.0, 3.5)) == -ast_zeta3_exact(AsymmetricStudentT(3.5, 5.0))
     assert ast_zeta_star_exact(AsymmetricStudentT(5.0, 3.5)) == -ast_zeta_star_exact(AsymmetricStudentT(3.5, 5.0))
@@ -221,9 +220,6 @@ def test_ast_rule_matches_scalar_quad_oracle_raw_density(nu_plus, nu_minus):
     new = AsymmetricStudentT(nu_plus, nu_minus)
     old = AsymmetricStudentTQuad(nu_plus, nu_minus)
     assert _close(new.norm_const, old.norm_const)
-    got = ast_zeta_star_exact(new, standardized=False)
-    want = ast_zeta_star_quad(old, standardized=False)
-    assert _close(got, want), (got, want)
 
 
 def test_zeta3_requires_third_moment():
@@ -243,8 +239,6 @@ def test_zeta_star_standardized_needs_variance():
     heavy = AsymmetricStudentT(1.8, 1.8)
     with pytest.raises(MomentDoesNotExist):
         ast_zeta_star_exact(heavy)
-    # raw-density mode stays defined down to nu > 1/2
-    assert ast_zeta_star_exact(heavy, standardized=False) == pytest.approx(0.0, abs=1e-8)
 
 
 def test_fig10_sweep_small_grid():
