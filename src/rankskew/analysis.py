@@ -221,7 +221,7 @@ def pca_spectrum(panel: Panel, window: int = 252, step: int = 21) -> PcaSpectrum
         for i, ev, vec in zip(members, evals, evecs):
             eig[i] = (ev, vec)
     windows: list[WindowSpectrum] = []
-    tops: list[tuple[list[str], np.ndarray]] = []
+    tops: list[tuple[np.ndarray, np.ndarray]] = []
     for (start, cols), (evals, evecs) in zip(kept, eig):
         order = np.argsort(evals)[::-1]
         evals = evals[order]
@@ -236,16 +236,17 @@ def pca_spectrum(panel: Panel, window: int = 252, step: int = 21) -> PcaSpectrum
                 separation=sep,
             )
         )
-        tops.append((names, top))
+        tops.append((cols, top))
 
     stability = None
     cosines = []
-    for (na, va), (nb, vb) in zip(tops[:-1], tops[1:]):
-        common = [x for x in na if x in set(nb)]
-        if len(common) < 2:
+    for (ca, va), (cb, vb) in zip(tops[:-1], tops[1:]):
+        # ascending column indices name the strategies, so common ones pair up in order
+        common, ia, ib = np.intersect1d(ca, cb, return_indices=True)
+        if common.size < 2:
             continue
-        sa = np.array([va[na.index(x)] for x in common])
-        sb = np.array([vb[nb.index(x)] for x in common])
+        sa = va[ia]
+        sb = vb[ib]
         norm = float(np.linalg.norm(sa) * np.linalg.norm(sb))
         if norm > 0:
             cosines.append(abs(float(np.dot(sa, sb)) / norm))

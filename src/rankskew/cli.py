@@ -36,23 +36,27 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
-    p = sub.add_parser("analyze", help="full skewness report plus ranked-P&L curve for one series")
+    # flags several commands share, each declared once
+    out_dir = argparse.ArgumentParser(add_help=False)
+    out_dir.add_argument("--out-dir", default=".", help="directory for output artifacts")
+    period = argparse.ArgumentParser(add_help=False)
+    period.add_argument("--period", choices=["daily", "monthly"], default="daily", help="sampling period of the series")
+    kind = argparse.ArgumentParser(add_help=False)
+    kind.add_argument("--kind", choices=["return", "price"], default="return", help="interpret values as returns or prices")
+    bootstrap = argparse.ArgumentParser(add_help=False)
+    bootstrap.add_argument("--bootstrap", type=int, default=1000, help="bootstrap replicates for error bars")
+
+    p = sub.add_parser("analyze", help="full skewness report plus ranked-P&L curve for one series",
+                       parents=[kind, period, bootstrap, out_dir])
     p.set_defaults(run=_cmd_analyze)
     p.add_argument("input", help="series CSV (date,value)")
-    p.add_argument("--kind", choices=["return", "price"], default="return", help="interpret values as returns or prices")
-    p.add_argument("--period", choices=["daily", "monthly"], default="daily", help="sampling period of the series")
     p.add_argument("--benchmark", help="benchmark series CSV for co-skewness", default=None)
-    p.add_argument("--bootstrap", type=int, default=1000, help="bootstrap replicates for error bars")
     p.add_argument("--seed", type=int, required=True, help="seed for the bootstrap and symmetrized curve")
-    p.add_argument("--out-dir", default=".", help="directory for output artifacts")
 
-    p = sub.add_parser("rankplot", help="ranked-P&L curve CSV (p,F,F_sym) for one series")
+    p = sub.add_parser("rankplot", parents=[kind, period, out_dir], help="ranked-P&L curve CSV (p,F,F_sym) for one series")
     p.set_defaults(run=_cmd_rankplot)
     p.add_argument("input", help="series CSV (date,value)")
-    p.add_argument("--kind", choices=["return", "price"], default="return", help="interpret values as returns or prices")
-    p.add_argument("--period", choices=["daily", "monthly"], default="daily", help="sampling period of the series")
     p.add_argument("--seed", type=int, required=True, help="seed for the symmetrized twin")
-    p.add_argument("--out-dir", default=".", help="directory for output artifacts")
 
     p = sub.add_parser("synth", help="emit synthetic samples as a series CSV")
     p.set_defaults(run=_cmd_synth)
@@ -71,51 +75,49 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nu-plus-grid", default="3.2,3.5,4,5,7,10", help="comma-separated right tail exponents")
     p.add_argument("--out", required=True, help="output CSV path")
 
-    p = sub.add_parser("deciles", help="signal-ranked bucket portfolios and their decile table")
+    p = sub.add_parser("deciles", parents=[out_dir], help="signal-ranked bucket portfolios and their decile table")
     p.set_defaults(run=_cmd_deciles)
     p.add_argument("--returns", required=True, help="returns panel CSV (date,asset,value)")
     p.add_argument("--signal", required=True, help="signal panel CSV (date,asset,value)")
     p.add_argument("--buckets", type=int, default=10, help="number of buckets")
     p.add_argument("--rebalance", choices=["daily", "monthly"], default="monthly", help="rebalance frequency")
-    p.add_argument("--out-dir", default=".", help="directory for output artifacts")
 
-    p = sub.add_parser("carry", help="FX carry pair returns and signal panels from spot and rate panels")
+    p = sub.add_parser("carry", parents=[out_dir], help="FX carry pair returns and signal panels from spot and rate panels")
     p.set_defaults(run=_cmd_carry)
     p.add_argument("--spot", required=True, help="spot price panel CSV (date,asset,value)")
     p.add_argument("--rates", required=True, help="annualized rate panel CSV (date,asset,value)")
-    p.add_argument("--out-dir", default=".", help="directory for output artifacts")
 
-    p = sub.add_parser("regress", help="Sharpe-vs-skewness regression and classification")
+    p = sub.add_parser("regress", parents=[out_dir], help="Sharpe-vs-skewness regression and classification")
     p.set_defaults(run=_cmd_regress)
     p.add_argument("input", help="cross-section CSV (name,sharpe,vol,zeta_star,err_sharpe,err_zeta_star,fit)")
-    p.add_argument("--out-dir", default=".", help="directory for output artifacts")
 
-    p = sub.add_parser("pca", help="rolling eigenvalue spectrum of the strategy correlation matrix")
+    p = sub.add_parser("pca", parents=[out_dir], help="rolling eigenvalue spectrum of the strategy correlation matrix")
     p.set_defaults(run=_cmd_pca)
     p.add_argument("input", help="strategy returns panel CSV (date,asset,value)")
     p.add_argument("--window", type=int, default=252, help="window length in periods")
     p.add_argument("--step", type=int, default=21, help="step between windows")
-    p.add_argument("--out-dir", default=".", help="directory for output artifacts")
 
-    p = sub.add_parser("report", help="batch: analyze several series and bundle one JSON report")
+    p = sub.add_parser("report", help="batch: analyze several series and bundle one JSON report",
+                       parents=[period, bootstrap, out_dir])
     p.set_defaults(run=_cmd_report)
     p.add_argument("--series", action="append", required=True, help="series CSV, repeatable")
-    p.add_argument("--period", choices=["daily", "monthly"], default="daily", help="sampling period of the series")
-    p.add_argument("--bootstrap", type=int, default=1000, help="bootstrap replicates for error bars")
     p.add_argument("--seed", type=int, required=True, help="seed for bootstraps and symmetrized curves")
-    p.add_argument("--out-dir", default=".", help="directory for output artifacts")
     return parser
 
 
 class _Outputs:
-    """Tracks files written by a command so failures leave no partials."""
+    """Tracks files written by a command so failures leave no partials; --out-dir is created at the first write."""
 
-    def __init__(self) -> None:
+    def __init__(self, out_dir: str | None) -> None:
+        self.out_dir = out_dir
         self.paths: list[str] = []
 
-    def add(self, path: str) -> str:
-        self.paths.append(path)
-        return path
+    def add(self, name: str) -> str:
+        if self.out_dir is not None:
+            os.makedirs(self.out_dir, exist_ok=True)
+            name = os.path.join(self.out_dir, name)
+        self.paths.append(name)
+        return name
 
     def discard(self) -> None:
         for p in self.paths:
@@ -131,29 +133,36 @@ def _stem(path: str) -> str:
 
 def _write_curve(path: str, kind: str, args, out: _Outputs) -> ReturnSeries:
     """Read one series and write its {stem}_ranked_pnl.csv."""
-    os.makedirs(args.out_dir, exist_ok=True)
     series = rio.read_series(path, kind=kind, period=args.period)
     curve = ranked_pnl(series, "raw")
     sym = ranked_pnl(symmetrize(series, args.seed))
-    rio.write_curve_csv(out.add(os.path.join(args.out_dir, f"{_stem(path)}_ranked_pnl.csv")), curve, sym)
+    rio.write_curve_csv(out.add(f"{_stem(path)}_ranked_pnl.csv"), curve, sym)
     return series
 
 
+def _skew_reports(paths: list[str], kind: str, args, out: _Outputs, step) -> tuple[list, list]:
+    """Skew reports of the series at `paths`, and `step` of each series.
+
+    One series at a time: read it and write its curve, let `skew_reports` check
+    it, then run `step` on it, so every step has run before the bootstrap.
+    """
+    steps = []
+
+    def each_series():
+        for path in paths:
+            series = _write_curve(path, kind, args, out)
+            yield series
+            steps.append(step(series))
+
+    return skew_reports(each_series(), bootstrap=args.bootstrap, seed=args.seed), steps
+
+
 def _cmd_analyze(args, parser: argparse.ArgumentParser, out: _Outputs) -> None:
-    read = []
+    def coskew_of(series: ReturnSeries) -> float | None:
+        return co_skewness(series, rio.read_series(args.benchmark, period=args.period)) if args.benchmark else None
 
-    def one_series():
-        # like report: skew_reports checks --bootstrap before this reads or writes anything
-        series = _write_curve(args.input, args.kind, args, out)
-        benchmark = rio.read_series(args.benchmark, period=args.period) if args.benchmark else None
-        read.append((series, benchmark))
-        yield series
-
-    (report,) = skew_reports(one_series(), bootstrap=args.bootstrap, seed=args.seed)
-    series, benchmark = read[0]
-    if benchmark is not None:
-        report = replace(report, coskew=co_skewness(series, benchmark))
-    rio.write_json(out.add(os.path.join(args.out_dir, f"{_stem(args.input)}_skew_report.json")), report.as_dict())
+    (report,), (coskew,) = _skew_reports([args.input], args.kind, args, out, coskew_of)
+    rio.write_json(out.add(f"{_stem(args.input)}_skew_report.json"), replace(report, coskew=coskew).as_dict())
 
 
 def _cmd_rankplot(args, parser: argparse.ArgumentParser, out: _Outputs) -> None:
@@ -187,36 +196,32 @@ def _cmd_fig10(args, parser: argparse.ArgumentParser, out: _Outputs) -> None:
 
 
 def _cmd_deciles(args, parser: argparse.ArgumentParser, out: _Outputs) -> None:
-    os.makedirs(args.out_dir, exist_ok=True)
     returns = rio.read_panel(args.returns)
     signal = rio.read_panel(args.signal)
     buckets = rank_buckets(returns, signal, n_buckets=args.buckets, rebalance=args.rebalance)
     table = decile_table(buckets)
-    rio.write_decile_csv(out.add(os.path.join(args.out_dir, "deciles.csv")), table)
+    rio.write_decile_csv(out.add("deciles.csv"), table)
 
 
 def _cmd_carry(args, parser: argparse.ArgumentParser, out: _Outputs) -> None:
-    os.makedirs(args.out_dir, exist_ok=True)
     spot = rio.read_panel(args.spot)
     rates = rio.read_panel(args.rates)
     returns, signal = carry_pairs(spot, rates)
-    rio.write_panel(out.add(os.path.join(args.out_dir, "carry_returns.csv")), returns)
-    rio.write_panel(out.add(os.path.join(args.out_dir, "carry_signal.csv")), signal)
+    rio.write_panel(out.add("carry_returns.csv"), returns)
+    rio.write_panel(out.add("carry_signal.csv"), signal)
 
 
 def _cmd_regress(args, parser: argparse.ArgumentParser, out: _Outputs) -> None:
-    os.makedirs(args.out_dir, exist_ok=True)
     cs = rio.read_cross_section(args.input)
     result = cross_section_stats(cs)
-    rio.write_json(out.add(os.path.join(args.out_dir, "regression.json")), result.as_dict())
-    rio.write_scatter_csv(out.add(os.path.join(args.out_dir, "scatter.csv")), cs, result)
+    rio.write_json(out.add("regression.json"), result.as_dict())
+    rio.write_scatter_csv(out.add("scatter.csv"), cs, result)
 
 
 def _cmd_pca(args, parser: argparse.ArgumentParser, out: _Outputs) -> None:
-    os.makedirs(args.out_dir, exist_ok=True)
     panel = rio.read_panel(args.input)
     spectrum = pca_spectrum(panel, window=args.window, step=args.step)
-    rio.write_json(out.add(os.path.join(args.out_dir, "pca.json")), spectrum.as_dict())
+    rio.write_json(out.add("pca.json"), spectrum.as_dict())
 
 
 def _cmd_report(args, parser: argparse.ArgumentParser, out: _Outputs) -> None:
@@ -224,16 +229,7 @@ def _cmd_report(args, parser: argparse.ArgumentParser, out: _Outputs) -> None:
     for stem in stems:
         if stems.count(stem) > 1:
             parser.error(f"--series files need distinct names: {stem!r} repeats")
-    stats = []
-
-    def each_series():
-        # one series at a time: read it and write its curve, let skew_reports check it, then take its stats
-        for path in args.series:
-            series = _write_curve(path, "return", args, out)
-            yield series
-            stats.append(perf_stats(series))
-
-    reports = skew_reports(each_series(), bootstrap=args.bootstrap, seed=args.seed)
+    reports, stats = _skew_reports(args.series, "return", args, out, perf_stats)
     rows = [
         CrossSectionRow(
             name=rep.label,
@@ -257,14 +253,14 @@ def _cmd_report(args, parser: argparse.ArgumentParser, out: _Outputs) -> None:
         cs = CrossSection(rows=rows)
         regression = cross_section_stats(cs)
         doc["regression"] = regression.as_dict()
-        rio.write_scatter_csv(out.add(os.path.join(args.out_dir, "scatter.csv")), cs, regression)
-    rio.write_json(out.add(os.path.join(args.out_dir, "report.json")), doc)
+        rio.write_scatter_csv(out.add("scatter.csv"), cs, regression)
+    rio.write_json(out.add("report.json"), doc)
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    out = _Outputs()
+    out = _Outputs(getattr(args, "out_dir", None))
     try:
         args.run(args, parser, out)
     except (RankSkewError, OSError) as exc:

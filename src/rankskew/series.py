@@ -82,9 +82,7 @@ class ReturnSeries:
 @dataclass(frozen=True)
 class PerfStats:
     ann_vol: float
-    ann_return: float
     sharpe: float
-    t_stat: float
 
 
 # ---------------------------------------------------------------------------
@@ -154,10 +152,8 @@ def risk_manage(s: ReturnSeries, span: int = 20) -> ReturnSeries:
     """
     if s.period != "daily":
         raise WrongPeriod(f"{s.label}: risk management is defined on daily series")
-    if len(s) <= span:
-        raise TooShort(f"{s.label}: need more than {span} points")
-    if len(s) - span < 2:
-        raise TooShort(f"{s.label}: fewer than 2 points would survive warm-up")
+    if len(s) < span + 2:
+        raise TooShort(f"{s.label}: need at least {span + 2} points, so that 2 survive the {span}-point warm-up")
     absr = np.abs(s.values)
     alpha = 2.0 / (span + 1.0)
     # EMA seeded with the first observation: ema[t] = (1-a) ema[t-1] + a |r_t|
@@ -194,17 +190,10 @@ def symmetrize(s: ReturnSeries, seed: int) -> ReturnSeries:
 
 
 def perf_stats(s: ReturnSeries) -> PerfStats:
-    """Annualized volatility, return, Sharpe ratio and its t-statistic."""
+    """Annualized volatility and Sharpe ratio."""
     a = PERIODS_PER_YEAR[s.period]
     mean = float(np.mean(s.values))
     vol = float(np.std(s.values))
     if vol == 0.0:
         raise ZeroVariance(f"{s.label}: zero variance")
-    sharpe = mean / vol * math.sqrt(a)
-    years = len(s) / a
-    return PerfStats(
-        ann_vol=vol * math.sqrt(a),
-        ann_return=mean * a,
-        sharpe=sharpe,
-        t_stat=sharpe * math.sqrt(years),
-    )
+    return PerfStats(ann_vol=vol * math.sqrt(a), sharpe=mean / vol * math.sqrt(a))

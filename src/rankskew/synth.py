@@ -34,6 +34,12 @@ EDGEWORTH_MAX_CLIPPED_MASS = 1e-4
 _SYNTH_EPOCH = np.datetime64("2000-01-01", "D")
 
 
+def _check_n(n: int) -> None:
+    """Refuse a sample size below the 2 points of any ReturnSeries, before any quadrature or draw."""
+    if n < 2:
+        raise InvalidParams(f"need n >= 2, got {n}")
+
+
 def _synthetic_series(label: str, values: np.ndarray) -> ReturnSeries:
     dates = _SYNTH_EPOCH + np.arange(values.size)
     return ReturnSeries(label=label, period="daily", dates=dates, values=values)
@@ -169,8 +175,7 @@ def _ast_cdf_grid(dist: AsymmetricStudentT) -> tuple[np.ndarray, np.ndarray]:
 
 def ast_sample(n: int, dist: AsymmetricStudentT, seed: int) -> ReturnSeries:
     """Inverse-CDF draws; identical output for identical (dist, n, seed)."""
-    if n < 1:
-        raise InvalidParams("need n >= 1")
+    _check_n(n)
     u_knots, cdf = _ast_cdf_grid(dist)
     rng = np.random.default_rng(seed)
     u = np.interp(rng.random(n), cdf, u_knots)
@@ -347,8 +352,7 @@ def edgeworth_density(x, dist: EdgeworthDensity) -> np.ndarray:
 
 def edgeworth_sample(n: int, zeta3: float, kurt: float, seed: int) -> ReturnSeries:
     """Inverse-CDF draws from the truncated, renormalized density."""
-    if n < 1:
-        raise InvalidParams("need n >= 1")
+    _check_n(n)
     dist = EdgeworthDensity(zeta3=zeta3, kurt=kurt)
     lo, hi = dist.support
     x = np.linspace(lo, hi, GRID_SIZE)
@@ -374,7 +378,6 @@ def edgeworth_zeta_star_exact(dist: EdgeworthDensity) -> float:
 
 def gaussian_sample(n: int, seed: int) -> ReturnSeries:
     """Standard-normal draws, the symmetric null of every estimator."""
-    if n < 1:
-        raise InvalidParams("need n >= 1")
+    _check_n(n)
     values = np.random.default_rng(seed).standard_normal(n)
     return _synthetic_series("gaussian", values)

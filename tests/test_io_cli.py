@@ -14,9 +14,11 @@ from rankskew import (
     InvalidParams,
     IOWrite,
     Panel,
+    RankedPnlCurve,
     read_cross_section,
     read_panel,
     read_series,
+    write_curve_csv,
     write_json,
     write_panel,
     write_series,
@@ -278,9 +280,24 @@ def test_cli_oracle_round_trip(tmp_path):
 
 
 def test_cli_synth_usage_error(tmp_path):
-    with pytest.raises(SystemExit) as exc:
-        run_cli("synth", "ast", "--n", "10", "--seed", "1", "--out", str(tmp_path / "x.csv"))
-    assert exc.value.code == 2
+    for argv in (["ast"], ["edgeworth", "--kurt", "0.5"]):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("synth", *argv, "--n", "10", "--seed", "1", "--out", str(tmp_path / "x.csv"))
+        assert exc.value.code == 2
+        assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("n", ["0", "1"])
+@pytest.mark.parametrize(
+    "family",
+    [["ast", "--nu-plus", "5", "--nu-minus", "3.5"], ["edgeworth", "--zeta3", "0.1"], ["gaussian"]],
+    ids=lambda f: f[0],
+)
+def test_cli_synth_needs_two_points(tmp_path, capsys, family, n):
+    out = tmp_path / "x.csv"
+    assert run_cli("synth", *family, "--n", n, "--seed", "1", "--out", str(out)) == 1
+    assert capsys.readouterr().err == f"rankskew: error: need n >= 2, got {n}\n"
+    assert not out.exists()
 
 
 def test_cli_unknown_flag_is_usage_error(tmp_path):
@@ -362,7 +379,7 @@ def test_cli_regress_rejects_name_with_comma(tmp_path, capsys):
     assert not (tmp_path / "regression.json").exists()
 
 
-@pytest.mark.parametrize("grid", [",", "", " , "])
+@pytest.mark.parametrize("grid", [",", "", " , ", "3.5,abc"])
 def test_cli_fig10_empty_grid_is_usage_error(tmp_path, grid):
     with pytest.raises(SystemExit) as exc:
         run_cli("fig10", "--nu-plus-grid", grid, "--out", str(tmp_path / "f.csv"))
@@ -473,6 +490,15 @@ def test_cli_regress_constant_column_writes_null_correlation(tmp_path, constant,
     assert run_cli("regress", str(cs), "--out-dir", str(tmp_path)) == 0
     reg = _strict_json((tmp_path / "regression.json").read_text())
     assert {k for k in ("corr_skew_sr", "corr_vol_sr") if reg[k] is None} == nulls
+
+
+def test_write_curve_csv_refuses_curves_of_different_lengths(tmp_path):
+    curve = RankedPnlCurve(p=np.array([0.5, 1.0]), f=np.array([0.1, 0.2]), variant="raw")
+    sym = RankedPnlCurve(p=np.array([1 / 3, 2 / 3, 1.0]), f=np.zeros(3), variant="raw")
+    path = tmp_path / "c.csv"
+    with pytest.raises(IOWrite, match="curve and symmetrized curve differ in length"):
+        write_curve_csv(str(path), curve, sym)
+    assert not path.exists()
 
 
 def test_write_json_refuses_non_finite_before_opening(tmp_path):
@@ -621,6 +647,46 @@ def test_cli_bootstrap_zero_variance_names_series(tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert err.startswith("rankskew: error: deg: bootstrap resample ") and err.endswith(" has zero variance\n")
     assert list(out.iterdir()) == []
+
+
+def test_cli_analyze_constant_series_names_it(tmp_path, capsys):
+    flat = tmp_path / "flat.csv"
+    write_series(flat, daily(np.full(40, 0.01), label="flat"))
+    out = tmp_path / "out"
+    assert run_cli("analyze", str(flat), "--seed", "1", "--bootstrap", "10", "--out-dir", str(out)) == 1
+    assert capsys.readouterr().err == "rankskew: error: flat: zero variance\n"
+    assert list(out.iterdir()) == []
+
+
+def test_cli_analyze_checks_benchmark_overlap_before_bootstrap(tmp_path, capsys, monkeypatch):
+    rng = np.random.default_rng(4)
+    write_series(tmp_path / "x.csv", daily(rng.standard_normal(60) * 0.01, label="x"))
+    write_series(tmp_path / "b.csv", daily(rng.standard_normal(60) * 0.01, label="b", start="2001-02-20"))
+
+    def no_bootstrap(*args, **kwargs):
+        raise AssertionError("the bootstrap ran before the overlap check")
+
+    monkeypatch.setattr("rankskew.skew._bootstrap", no_bootstrap)
+    out = tmp_path / "out"
+    argv = ["analyze", str(tmp_path / "x.csv"), "--benchmark", str(tmp_path / "b.csv"), "--seed", "1"]
+    assert run_cli(*argv, "--out-dir", str(out)) == 1
+    assert capsys.readouterr().err == "rankskew: error: x vs b: 10 overlapping dates, need 12\n"
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "missing.csv", "--seed", "1"],
+        ["deciles", "--returns", "missing.csv", "--signal", "missing.csv"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_cli_failure_before_first_write_creates_no_out_dir(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(*argv, "--out-dir", "new/out") == 1
+    assert "missing.csv" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cli_report_provenance_ignores_path_spelling(tmp_path, monkeypatch):

@@ -11,11 +11,14 @@ from rankskew import (
     AsymmetricStudentT,
     DuplicateLabel,
     InsufficientOverlap,
+    InvalidParams,
     MissingRate,
     NonFiniteValue,
     Panel,
     RankSkewError,
+    ShapeMismatch,
     TooFewAssets,
+    UnsortedDates,
     ZeroVariance,
     ast_sample,
     carry_pairs,
@@ -46,6 +49,10 @@ def test_panel_validation():
         make_panel(np.full((3, 2), np.nan), ["a", "b"])
     with pytest.raises(DuplicateLabel):
         make_panel(np.zeros((3, 2)), ["a", "a"])
+    with pytest.raises(ShapeMismatch):
+        make_panel(np.zeros((3, 2)), ["a", "b", "c"])
+    with pytest.raises(UnsortedDates):
+        Panel(dates=np.array(["2001-01-02", "2001-01-01"], dtype="datetime64[D]"), assets=["a"], values=np.zeros((2, 1)))
     p = make_panel(np.arange(6.0).reshape(3, 2), ["a", "b"])
     assert np.allclose(column(p, "b"), [1.0, 3.0, 5.0])
 
@@ -91,6 +98,17 @@ def test_rank_buckets_too_few_assets():
     signal = _signal_panel_for(returns, np.random.default_rng(1).standard_normal((10, 3)))
     with pytest.raises(TooFewAssets):
         rank_buckets(returns, signal, n_buckets=10)
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [({"n_buckets": 0}, "need at least one bucket"), ({"rebalance": "weekly"}, "unknown rebalance frequency 'weekly'")],
+)
+def test_rank_buckets_rejects_bad_params(kwargs, message):
+    returns = make_panel(np.zeros((10, 3)) + 0.01, ["a", "b", "c"])
+    signal = _signal_panel_for(returns, np.random.default_rng(1).standard_normal((10, 3)))
+    with pytest.raises(InvalidParams, match=message):
+        rank_buckets(returns, signal, **{"n_buckets": 2, **kwargs})
 
 
 def test_rank_buckets_no_lookahead():
@@ -304,6 +322,11 @@ def test_decile_table_null_buckets():
         assert abs(row.zeta_star) < 0.5
         assert abs(row.sharpe) < 0.5
         assert row.vol_pct == pytest.approx(1.0, abs=0.05)
+
+
+def test_decile_table_needs_buckets():
+    with pytest.raises(TooFewAssets, match="no buckets"):
+        decile_table([])
 
 
 def test_decile_table_planted_skew_gradient():

@@ -56,6 +56,11 @@ def test_ranked_pnl_raw_example():
     assert np.allclose(curve.f, [1.0, -1.0, 2.0])
 
 
+def test_ranked_pnl_rejects_unknown_variant():
+    with pytest.raises(InvalidParams, match="unknown curve variant 'symmetrized'"):
+        ranked_pnl(daily([1.0, -2.0, 3.0]), "symmetrized")
+
+
 def test_ranked_pnl_tie_break_is_chronological():
     # equal amplitudes 1 and -1: chronological order decides the partial sums
     curve = ranked_pnl(daily([1.0, -1.0, 2.0]), "raw")
@@ -190,6 +195,8 @@ def test_classical_moments_examples():
     z3, kurt = classical_moments(daily([-3.0, 1.0, 1.0, 1.0]))
     assert z3 == pytest.approx(-6.0 / 3.0**1.5)
     assert kurt == pytest.approx(21.0 / 9.0 - 3.0)
+    with pytest.raises(TooShort, match="s: need at least 3 points"):
+        classical_moments(daily([-1.0, 1.0]))
 
 
 def test_classical_moments_gaussian_null():
@@ -295,6 +302,14 @@ def test_co_skewness_requires_overlap():
     b = daily([0.01, 0.02], start="2010-01-01")
     with pytest.raises(InsufficientOverlap):
         co_skewness(a, b)
+
+
+def test_co_skewness_rejects_constant_leg():
+    varied = daily(np.random.default_rng(3).standard_normal(20) * 0.01)
+    constant = daily([0.01] * 20)
+    for r, b in ((varied, constant), (constant, varied)):
+        with pytest.raises(ZeroVariance, match="degenerate leg in co-skewness"):
+            co_skewness(r, b)
 
 
 # ---------------------------------------------------------------------------

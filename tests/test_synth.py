@@ -129,6 +129,23 @@ def test_sampler_deterministic():
     assert not np.array_equal(a.values, ast_sample(1000, dist, seed=4).values)
 
 
+@pytest.mark.parametrize("n", [0, 1])
+def test_samplers_refuse_fewer_than_two_points_before_any_work(monkeypatch, n):
+    """Every ReturnSeries has 2 points: the samplers say so before a CDF grid, density or draw."""
+    dist = AsymmetricStudentT(5.0, 3.5)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("work done before the length check")
+
+    monkeypatch.setattr("rankskew.synth._ast_cdf_grid", refuse)
+    monkeypatch.setattr("rankskew.synth.EdgeworthDensity", refuse)
+    monkeypatch.setattr("rankskew.synth.np.random.default_rng", refuse)
+    draws = (lambda: ast_sample(n, dist, 1), lambda: edgeworth_sample(n, 0.1, 0.0, 1), lambda: gaussian_sample(n, 1))
+    for draw in draws:
+        with pytest.raises(InvalidParams, match=f"need n >= 2, got {n}"):
+            draw()
+
+
 def test_sampler_kolmogorov_distance():
     dist = AsymmetricStudentT(5.0, 3.5)
     n = 100_000
