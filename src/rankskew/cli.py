@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
 
 from . import io as rio
 from .analysis import CrossSection, CrossSectionRow, cross_section_stats, pca_spectrum
@@ -50,7 +49,8 @@ def build_parser() -> argparse.ArgumentParser:
                        parents=[kind, period, bootstrap, out_dir])
     p.set_defaults(run=_cmd_analyze)
     p.add_argument("input", help="series CSV (date,value)")
-    p.add_argument("--benchmark", help="benchmark series CSV for co-skewness", default=None)
+    p.add_argument("--benchmark", default=None,
+                   help="benchmark series CSV for co-skewness, read with the input's --kind and --period")
     p.add_argument("--seed", type=int, required=True, help="seed for the bootstrap and symmetrized curve")
 
     p = sub.add_parser("rankplot", parents=[kind, period, out_dir], help="ranked-P&L curve CSV (p,F,F_sym) for one series")
@@ -111,18 +111,26 @@ class _Outputs:
     def __init__(self, out_dir: str | None) -> None:
         self.out_dir = out_dir
         self.paths: list[str] = []
+        self.dirs: list[str] = []
 
     def add(self, name: str) -> str:
         if self.out_dir is not None:
+            # the ancestors makedirs is about to create, found by its own walk up the path
+            d = self.out_dir
+            while d and not os.path.exists(d):
+                self.dirs.append(d)
+                head, tail = os.path.split(d)
+                d = head if tail else os.path.dirname(head)
             os.makedirs(self.out_dir, exist_ok=True)
             name = os.path.join(self.out_dir, name)
         self.paths.append(name)
         return name
 
     def discard(self) -> None:
-        for p in self.paths:
+        # the files, then the directories add created, deepest first: rmdir removes a directory only if it is empty
+        for remove, p in [(os.remove, p) for p in self.paths] + [(os.rmdir, d) for d in self.dirs]:
             try:
-                os.remove(p)
+                remove(p)
             except OSError:
                 pass
 
@@ -158,11 +166,13 @@ def _skew_reports(paths: list[str], kind: str, args, out: _Outputs, step) -> tup
 
 
 def _cmd_analyze(args, parser: argparse.ArgumentParser, out: _Outputs) -> None:
-    def coskew_of(series: ReturnSeries) -> float | None:
-        return co_skewness(series, rio.read_series(args.benchmark, period=args.period)) if args.benchmark else None
+    def coskew_of(series: ReturnSeries) -> dict:
+        if not args.benchmark:
+            return {}
+        return {"coskew": co_skewness(series, rio.read_series(args.benchmark, kind=args.kind, period=args.period))}
 
     (report,), (coskew,) = _skew_reports([args.input], args.kind, args, out, coskew_of)
-    rio.write_json(out.add(f"{_stem(args.input)}_skew_report.json"), replace(report, coskew=coskew).as_dict())
+    rio.write_json(out.add(f"{_stem(args.input)}_skew_report.json"), {**report.as_dict(), **coskew})
 
 
 def _cmd_rankplot(args, parser: argparse.ArgumentParser, out: _Outputs) -> None:

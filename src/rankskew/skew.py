@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -81,19 +81,15 @@ class SkewReport:
     zeta3: float
     kurtosis: float
     mean_minus_median: float
-    coskew: float | None
     err_zeta_star: float
     err_sharpe: float
     n: int
-    label: str = ""
-    seed: int = 0
-    bootstrap: int = 0
+    label: str
+    seed: int
+    bootstrap: int
 
     def as_dict(self) -> dict:
-        d = asdict(self)
-        if self.coskew is None:
-            del d["coskew"]
-        return d
+        return asdict(self)
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +139,7 @@ def _sorted_centred(values: np.ndarray) -> tuple[np.ndarray, float]:
 def zeta_star(s: ReturnSeries) -> float:
     """Ranked-P&L skewness: -100 times the mean of the F0 curve."""
     c, _ = _sorted_centred(s.values)
-    return _zeta_star_from_counts(c, np.ones(c.size), c.size)[0]
+    return _zeta_star_from_counts(c, np.ones(c.size))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +262,7 @@ def small_p_exponent(curve: RankedPnlCurve) -> float:
 
 
 def _zeta_star_from_counts(
-    v_sorted: np.ndarray, counts: np.ndarray, n: int, drawn: np.ndarray | None = None
+    v_sorted: np.ndarray, counts: np.ndarray, drawn: np.ndarray | None = None
 ) -> tuple[float, float, float]:
     """(zeta*, mean, std) of a resample given its multiplicity vector.
 
@@ -286,6 +282,7 @@ def _zeta_star_from_counts(
     Each step writes into a buffer whose contents are spent, so a call holds
     three to four N-arrays at a time, fewer with `drawn`.
     """
+    n = v_sorted.size
     m = det_dot(counts, v_sorted) / n
     t = v_sorted * v_sorted
     t *= counts
@@ -337,8 +334,8 @@ def _zeta_star_from_counts(
     return -100.0 * total / sd / (float(n) * float(n)), float(m), sd
 
 
-def _bootstrap(samples: list[tuple[str, np.ndarray, float, float]], n_boot: int, seed: int) -> list[tuple[float, float]]:
-    """Bootstrap standard errors of (zeta*, annualized Sharpe) of each sample.
+def _bootstrap(samples: list[tuple[str, np.ndarray, float, float]], n_boot: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Bootstrap replicates of (zeta*, annualized Sharpe) of each sample, two (samples, n_boot) arrays.
 
     A sample is (label, c, m0, ann): `c` and `m0` come from
     `_sorted_centred` and `ann` annualizes the Sharpe ratio. Resamples are
@@ -363,12 +360,12 @@ def _bootstrap(samples: list[tuple[str, np.ndarray, float, float]], n_boot: int,
             for i in members:
                 label, c, m0, ann = samples[i]
                 try:
-                    z, m, sd = _zeta_star_from_counts(c, counts, n, drawn)
+                    z, m, sd = _zeta_star_from_counts(c, counts, drawn)
                 except ZeroVariance:
                     raise ZeroVariance(f"{label}: bootstrap resample {b} has zero variance") from None
                 zs[i, b] = z
                 sh[i, b] = (m0 + m) / sd * ann
-    return [(float(np.std(z, ddof=1)), float(np.std(h, ddof=1))) for z, h in zip(zs, sh)]
+    return zs, sh
 
 
 def skew_reports(series: Iterable[ReturnSeries], bootstrap: int = 1000, seed: int = 0) -> list[SkewReport]:
@@ -383,32 +380,21 @@ def skew_reports(series: Iterable[ReturnSeries], bootstrap: int = 1000, seed: in
     """
     if bootstrap < 2:
         raise InvalidParams(f"need at least 2 bootstrap replicates, got {bootstrap}")
-    reports = []
+    points = []
     samples = []
     for s in series:
         if len(s) < 30:
             raise TooShort(f"{s.label}: need at least 30 points for a report")
         c, m0 = _sorted_centred(s.values)
-        n = c.size
-        z3, kurt, mmm = _moments(c, s.label)
-        reports.append(
-            SkewReport(
-                zeta_star=_zeta_star_from_counts(c, np.ones(n), n)[0],
-                zeta3=z3,
-                kurtosis=kurt,
-                mean_minus_median=mmm,
-                coskew=None,
-                err_zeta_star=math.nan,
-                err_sharpe=math.nan,
-                n=n,
-                label=s.label,
-                seed=seed,
-                bootstrap=bootstrap,
-            )
-        )
+        moments = _moments(c, s.label)  # its zero-variance check names the series, so it runs before the kernel's
+        points.append((_zeta_star_from_counts(c, np.ones(c.size))[0], *moments))
         samples.append((s.label, c, m0, math.sqrt(PERIODS_PER_YEAR[s.period])))
-    errors = _bootstrap(samples, bootstrap, seed)
-    return [replace(r, err_zeta_star=ez, err_sharpe=es) for r, (ez, es) in zip(reports, errors)]
+    zs, sh = _bootstrap(samples, bootstrap, seed)
+    return [
+        SkewReport(*point, err_zeta_star=float(np.std(z, ddof=1)), err_sharpe=float(np.std(h, ddof=1)),
+                   n=c.size, label=label, seed=seed, bootstrap=bootstrap)
+        for point, (label, c, _, _), z, h in zip(points, samples, zs, sh)
+    ]
 
 
 def skew_report(s: ReturnSeries, bootstrap: int = 1000, seed: int = 0) -> SkewReport:

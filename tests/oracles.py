@@ -1,9 +1,11 @@
 """Superseded implementations kept as test oracles.
 
 Each function here is an earlier production implementation, kept verbatim
-so that its replacement can be checked against it. The one exception,
-`edgeworth_zeta_star_split_quad`, is a tighter form of the replaced
-nested `quad` that also splits at the density's jumps.
+so that its replacement can be checked against it. The exceptions:
+`edgeworth_zeta_star_split_quad` is a tighter form of the replaced nested
+`quad` that also splits at the density's jumps, and `zeta_star_ij_se` and
+`sharpe_se_mertens` are analytic references for the bootstrap errors,
+not earlier implementations.
 """
 
 from __future__ import annotations
@@ -142,6 +144,57 @@ def zeta_star_from_counts_allocating(v_sorted: np.ndarray, v_sq: np.ndarray, cou
     w_lo, v_lo, w_hi, v_hi = w[lo], v_sorted[lo], w[split:], v_sorted[split:]
     total = (det_dot(w_lo, v_lo) + det_dot(w_hi, v_hi)) - m * (det_sum(w_lo) + det_sum(w_hi))
     return -100.0 * total / sd / (float(n) * float(n)), float(m), sd
+
+
+def zeta_star_ij_se(values: np.ndarray) -> float:
+    """Infinitesimal-jackknife standard error of zeta* (Jaeckel 1972, Efron 1982), for untied i.i.d. samples.
+
+    zeta* = -100/sigma * mean[(x - m)(1 - H(|x - m|))], H the amplitude CDF.
+    Entry k's empirical influence sums four terms: its own product
+    (x_k - m)(1 - H_k); minus the sum of (x_i - m)/N over the entries of
+    larger amplitude, which its weight in H moves; the derivative in m, by a
+    central difference at +-0.01 sigma, times x_k - m; and -(zeta*/sigma)
+    times sigma's influence ((x_k - m)^2 - sigma^2)/(2 sigma). The SE is
+    sqrt(sum U_k^2)/N of the centred influences U.
+    """
+    x = np.asarray(values, dtype=np.float64)
+    n = x.size
+    m = float(np.mean(x))
+    sigma = math.sqrt(float(np.mean((x - m) ** 2)))
+
+    def area(centre: float) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+        d = x - centre
+        order = np.argsort(np.abs(d), kind="stable")
+        h = np.empty(n)
+        h[order] = np.arange(n) / n
+        return float(np.mean(d * (1.0 - h))), d, h, order
+
+    a, d, h, order = area(m)
+    t = -100.0 * a / sigma
+    ranked = d[order]
+    larger = np.empty(n)
+    larger[order] = np.cumsum(ranked[::-1])[::-1] - ranked
+    step = 0.01 * sigma
+    dt_dm = -100.0 * (area(m + step)[0] - area(m - step)[0]) / (2.0 * step) / sigma
+    u = -100.0 / sigma * (d * (1.0 - h) - larger / n) + dt_dm * d - t / sigma * (d * d - sigma * sigma) / (2.0 * sigma)
+    u -= np.mean(u)
+    return math.sqrt(float(np.sum(u * u))) / n
+
+
+def sharpe_se_mertens(values: np.ndarray) -> float:
+    """Standard error of the annualized Sharpe ratio of i.i.d. daily returns (Mertens 2002).
+
+    Var(SR) = (1 + SR^2/2 - zeta3 SR + (kurt/4) SR^2)/N per period, with
+    population moments and kurt the excess kurtosis, which extends Lo (2002)
+    to skewed, fat-tailed returns; annualized by sqrt(252).
+    """
+    x = np.asarray(values, dtype=np.float64)
+    d = x - np.mean(x)
+    sd = math.sqrt(float(np.mean(d**2)))
+    sr = float(np.mean(x)) / sd
+    zeta3 = float(np.mean(d**3)) / sd**3
+    kurt = float(np.mean(d**4)) / sd**4 - 3.0
+    return math.sqrt(252.0 * (1.0 + sr * sr / 2.0 - zeta3 * sr + kurt / 4.0 * sr * sr) / x.size)
 
 
 def classical_moments_by_powers(s: ReturnSeries) -> tuple[float, float]:

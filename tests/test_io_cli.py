@@ -469,7 +469,7 @@ def test_cli_program_error_propagates_and_cleans_up(tmp_path, monkeypatch):
     out = tmp_path / "out"
     with pytest.raises(ValueError, match="internal bug"):
         run_cli("analyze", str(src), "--seed", "1", "--out-dir", str(out))
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 def _strict_json(text: str):
@@ -615,7 +615,7 @@ def test_cli_report_check_error_wins_over_later_read_error(tmp_path, capsys):
     )
     assert code == 1
     assert capsys.readouterr().err == "rankskew: error: s1: need at least 30 points for a report\n"
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -646,7 +646,7 @@ def test_cli_bootstrap_zero_variance_names_series(tmp_path, capsys, command):
     assert run_cli(*argv, "--seed", "1", "--bootstrap", "50", "--out-dir", str(out)) == 1
     err = capsys.readouterr().err
     assert err.startswith("rankskew: error: deg: bootstrap resample ") and err.endswith(" has zero variance\n")
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 def test_cli_analyze_constant_series_names_it(tmp_path, capsys):
@@ -655,7 +655,39 @@ def test_cli_analyze_constant_series_names_it(tmp_path, capsys):
     out = tmp_path / "out"
     assert run_cli("analyze", str(flat), "--seed", "1", "--bootstrap", "10", "--out-dir", str(out)) == 1
     assert capsys.readouterr().err == "rankskew: error: flat: zero variance\n"
-    assert list(out.iterdir()) == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(("existing", "out_dir"), [(False, "a/b"), (False, "a/b/"), (True, "a"), (True, "a/b/c")])
+def test_cli_failed_command_removes_only_the_directories_it_created(tmp_path, capsys, monkeypatch, existing, out_dir):
+    """The curve is written before the zero-variance check, so the directories exist when the command fails;
+    a directory that existed before the command is kept."""
+    write_series(tmp_path / "flat.csv", daily(np.full(50, 0.01), label="flat"))
+    if existing:
+        (tmp_path / "a").mkdir()
+    monkeypatch.chdir(tmp_path)
+    assert run_cli("analyze", "flat.csv", "--seed", "1", "--bootstrap", "10", "--out-dir", out_dir) == 1
+    assert capsys.readouterr().err == "rankskew: error: flat: zero variance\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == (["a", "flat.csv"] if existing else ["flat.csv"])
+    assert not existing or list((tmp_path / "a").iterdir()) == []
+
+
+def test_cli_analyze_reads_the_benchmark_with_the_input_kind(tmp_path):
+    """Prices in, prices for the benchmark: the co-skewness of their returns, not of the benchmark's price levels."""
+    rng = np.random.default_rng(14)
+    z = rng.standard_t(4, (200, 2)) * 0.01
+    r = np.column_stack((z[:, 0], 0.6 * z[:, 0] + 0.8 * z[:, 1]))
+    p = 100.0 * np.cumprod(np.vstack((np.ones(2), 1.0 + r)), axis=0)
+    for k, name in enumerate(("x", "b")):
+        write_series(tmp_path / f"{name}_px.csv", daily(p[:, k], label=name))
+        write_series(tmp_path / f"{name}_ret.csv", daily(p[1:, k] / p[:-1, k] - 1.0, label=name, start="2001-01-02"))
+    docs = []
+    for suffix, kind in (("px", "price"), ("ret", "return")):
+        argv = ["analyze", str(tmp_path / f"x_{suffix}.csv"), "--kind", kind, "--benchmark", str(tmp_path / f"b_{suffix}.csv")]
+        assert run_cli(*argv, "--seed", "2", "--bootstrap", "20", "--out-dir", str(tmp_path / suffix)) == 0
+        docs.append(json.loads((tmp_path / suffix / f"x_{suffix}_skew_report.json").read_text()))
+    assert repr(docs[0]["coskew"]) == repr(docs[1]["coskew"])
+    assert {**docs[0], "label": ""} == {**docs[1], "label": ""}
 
 
 def test_cli_analyze_checks_benchmark_overlap_before_bootstrap(tmp_path, capsys, monkeypatch):
@@ -671,7 +703,7 @@ def test_cli_analyze_checks_benchmark_overlap_before_bootstrap(tmp_path, capsys,
     argv = ["analyze", str(tmp_path / "x.csv"), "--benchmark", str(tmp_path / "b.csv"), "--seed", "1"]
     assert run_cli(*argv, "--out-dir", str(out)) == 1
     assert capsys.readouterr().err == "rankskew: error: x vs b: 10 overlapping dates, need 12\n"
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

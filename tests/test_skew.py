@@ -38,9 +38,11 @@ from tests.oracles import (
     classical_moments_by_powers,
     crossing_count_searchsorted,
     mean_minus_median_by_np_median,
+    sharpe_se_mertens,
     standardized_sums,
     zeta_star_from_counts_allocating,
     zeta_star_from_counts_searchsorted,
+    zeta_star_ij_se,
 )
 from tests.test_series import daily
 
@@ -405,7 +407,7 @@ def test_counts_replicate_matches_naive_resample():
         rng = np.random.default_rng(100 + b)
         idx = rng.integers(0, n, size=n)
         counts = np.bincount(idx, minlength=n).astype(np.float64)
-        fast, m, sd = _zeta_star_from_counts(v_sorted, counts, n)
+        fast, m, sd = _zeta_star_from_counts(v_sorted, counts)
         naive = zeta_star_of(v_sorted[idx])
         assert fast == pytest.approx(naive, abs=1e-10)
         assert m == pytest.approx(float(np.mean(v_sorted[idx])), abs=1e-15)
@@ -448,7 +450,7 @@ def test_counts_kernel_matches_searchsorted_oracle_bit_for_bit(n, seed, offset, 
         end, next_ = (0, 1) if resample == "single_below" else (n - 1, n - 2)
         counts[end], counts[next_] = n - 1, 1
     assume(np.unique(np.abs(v_sorted - det_dot(counts, v_sorted) / n)).size == n)
-    fast = _replicate_or_error(_zeta_star_from_counts, v_sorted, counts, n)
+    fast = _replicate_or_error(_zeta_star_from_counts, v_sorted, counts)
     oracle = _replicate_or_error(zeta_star_from_counts_searchsorted, v_sorted, v_sorted * v_sorted, counts, n)
     assert fast == oracle
 
@@ -497,8 +499,8 @@ def test_counts_kernel_matches_allocating_oracle_bit_for_bit(n, seed, offset, sc
         end, next_ = (0, 1) if resample == "single_below" else (n - 1, n - 2)
         counts[end], counts[next_] = n - 1, 1
     oracle = _replicate_or_error(zeta_star_from_counts_allocating, v_sorted, v_sorted * v_sorted, counts, n)
-    assert _replicate_or_error(_zeta_star_from_counts, v_sorted, counts, n) == oracle
-    assert _replicate_or_error(_zeta_star_from_counts, v_sorted, counts, n, (counts > 0).nonzero()[0]) == oracle
+    assert _replicate_or_error(_zeta_star_from_counts, v_sorted, counts) == oracle
+    assert _replicate_or_error(_zeta_star_from_counts, v_sorted, counts, (counts > 0).nonzero()[0]) == oracle
 
 
 def test_counts_kernel_zero_variance_matches_allocating_oracle():
@@ -506,8 +508,8 @@ def test_counts_kernel_zero_variance_matches_allocating_oracle():
     # one entry drawn, or two entries of one value
     for counts in ([0.0, 5.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0, 5.0], [0.0, 0.0, 2.0, 3.0, 0.0]):
         counts = np.array(counts)
-        assert _replicate_or_error(_zeta_star_from_counts, v_sorted, counts, 5) == "ZeroVariance"
-        assert _replicate_or_error(_zeta_star_from_counts, v_sorted, counts, 5, counts.nonzero()[0]) == "ZeroVariance"
+        assert _replicate_or_error(_zeta_star_from_counts, v_sorted, counts) == "ZeroVariance"
+        assert _replicate_or_error(_zeta_star_from_counts, v_sorted, counts, counts.nonzero()[0]) == "ZeroVariance"
         assert _replicate_or_error(zeta_star_from_counts_allocating, v_sorted, v_sorted * v_sorted, counts, 5) == "ZeroVariance"
 
 
@@ -520,7 +522,7 @@ def test_counts_kernel_ranks_drawn_entries_of_mixed_tie_groups(seed):
     for _ in range(50):
         counts = np.bincount(rng.integers(0, 40, size=40), minlength=40).astype(np.float64)
         oracle = _replicate_or_error(zeta_star_from_counts_allocating, c, c * c, counts, 40)
-        assert _replicate_or_error(_zeta_star_from_counts, c, counts, 40, (counts > 0).nonzero()[0]) == oracle
+        assert _replicate_or_error(_zeta_star_from_counts, c, counts, (counts > 0).nonzero()[0]) == oracle
         d = np.abs(c - det_dot(counts, c) / 40)
         groups = [counts[d == x] for x in np.unique(d)]
         mixed += any(g.min() == 0.0 < g.max() for g in groups)
@@ -553,8 +555,8 @@ def test_counts_kernel_peak_allocation_is_bounded():
         "scattered ties": _sorted_centred(np.round(rng.standard_t(4, n), 7))[0],
     }
     for name, v in samples.items():
-        assert _peak_arrays(_zeta_star_from_counts, v, counts, n, n=n) <= 4.5, name
-        assert _peak_arrays(lambda: _zeta_star_from_counts(v, counts, n, (counts > 0).nonzero()[0]), n=n) <= 4.5, name
+        assert _peak_arrays(_zeta_star_from_counts, v, counts, n=n) <= 4.5, name
+        assert _peak_arrays(lambda: _zeta_star_from_counts(v, counts, (counts > 0).nonzero()[0]), n=n) <= 4.5, name
 
 
 def test_skew_report_peak_allocation_is_bounded():
@@ -566,8 +568,8 @@ def test_skew_report_peak_allocation_is_bounded():
 
 
 def test_bootstrap_matches_loop_over_oracle():
-    """Each sample's errors equal a per-sample loop over an oracle kernel, equal lengths sharing draws or not,
-    tick-rounded samples among them."""
+    """Each sample's replicates equal, bit for bit, a per-sample loop over an oracle kernel, equal lengths sharing
+    draws or not, tick-rounded samples among them."""
     rng = np.random.default_rng(31)
     ann = math.sqrt(PERIODS_PER_YEAR["daily"])
     samples, want = [], []
@@ -586,8 +588,11 @@ def test_bootstrap_matches_loop_over_oracle():
             counts = np.bincount(idx, minlength=n).astype(np.float64)
             zs[b], m, sd = oracle(c, c * c, counts, n)
             sh[b] = (m0 + m) / sd * ann
-        want.append((float(np.std(zs, ddof=1)), float(np.std(sh, ddof=1))))
-    assert _bootstrap(samples, 200, 8) == want
+        want.append((zs, sh))
+    got_zs, got_sh = _bootstrap(samples, 200, 8)
+    assert got_zs.shape == got_sh.shape == (len(samples), 200)
+    for got_z, got_h, (zs, sh) in zip(got_zs, got_sh, want):
+        assert got_z.tobytes() == zs.tobytes() and got_h.tobytes() == sh.tobytes()
 
 
 @given(
@@ -650,7 +655,7 @@ def test_counts_kernel_with_repeated_values_matches_oracle(seed):
     assert np.unique(v_sorted).size < n
     for b in range(5):
         counts = np.bincount(rng.integers(0, n, size=n), minlength=n).astype(np.float64)
-        fast = _zeta_star_from_counts(v_sorted, counts, n)
+        fast = _zeta_star_from_counts(v_sorted, counts)
         oracle = zeta_star_from_counts_searchsorted(v_sorted, v_sorted * v_sorted, counts, n)
         assert fast == pytest.approx(oracle, rel=0.0, abs=1e-12)
 
@@ -660,7 +665,7 @@ def test_counts_kernel_amplitude_ties_match_point_estimate():
     idx = np.random.default_rng(10205).integers(0, 40, size=40)
     v_sorted = np.sort(x)
     counts = np.bincount(idx, minlength=40).astype(np.float64)
-    fast, _, _ = _zeta_star_from_counts(v_sorted, counts, 40)
+    fast, _, _ = _zeta_star_from_counts(v_sorted, counts)
     # ranking ties below-mean first gave 10.6030, in resample order 2.6759
     assert fast == pytest.approx(zeta_star_of(v_sorted[idx]), abs=1e-9)
     assert fast == pytest.approx(midrank_zeta_star(v_sorted[idx]), abs=1e-9)
@@ -677,7 +682,7 @@ def test_bootstrap_replicates_are_mid_ranked(seed):
         resample = np.repeat(c, counts.astype(np.int64))
         if np.ptp(resample) == 0:
             continue
-        fast, _, _ = _zeta_star_from_counts(c, counts, 40)
+        fast, _, _ = _zeta_star_from_counts(c, counts)
         assert fast == pytest.approx(midrank_zeta_star(resample), abs=1e-9)
         old, _, _ = zeta_star_from_counts_searchsorted(c, c * c, counts, 40)
         below_mean_first_differs += abs(old - fast) > 1e-6
@@ -690,7 +695,6 @@ def test_skew_report_deterministic():
     b = skew_report(series, bootstrap=100, seed=5)
     assert a == b
     assert a.err_zeta_star > 0 and a.err_sharpe > 0
-    assert a.coskew is None
     d = a.as_dict()
     assert "coskew" not in d and d["n"] == 2000
 
@@ -702,6 +706,26 @@ def test_skew_report_error_scaling():
     err_small = skew_report(small, bootstrap=300, seed=1).err_zeta_star
     err_big = skew_report(big, bootstrap=300, seed=2).err_zeta_star
     assert err_small / err_big == pytest.approx(2.0, abs=0.5)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("dist", ["gaussian", "ast"])
+def test_bootstrap_errors_match_analytic_references(dist, k):
+    """err_zeta_star is within 15 % of the infinitesimal-jackknife SE and err_sharpe of Mertens' closed form.
+
+    One SE at B = 400 has ~3.5 % Monte-Carlo error, so 15 % is above 4 sigma,
+    and a stray factor sqrt(2) on either error fails. Replicate b draws with
+    seed + b, so the seeds are spaced far more than B apart: nearby seeds
+    would share almost every draw and test one bootstrap three times.
+    """
+    seed = 100_000 * k
+    if dist == "gaussian":
+        s = gaussian_sample(5000, seed)
+    else:
+        s = ast_sample(5000, AsymmetricStudentT(nu_plus=5.0, nu_minus=3.5), seed)
+    r = skew_report(s, bootstrap=400, seed=seed)
+    assert r.err_zeta_star / zeta_star_ij_se(s.values) == pytest.approx(1.0, abs=0.15)
+    assert r.err_sharpe / sharpe_se_mertens(s.values) == pytest.approx(1.0, abs=0.15)
 
 
 def test_skew_report_requires_length():
