@@ -28,6 +28,17 @@ from .synth import (
 )
 
 
+def _seed(text: str) -> int:
+    """A --seed value: numpy's generators take only non-negative integers."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return seed
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rankskew",
@@ -51,12 +62,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", help="series CSV (date,value)")
     p.add_argument("--benchmark", default=None,
                    help="benchmark series CSV for co-skewness, read with the input's --kind and --period")
-    p.add_argument("--seed", type=int, required=True, help="seed for the bootstrap and symmetrized curve")
+    p.add_argument("--seed", type=_seed, required=True, help="seed for the bootstrap and symmetrized curve")
 
     p = sub.add_parser("rankplot", parents=[kind, period, out_dir], help="ranked-P&L curve CSV (p,F,F_sym) for one series")
     p.set_defaults(run=_cmd_rankplot)
     p.add_argument("input", help="series CSV (date,value)")
-    p.add_argument("--seed", type=int, required=True, help="seed for the symmetrized twin")
+    p.add_argument("--seed", type=_seed, required=True, help="seed for the symmetrized twin")
 
     p = sub.add_parser("synth", help="emit synthetic samples as a series CSV")
     p.set_defaults(run=_cmd_synth)
@@ -66,7 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--zeta3", type=float, default=None, help="target skewness (edgeworth)")
     p.add_argument("--kurt", type=float, default=0.0, help="target excess kurtosis (edgeworth)")
     p.add_argument("--n", type=int, required=True, help="number of samples")
-    p.add_argument("--seed", type=int, required=True, help="sampler seed")
+    p.add_argument("--seed", type=_seed, required=True, help="sampler seed")
     p.add_argument("--out", required=True, help="output CSV path")
 
     p = sub.add_parser("fig10", help="quadrature sweep of zeta3 and zeta* over right-tail exponents")
@@ -101,7 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
                        parents=[period, bootstrap, out_dir])
     p.set_defaults(run=_cmd_report)
     p.add_argument("--series", action="append", required=True, help="series CSV, repeatable")
-    p.add_argument("--seed", type=int, required=True, help="seed for bootstraps and symmetrized curves")
+    p.add_argument("--seed", type=_seed, required=True, help="seed for bootstraps and symmetrized curves")
     return parser
 
 
@@ -139,12 +150,19 @@ def _stem(path: str) -> str:
     return os.path.splitext(os.path.basename(path))[0]
 
 
-def _write_curve(path: str, kind: str, args, out: _Outputs) -> ReturnSeries:
-    """Read one series and write its {stem}_ranked_pnl.csv."""
+def _write_curve(path: str, kind: str, args, out: _Outputs, p_texts: dict[int, list[str]]) -> ReturnSeries:
+    """Read one series and write its {stem}_ranked_pnl.csv.
+
+    `p_texts` maps each length the command has written a curve of to the text
+    of its p column: empty after the first curve, so a length written once
+    keeps no whole column; filled by the second curve and reused by later ones.
+    """
     series = rio.read_series(path, kind=kind, period=args.period)
     curve = ranked_pnl(series, "raw")
     sym = ranked_pnl(symmetrize(series, args.seed))
-    rio.write_curve_csv(out.add(f"{_stem(path)}_ranked_pnl.csv"), curve, sym)
+    p_text = p_texts.get(len(series))
+    p_texts.setdefault(len(series), [])
+    rio.write_curve_csv(out.add(f"{_stem(path)}_ranked_pnl.csv"), curve, sym, p_text=p_text)
     return series
 
 
@@ -153,12 +171,14 @@ def _skew_reports(paths: list[str], kind: str, args, out: _Outputs, step) -> tup
 
     One series at a time: read it and write its curve, let `skew_reports` check
     it, then run `step` on it, so every step has run before the bootstrap.
+    Curves of one length share one text of their p column.
     """
     steps = []
+    p_texts: dict[int, list[str]] = {}
 
     def each_series():
         for path in paths:
-            series = _write_curve(path, kind, args, out)
+            series = _write_curve(path, kind, args, out, p_texts)
             yield series
             steps.append(step(series))
 
@@ -176,7 +196,7 @@ def _cmd_analyze(args, parser: argparse.ArgumentParser, out: _Outputs) -> None:
 
 
 def _cmd_rankplot(args, parser: argparse.ArgumentParser, out: _Outputs) -> None:
-    _write_curve(args.input, args.kind, args, out)
+    _write_curve(args.input, args.kind, args, out, {})
 
 
 def _cmd_synth(args, parser: argparse.ArgumentParser, out: _Outputs) -> None:

@@ -4,6 +4,8 @@ One function, _write_csv, writes every CSV a block of rows at a time:
 each float as repr(), the shortest decimal that round-trips to the same
 float64, and '\\n' newlines, so identical inputs and seeds produce
 byte-identical artifacts. A failed write raises IOWrite naming the file.
+A column may also come as text already formatted, such as the p = k/N
+column that the curves of one length share (see write_curve_csv).
 
 Series and panel CSVs are read a block of rows at a time. A file in the
 canonical dialect, the one _write_csv produces, is parsed a column at a
@@ -70,9 +72,12 @@ def _writing(path: str) -> Iterator[TextIO]:
 
 
 def _fields(block) -> list[str]:
-    """The text of a column block. A float is the repr of a Python float (numpy 2's repr
-    of an np.float64 is 'np.float64(...)'); in a column of objects a str is itself and None
-    an empty field; a column of another dtype, such as datetime64[D] or integers, is str."""
+    """The text of a column block. A list of str is text already and is itself. A float is
+    the repr of a Python float (numpy 2's repr of an np.float64 is 'np.float64(...)'); in a
+    column of objects a str is itself and None an empty field; a column of another dtype,
+    such as datetime64[D] or integers, is str."""
+    if isinstance(block, list) and block and isinstance(block[0], str):
+        return block
     block = np.asarray(block)
     if block.dtype.kind == "f":
         return list(map(repr, block.tolist()))
@@ -397,11 +402,26 @@ def write_scatter_csv(path: str, cs: CrossSection, result: RegressionResult) -> 
 # ---------------------------------------------------------------------------
 
 
-def write_curve_csv(path: str, curve: RankedPnlCurve, symmetrized: RankedPnlCurve) -> None:
-    """Ranked-P&L plot data: columns p, F and the symmetrized twin's F_sym."""
+def write_curve_csv(
+    path: str, curve: RankedPnlCurve, symmetrized: RankedPnlCurve, *, p_text: list[str] | None = None
+) -> None:
+    """Ranked-P&L plot data: columns p, F and the symmetrized twin's F_sym.
+
+    Without `p_text` every column is formatted a block of rows at a time and
+    no whole column of text is held. `p_text` is the text of p = k/N, which
+    curves of one length share: an empty list is filled with it, and a
+    filled one is written as it is.
+    """
     if symmetrized.p.size != curve.p.size:
         raise IOWrite("curve and symmetrized curve differ in length")
-    _write_csv(path, _CURVE_HEADER, *(np.asarray(x, dtype=np.float64) for x in (curve.p, curve.f, symmetrized.f)))
+    p, f, f_sym = (np.asarray(x, dtype=np.float64) for x in (curve.p, curve.f, symmetrized.f))
+    if p_text is not None:
+        if not p_text:
+            p_text += _fields(p)
+        if len(p_text) != p.size:
+            raise IOWrite("curve and p text differ in length")
+        p = p_text
+    _write_csv(path, _CURVE_HEADER, p, f, f_sym)
 
 
 def write_fig10_csv(path: str, rows) -> None:

@@ -14,6 +14,7 @@ from typing import Literal
 import numpy as np
 
 from .errors import (
+    InvalidParams,
     NonFiniteValue,
     ShapeMismatch,
     TooShort,
@@ -35,6 +36,12 @@ def _as_dates(dates) -> np.ndarray:
 
 def _as_values(values) -> np.ndarray:
     return np.asarray(values, dtype=np.float64)
+
+
+def _check_seed(seed: int) -> None:
+    """Refuse a seed numpy's generators cannot take, before any work."""
+    if seed < 0:
+        raise InvalidParams(f"need a non-negative seed, got {seed}")
 
 
 def det_sum(x: np.ndarray) -> float:
@@ -183,6 +190,7 @@ def symmetrize(s: ReturnSeries, seed: int) -> ReturnSeries:
     eps_t drawn from the seeded generator; amplitudes |r_t - m| and the
     expected mean are preserved.
     """
+    _check_seed(seed)
     rng = np.random.default_rng(seed)
     eps = rng.integers(0, 2, size=len(s)) * 2 - 1
     m = np.mean(s.values)

@@ -46,6 +46,7 @@ from .errors import (
 from .series import (
     PERIODS_PER_YEAR,
     ReturnSeries,
+    _check_seed,
     det_dot,
     det_sum,
     standardize,
@@ -209,6 +210,7 @@ def crossing_count(s: ReturnSeries, seed: int) -> int:
     Two crossings mean the sample and its symmetrized twin are
     skewness-comparable; four or more flag mixed asymmetry scales.
     """
+    _check_seed(seed)
     n = len(s)
     if n < 100:
         raise TooShort(f"{s.label}: need at least 100 points")
@@ -281,6 +283,12 @@ def _zeta_star_from_counts(
     run over all N entries in one fixed order, so both give the same bytes.
     Each step writes into a buffer whose contents are spent, so a call holds
     three to four N-arrays at a time, fewer with `drawn`.
+
+    The weights are not summed: the counts add up to n, so the weights
+    telescope to the sum of the ranks 1..n, n(n + 1)/2, with or without tie
+    runs. Each weight is a multiple of 1/2, so while n < 9.4e7 every partial
+    sum of them is exact in float64, and summing them would give the closed
+    form bit for bit.
     """
     n = v_sorted.size
     m = det_dot(counts, v_sorted) / n
@@ -309,7 +317,7 @@ def _zeta_star_from_counts(
     x = c.cumsum(out=d)
     x += x
     x -= c  # a + b
-    if tied.any():
+    if np.count_nonzero(tied):
         # mid-rank: a run of equal distances, entries first..last, shares one block from the first's a to
         # the last's b; a lone entry's block is already its own, so only the runs are rewritten
         edges = np.flatnonzero(np.diff(np.concatenate(([False], tied, [False]))))
@@ -328,9 +336,8 @@ def _zeta_star_from_counts(
     # summing each side nearest-first fixes the rounding, and so the bytes of err_zeta_star
     split = int(v_sorted.searchsorted(m))
     lo = slice(split - 1, None, -1) if split > 0 else slice(0, 0)
-    w_total = det_sum(w[lo]) + det_sum(w[split:])
     wv = np.multiply(w, v_sorted, out=w)
-    total = (det_sum(wv[lo]) + det_sum(wv[split:])) - m * w_total
+    total = (det_sum(wv[lo]) + det_sum(wv[split:])) - m * (0.5 * n * (n + 1))
     return -100.0 * total / sd / (float(n) * float(n)), float(m), sd
 
 
@@ -380,6 +387,7 @@ def skew_reports(series: Iterable[ReturnSeries], bootstrap: int = 1000, seed: in
     """
     if bootstrap < 2:
         raise InvalidParams(f"need at least 2 bootstrap replicates, got {bootstrap}")
+    _check_seed(seed)
     points = []
     samples = []
     for s in series:

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidParams, MomentDoesNotExist, NegativeDensity
-from .series import ReturnSeries, det_dot, det_sum
+from .series import ReturnSeries, _check_seed, det_dot, det_sum
 
 GRID_SIZE = 65537
 
@@ -34,10 +34,11 @@ EDGEWORTH_MAX_CLIPPED_MASS = 1e-4
 _SYNTH_EPOCH = np.datetime64("2000-01-01", "D")
 
 
-def _check_n(n: int) -> None:
-    """Refuse a sample size below the 2 points of any ReturnSeries, before any quadrature or draw."""
+def _check_draw(n: int, seed: int) -> None:
+    """Refuse a sample size below the 2 points of any ReturnSeries, or a negative seed, before any quadrature or draw."""
     if n < 2:
         raise InvalidParams(f"need n >= 2, got {n}")
+    _check_seed(seed)
 
 
 def _synthetic_series(label: str, values: np.ndarray) -> ReturnSeries:
@@ -175,7 +176,7 @@ def _ast_cdf_grid(dist: AsymmetricStudentT) -> tuple[np.ndarray, np.ndarray]:
 
 def ast_sample(n: int, dist: AsymmetricStudentT, seed: int) -> ReturnSeries:
     """Inverse-CDF draws; identical output for identical (dist, n, seed)."""
-    _check_n(n)
+    _check_draw(n, seed)
     u_knots, cdf = _ast_cdf_grid(dist)
     rng = np.random.default_rng(seed)
     u = np.interp(rng.random(n), cdf, u_knots)
@@ -352,7 +353,7 @@ def edgeworth_density(x, dist: EdgeworthDensity) -> np.ndarray:
 
 def edgeworth_sample(n: int, zeta3: float, kurt: float, seed: int) -> ReturnSeries:
     """Inverse-CDF draws from the truncated, renormalized density."""
-    _check_n(n)
+    _check_draw(n, seed)
     dist = EdgeworthDensity(zeta3=zeta3, kurt=kurt)
     lo, hi = dist.support
     x = np.linspace(lo, hi, GRID_SIZE)
@@ -378,6 +379,6 @@ def edgeworth_zeta_star_exact(dist: EdgeworthDensity) -> float:
 
 def gaussian_sample(n: int, seed: int) -> ReturnSeries:
     """Standard-normal draws, the symmetric null of every estimator."""
-    _check_n(n)
+    _check_draw(n, seed)
     values = np.random.default_rng(seed).standard_normal(n)
     return _synthetic_series("gaussian", values)

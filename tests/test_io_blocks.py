@@ -264,6 +264,12 @@ def test_writers_match_row_writers_byte_for_byte(tmp_path, offset):
     curve = RankedPnlCurve(p=p, f=np.cumsum(_floats(rng, n)), variant="raw")
     twin = RankedPnlCurve(p=p, f=_floats(rng, n), variant="symmetrized")
     _same_bytes(tmp_path, rio.write_curve_csv, write_curve_csv_by_row, curve, twin)
+    # the text of p shared by curves of one length: filled by the first write, reused by the second
+    p_text: list[str] = []
+    for _ in range(2):
+        rio.write_curve_csv(tmp_path / "shared.csv", curve, twin, p_text=p_text)
+        assert (tmp_path / "shared.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+    assert len(p_text) == n
 
     # n cells in all, a third of the grid missing
     values = _floats(rng, 3 * (n // 2)).reshape(-1, 3)

@@ -300,6 +300,25 @@ def test_cli_synth_needs_two_points(tmp_path, capsys, family, n):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "{d}/x.csv", "--out-dir", "{d}/out"],
+        ["rankplot", "{d}/x.csv", "--out-dir", "{d}/out"],
+        ["synth", "gaussian", "--n", "100", "--out", "{d}/out/g.csv"],
+        ["report", "--series", "{d}/x.csv", "--out-dir", "{d}/out"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_cli_negative_seed_is_usage_error(tmp_path, capsys, argv):
+    write_series(tmp_path / "x.csv", daily(np.random.default_rng(8).standard_normal(60) * 0.01, label="x"))
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*(a.replace("{d}", str(tmp_path)) for a in argv), "--seed", "-1")
+    assert exc.value.code == 2
+    assert "argument --seed: expected a non-negative integer, got '-1'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_unknown_flag_is_usage_error(tmp_path):
     with pytest.raises(SystemExit) as exc:
         run_cli("fig10", "--out", str(tmp_path / "f.csv"), "--bogus", "1")
@@ -498,6 +517,8 @@ def test_write_curve_csv_refuses_curves_of_different_lengths(tmp_path):
     path = tmp_path / "c.csv"
     with pytest.raises(IOWrite, match="curve and symmetrized curve differ in length"):
         write_curve_csv(str(path), curve, sym)
+    with pytest.raises(IOWrite, match="curve and p text differ in length"):
+        write_curve_csv(str(path), curve, curve, p_text=["0.5"])
     assert not path.exists()
 
 
@@ -603,6 +624,21 @@ def test_cli_report_bundle(tmp_path):
 def test_cli_report_mixed_lengths(tmp_path):
     """Series of another length in the middle: each series still gets the draws analyze gives it."""
     _report_matches_analyze(tmp_path, (120, 90, 120, 120))
+
+
+def test_cli_report_curves_equal_rankplot_curves(tmp_path):
+    """Curves of one length share the text of p: the second fills it, the later ones reuse it, and a curve of
+    another length in between neither uses nor spoils it. Each curve is, byte for byte, the one rankplot writes."""
+    rng = np.random.default_rng(17)
+    argv = ["report", "--seed", "5", "--bootstrap", "2", "--out-dir", str(tmp_path / "report")]
+    for i, n in enumerate((48, 60, 48, 48)):
+        write_series(tmp_path / f"s{i}.csv", daily(rng.standard_t(3, n) * 0.01, label=f"s{i}"))
+        argv += ["--series", str(tmp_path / f"s{i}.csv")]
+    assert run_cli(*argv) == 0
+    for i in range(4):
+        assert run_cli("rankplot", str(tmp_path / f"s{i}.csv"), "--seed", "5", "--out-dir", str(tmp_path / "plot")) == 0
+        curve = f"s{i}_ranked_pnl.csv"
+        assert (tmp_path / "report" / curve).read_bytes() == (tmp_path / "plot" / curve).read_bytes()
 
 
 def test_cli_report_check_error_wins_over_later_read_error(tmp_path, capsys):

@@ -22,6 +22,7 @@ from rankskew import (
     classical_moments,
     co_skewness,
     crossing_count,
+    edgeworth_sample,
     gaussian_sample,
     mean_minus_median,
     ranked_pnl,
@@ -559,6 +560,20 @@ def test_counts_kernel_peak_allocation_is_bounded():
         assert _peak_arrays(lambda: _zeta_star_from_counts(v, counts, (counts > 0).nonzero()[0]), n=n) <= 4.5, name
 
 
+def test_counts_kernel_weight_total_at_scale():
+    """At N = 2e5, tick-rounded values fall in long tie runs; the closed-form weight total n(n + 1)/2 gives the
+    bytes of the allocating oracle, which sums the weights, at unit counts and on a drawn resample."""
+    n = 200_000
+    rng = np.random.default_rng(71)
+    c, _ = _sorted_centred(np.round(rng.standard_t(4, n) * 0.01, 3))
+    assert np.unique(c).size < n // 100
+    counts = np.bincount(rng.integers(0, n, size=n), minlength=n).astype(np.float64)
+    for k in (np.ones(n), counts):
+        oracle = zeta_star_from_counts_allocating(c, c * c, k, n)
+        assert _zeta_star_from_counts(c, k) == oracle
+        assert _zeta_star_from_counts(c, k, (k > 0).nonzero()[0]) == oracle
+
+
 def test_skew_report_peak_allocation_is_bounded():
     """A whole report at N = 1e5 holds at most 5.5 N-arrays at a time (6.13 while the point estimate held its
     distances and their cumsum at once)."""
@@ -635,6 +650,25 @@ def test_skew_reports_checks_bootstrap_before_reading_a_series(bootstrap):
         skew_reports(unread(), bootstrap=bootstrap, seed=1)
     with pytest.raises(InvalidParams):
         skew_reports([], bootstrap=bootstrap, seed=1)
+
+
+def test_negative_seed_is_refused_before_any_work():
+    def unread():
+        raise AssertionError("a series was read")
+        yield
+
+    s = daily(np.random.default_rng(5).standard_normal(200) * 0.01)
+    calls = [
+        lambda: symmetrize(s, -1),
+        lambda: skew_reports(unread(), bootstrap=10, seed=-1),
+        lambda: crossing_count(s, -1),
+        lambda: ast_sample(100, AsymmetricStudentT(nu_plus=5.0, nu_minus=3.5), -1),
+        lambda: edgeworth_sample(100, 0.1, 0.0, -1),
+        lambda: gaussian_sample(100, -1),
+    ]
+    for call in calls:
+        with pytest.raises(InvalidParams, match="need a non-negative seed, got -1"):
+            call()
 
 
 def test_err_zeta_star_is_location_invariant():
