@@ -64,21 +64,26 @@ def build_parser() -> argparse.ArgumentParser:
                    help="benchmark series CSV for co-skewness, read with the input's --kind and --period")
     p.add_argument("--seed", type=_seed, required=True, help="seed for the bootstrap and symmetrized curve")
 
-    p = sub.add_parser("rankplot", parents=[kind, period, out_dir], help="ranked-P&L curve CSV (p,F,F_sym) for one series")
-    p.set_defaults(run=_cmd_rankplot)
+    p = sub.add_parser("rankplot", parents=[kind, out_dir], help="ranked-P&L curve CSV (p,F,F_sym) for one series")
+    # no curve value is annualized: the period the series is read with acts on nothing
+    p.set_defaults(run=_cmd_rankplot, period="daily")
     p.add_argument("input", help="series CSV (date,value)")
     p.add_argument("--seed", type=_seed, required=True, help="seed for the symmetrized twin")
 
     p = sub.add_parser("synth", help="emit synthetic samples as a series CSV")
     p.set_defaults(run=_cmd_synth)
-    p.add_argument("dist", choices=["ast", "edgeworth", "gaussian"], help="distribution family")
-    p.add_argument("--nu-plus", type=float, default=None, help="right tail exponent (ast)")
-    p.add_argument("--nu-minus", type=float, default=None, help="left tail exponent (ast)")
-    p.add_argument("--zeta3", type=float, default=None, help="target skewness (edgeworth)")
-    p.add_argument("--kurt", type=float, default=0.0, help="target excess kurtosis (edgeworth)")
-    p.add_argument("--n", type=int, required=True, help="number of samples")
-    p.add_argument("--seed", type=_seed, required=True, help="sampler seed")
-    p.add_argument("--out", required=True, help="output CSV path")
+    families = p.add_subparsers(dest="dist", required=True, metavar="family", help="distribution family")
+    draw = argparse.ArgumentParser(add_help=False)
+    draw.add_argument("--n", type=int, required=True, help="number of samples")
+    draw.add_argument("--seed", type=_seed, required=True, help="sampler seed")
+    draw.add_argument("--out", required=True, help="output CSV path")
+    f = families.add_parser("ast", parents=[draw], help="asymmetric Student-t with tail exponents nu+ and nu-")
+    f.add_argument("--nu-plus", type=float, required=True, help="right tail exponent")
+    f.add_argument("--nu-minus", type=float, required=True, help="left tail exponent")
+    f = families.add_parser("edgeworth", parents=[draw], help="Hermite-corrected Gaussian")
+    f.add_argument("--zeta3", type=float, required=True, help="target skewness")
+    f.add_argument("--kurt", type=float, default=0.0, help="target excess kurtosis")
+    families.add_parser("gaussian", parents=[draw], help="standard normal")
 
     p = sub.add_parser("fig10", help="quadrature sweep of zeta3 and zeta* over right-tail exponents")
     p.set_defaults(run=_cmd_fig10)
@@ -201,13 +206,8 @@ def _cmd_rankplot(args, parser: argparse.ArgumentParser, out: _Outputs) -> None:
 
 def _cmd_synth(args, parser: argparse.ArgumentParser, out: _Outputs) -> None:
     if args.dist == "ast":
-        if args.nu_plus is None or args.nu_minus is None:
-            parser.error("synth ast requires --nu-plus and --nu-minus")
-        dist = AsymmetricStudentT(nu_plus=args.nu_plus, nu_minus=args.nu_minus)
-        series = ast_sample(args.n, dist, args.seed)
+        series = ast_sample(args.n, AsymmetricStudentT(nu_plus=args.nu_plus, nu_minus=args.nu_minus), args.seed)
     elif args.dist == "edgeworth":
-        if args.zeta3 is None:
-            parser.error("synth edgeworth requires --zeta3")
         series = edgeworth_sample(args.n, args.zeta3, args.kurt, args.seed)
     else:
         series = gaussian_sample(args.n, args.seed)

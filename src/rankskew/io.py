@@ -14,7 +14,8 @@ time: the exact header, ASCII without quotes or whitespace other than
 any file with a bad row, is read again by the row scanner, which also
 takes csv-module quoting, CRLF, blank lines, padded tokens and extra
 columns, and names the file and line of the first bad row. Every CSV is
-UTF-8; a file that is not names the first line that fails to decode.
+UTF-8, read past a byte-order mark if it starts with one and written
+without; a file that is not UTF-8 names the first line that fails to decode.
 """
 
 from __future__ import annotations
@@ -116,8 +117,8 @@ def _parse_float(token: str, path: str, line: int, what: str = "value") -> float
 
 
 def _open_text(path: str):
-    """Open a file to read as UTF-8, newlines untranslated."""
-    return open(path, encoding="utf-8", newline="")
+    """Open a file to read as UTF-8 after any byte-order mark, newlines untranslated."""
+    return open(path, encoding="utf-8-sig", newline="")
 
 
 @contextmanager
@@ -352,7 +353,11 @@ def read_panel(path: str) -> Panel:
 
 
 def write_panel(path: str, panel: Panel) -> None:
+    """Refuses, as IOWrite, an asset label the readers would not read back as itself."""
     _check_labels(path, panel.assets)
+    for a in panel.assets:
+        if not a or a != a.strip():
+            raise IOWrite(f"cannot write {path}: asset label {a!r} is empty or padded with whitespace")
     rows, cols = np.nonzero(np.isfinite(panel.values))
     # each date is formatted once; the rows gather its text
     days = panel.dates.astype(str).astype(object)

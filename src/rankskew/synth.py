@@ -174,14 +174,16 @@ def _ast_cdf_grid(dist: AsymmetricStudentT) -> tuple[np.ndarray, np.ndarray]:
     return u, _cdf_knots(ast_density(np.sinh(u), dist) * np.cosh(u), u)
 
 
+def _draw(knots: np.ndarray, cdf: np.ndarray, n: int, seed: int) -> np.ndarray:
+    """n inverse-CDF draws: the seed's uniforms, interpolated from the CDF values back to their knots."""
+    return np.interp(np.random.default_rng(seed).random(n), cdf, knots)
+
+
 def ast_sample(n: int, dist: AsymmetricStudentT, seed: int) -> ReturnSeries:
     """Inverse-CDF draws; identical output for identical (dist, n, seed)."""
     _check_draw(n, seed)
-    u_knots, cdf = _ast_cdf_grid(dist)
-    rng = np.random.default_rng(seed)
-    u = np.interp(rng.random(n), cdf, u_knots)
-    label = f"ast({dist.nu_plus:g},{dist.nu_minus:g})"
-    return _synthetic_series(label, np.sinh(u))
+    u = _draw(*_ast_cdf_grid(dist), n, seed)
+    return _synthetic_series(f"ast({dist.nu_plus:g},{dist.nu_minus:g})", np.sinh(u))
 
 
 def ast_zeta3_exact(dist: AsymmetricStudentT) -> float:
@@ -197,17 +199,22 @@ def ast_zeta3_exact(dist: AsymmetricStudentT) -> float:
     return mu3 / mu2**1.5
 
 
-def _zeta_star_of_pdf(pdf, *breaks: float) -> float:
-    """zeta* of a standardized density by the nested double integral.
+def _zeta_star_of_pdf(density, dist, *breaks: float) -> float:
+    """zeta* of `dist` standardized, by the nested double integral.
 
-    zeta* = -100 int_0^inf dx P_s(x) int_0^x dy y P_a(y), with
-    P_s/P_a the symmetric/antisymmetric parts of the density `pdf`
-    (vectorized). Both integrals run in the sinh coordinate on the panels
-    of `_nodes(*breaks)`: 0 first, the outer limit last, and every point
-    where the density may jump in between. The inner integral at an outer
-    node is the sum of the panels to its left plus a 16-node rule on the
-    rest of its own panel.
+    zeta* = -100 int_0^inf dx P_s(x) int_0^x dy y P_a(y), with P_s/P_a the
+    symmetric/antisymmetric parts of sd * density(mu + sd * x, dist).
+    Both integrals run in the sinh coordinate on the panels of
+    `_nodes(*breaks)`: 0 first, the outer limit last, and every point where
+    the density may jump in between. The inner integral at an outer node is
+    the sum of the panels to its left plus a 16-node rule on the rest of
+    its own panel.
     """
+    mu, sd = dist.mean, math.sqrt(dist.var)
+
+    def pdf(x):
+        return sd * density(mu + sd * x, dist)
+
     u, w, left = _nodes(*breaks)
 
     def inner(v: np.ndarray) -> np.ndarray:
@@ -231,13 +238,8 @@ def ast_zeta_star_exact(dist: AsymmetricStudentT) -> float:
     """
     if dist.var is None:
         raise MomentDoesNotExist(f"standardized zeta* needs nu+- > 2, got ({dist.nu_plus}, {dist.nu_minus})")
-    mu = dist.mean
     sd = math.sqrt(dist.var)
-
-    def pdf(x):
-        return sd * ast_density(mu + sd * x, dist)
-
-    return _zeta_star_of_pdf(pdf, 0.0, math.asinh(math.sinh(dist._u_max()) / sd + 1.0))
+    return _zeta_star_of_pdf(ast_density, dist, 0.0, math.asinh(math.sinh(dist._u_max()) / sd + 1.0))
 
 
 @dataclass(frozen=True)
@@ -355,26 +357,18 @@ def edgeworth_sample(n: int, zeta3: float, kurt: float, seed: int) -> ReturnSeri
     """Inverse-CDF draws from the truncated, renormalized density."""
     _check_draw(n, seed)
     dist = EdgeworthDensity(zeta3=zeta3, kurt=kurt)
-    lo, hi = dist.support
-    x = np.linspace(lo, hi, GRID_SIZE)
-    cdf = _cdf_knots(edgeworth_density(x, dist), x)
-    rng = np.random.default_rng(seed)
-    values = np.interp(rng.random(n), cdf, x)
+    x = np.linspace(*dist.support, GRID_SIZE)
+    values = _draw(x, _cdf_knots(edgeworth_density(x, dist), x), n, seed)
     return _synthetic_series(f"edgeworth({zeta3:g},{kurt:g})", values)
 
 
 def edgeworth_zeta_star_exact(dist: EdgeworthDensity) -> float:
     """zeta* of the standardized truncated density, by quadrature."""
-    mu = dist.mean
-    sd = math.sqrt(dist.var)
-
-    def pdf(x):
-        return sd * edgeworth_density(mu + sd * x, dist)
-
+    mu, sd = dist.mean, math.sqrt(dist.var)
     lo, hi = dist.support
     ends = sorted(math.asinh(e) for e in ((mu - lo) / sd, (hi - mu) / sd))
     u_max = math.asinh(max(abs(lo), abs(hi)) / sd + 1.0)
-    return _zeta_star_of_pdf(pdf, 0.0, *ends, u_max)
+    return _zeta_star_of_pdf(edgeworth_density, dist, 0.0, *ends, u_max)
 
 
 def gaussian_sample(n: int, seed: int) -> ReturnSeries:

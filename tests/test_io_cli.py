@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import subprocess
@@ -165,6 +166,31 @@ def test_panel_utf8_labels_round_trip(tmp_path):
     assert out.read_bytes() == path.read_bytes()
 
 
+def test_byte_order_mark_is_read_past(tmp_path):
+    """A file saved as UTF-8 with a byte-order mark, as spreadsheets export CSV, reads as the same file without it."""
+    dates = np.datetime64("2001-01-01", "D") + np.arange(4)
+    write_series(tmp_path / "s.csv", daily(np.array([0.01, -0.02, 0.03, 0.005]), label="s"))
+    write_panel(tmp_path / "p.csv", Panel(dates=dates, assets=["a", "b"], values=np.arange(8.0).reshape(4, 2)))
+    (tmp_path / "cs.csv").write_text(
+        "name,sharpe,vol,zeta_star,err_sharpe,err_zeta_star,fit\nm,0.5,0.1,-1,0.1,0.1,1\nn,0.2,0.2,-2,0.1,0.1,0\n"
+    )
+    (tmp_path / "px.csv").write_text("date,value\n\n2001-01-01,1\n2001-01-02,0\n2001-01-03,2\n")
+
+    def fields(x):
+        if isinstance(x, Panel):
+            return x.dates.tolist(), x.assets, x.values.tobytes()
+        return x.rows if hasattr(x, "rows") else (x.dates.tolist(), x.values.tobytes())
+
+    for name, read in (("s.csv", read_series), ("p.csv", read_panel), ("cs.csv", read_cross_section)):
+        bom = tmp_path / f"bom_{name}"
+        bom.write_bytes(b"\xef\xbb\xbf" + (tmp_path / name).read_bytes())
+        assert fields(read(str(bom))) == fields(read(str(tmp_path / name))), name
+    (tmp_path / "bom_px.csv").write_bytes(b"\xef\xbb\xbf" + (tmp_path / "px.csv").read_bytes())
+    with pytest.raises(CsvFormatError, match="zero price") as exc:
+        read_series(str(tmp_path / "bom_px.csv"), kind="price")
+    assert exc.value.line == 4
+
+
 def test_price_zero_cites_scanned_line(tmp_path):
     path = tmp_path / "px.csv"
     path.write_text("date,value\n\n2001-01-01,0\n2001-01-02,1\n2001-01-03,2\n")
@@ -249,6 +275,16 @@ def test_cli_rankplot(tmp_path):
     assert (tmp_path / "s_ranked_pnl.csv").exists()
 
 
+def test_cli_rankplot_takes_no_period(tmp_path):
+    """No curve value is annualized, so rankplot has no --period to ignore."""
+    src = tmp_path / "s.csv"
+    write_series(src, daily(np.random.default_rng(1).standard_normal(40) * 0.01, label="s"))
+    with pytest.raises(SystemExit) as exc:
+        run_cli("rankplot", str(src), "--seed", "2", "--period", "monthly", "--out-dir", str(tmp_path / "out"))
+    assert exc.value.code == 2
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_synth_ast_and_edgeworth(tmp_path):
     out = tmp_path / "a.csv"
     assert run_cli(
@@ -285,6 +321,28 @@ def test_cli_synth_usage_error(tmp_path):
             run_cli("synth", *argv, "--n", "10", "--seed", "1", "--out", str(tmp_path / "x.csv"))
         assert exc.value.code == 2
         assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ast", "--nu-plus", "5", "--nu-minus", "3.5", "--kurt", "2"],
+        ["ast", "--nu-plus", "5", "--nu-minus", "3.5", "--zeta3", "0.1"],
+        ["edgeworth", "--zeta3", "0.1", "--nu-plus", "5"],
+        ["gaussian", "--zeta3", "0.3"],
+        ["gaussian", "--nu-minus", "3.5"],
+        ["gaussian", "--kurt", "0"],
+    ],
+    ids=lambda argv: argv[0] + argv[-2][1:],
+)
+def test_cli_synth_refuses_another_familys_flag(tmp_path, capsys, argv):
+    """Each family takes only its own flags: one of another family is a usage error, not ignored."""
+    out = tmp_path / "x.csv"
+    with pytest.raises(SystemExit) as exc:
+        run_cli("synth", *argv, "--n", "10", "--seed", "1", "--out", str(out))
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {argv[-2]} {argv[-1]}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("n", ["0", "1"])
@@ -365,10 +423,11 @@ def test_cli_carry_rejects_non_positive_spot(tmp_path, capsys):
     assert not (tmp_path / "carry_returns.csv").exists()
 
 
-@pytest.mark.parametrize("label", ["US,D", 'say "x"', "a\rb", "a\nb"])
+# the readers strip padding and refuse an empty label, so those would not read back as themselves
+@pytest.mark.parametrize("label", ["US,D", 'say "x"', "a\rb", "a\nb", "", " a", "b ", "\tc", "d\u00a0"])
 def test_write_panel_rejects_labels_the_dialect_cannot_hold(tmp_path, label):
     panel = Panel(dates=np.datetime64("2001-01-01", "D") + np.arange(2), assets=["a", label], values=np.ones((2, 2)))
-    with pytest.raises(IOWrite, match="label"):
+    with pytest.raises(IOWrite, match=r"cannot write .*p\.csv: (asset )?label"):
         write_panel(tmp_path / "p.csv", panel)
     assert not (tmp_path / "p.csv").exists()
 
@@ -641,6 +700,50 @@ def test_cli_report_curves_equal_rankplot_curves(tmp_path):
         assert (tmp_path / "report" / curve).read_bytes() == (tmp_path / "plot" / curve).read_bytes()
 
 
+def test_cli_period_monthly_scales_only_the_sharpe_side(tmp_path):
+    """--period monthly scales every Sharpe-side number by sqrt(12/252); the zeta* side keeps its bytes."""
+    rng = np.random.default_rng(23)
+    series = []
+    for i in range(3):
+        write_series(tmp_path / f"s{i}.csv", daily(rng.standard_t(4, 60) * 0.01 + 0.002 * i, label=f"s{i}"))
+        series += ["--series", str(tmp_path / f"s{i}.csv")]
+    out = {}
+    for period in ("daily", "monthly"):
+        d = tmp_path / period
+        common = ["--seed", "3", "--bootstrap", "30", "--period", period]
+        assert run_cli("analyze", str(tmp_path / "s0.csv"), *common, "--out-dir", str(d / "analyze")) == 0
+        assert run_cli("report", *series, *common, "--out-dir", str(d / "report")) == 0
+        out[period] = {
+            "analyze": json.loads((d / "analyze" / "s0_skew_report.json").read_text()),
+            "report": json.loads((d / "report" / "report.json").read_text()),
+            "scatter": [line.split(",") for line in (d / "report" / "scatter.csv").read_text().splitlines()],
+            "curves": [(d / "report" / f"s{i}_ranked_pnl.csv").read_bytes() for i in range(3)],
+        }
+    daily_, monthly_ = out["daily"], out["monthly"]
+    k = np.sqrt(12 / 252)
+
+    def scaled(m, d):
+        assert abs(m / (k * d) - 1.0) <= 1e-12, (m, d)
+
+    for d, m in zip([daily_["analyze"], *daily_["report"]["skew_reports"]],
+                    [monthly_["analyze"], *monthly_["report"]["skew_reports"]]):
+        scaled(m.pop("err_sharpe"), d.pop("err_sharpe"))
+        assert m == d
+    d_reg, m_reg = daily_["report"]["regression"], monthly_["report"]["regression"]
+    for key in ("slope", "intercept", "channel_halfwidth"):
+        scaled(m_reg[key], d_reg[key])
+    for key in ("corr_skew_sr", "corr_vol_sr"):
+        assert abs(m_reg[key] / d_reg[key] - 1.0) <= 1e-12
+    assert m_reg["classifications"] == d_reg["classifications"]
+    assert monthly_["report"]["provenance"] == daily_["report"]["provenance"]
+    assert daily_["scatter"][0] == monthly_["scatter"][0] == "name,neg_zeta_star,sharpe,err_x,err_y,class".split(",")
+    for d, m in zip(daily_["scatter"][1:], monthly_["scatter"][1:]):
+        scaled(float(m[2]), float(d[2]))
+        scaled(float(m[4]), float(d[4]))
+        assert [m[0], m[1], m[3], m[5]] == [d[0], d[1], d[3], d[5]]
+    assert monthly_["curves"] == daily_["curves"]
+
+
 def test_cli_report_check_error_wins_over_later_read_error(tmp_path, capsys):
     short = tmp_path / "s1.csv"
     write_series(short, daily(np.random.default_rng(2).standard_normal(20) * 0.01, label="s1"))
@@ -794,11 +897,14 @@ def test_cli_report_rejects_repeated_stems(tmp_path):
 
 
 def test_every_flag_is_documented():
-    parser = build_parser()
-    for action in parser._subparsers._group_actions:
-        for name, sub in action.choices.items():
-            for act in sub._actions:
-                assert act.help, f"undocumented flag {act.option_strings or act.dest} in {name}"
+    """Every flag of every command, and of every `synth` family, has help."""
+    parsers = [item for action in build_parser()._subparsers._group_actions for item in action.choices.items()]
+    while parsers:
+        name, sub = parsers.pop()
+        for act in sub._actions:
+            assert act.help, f"undocumented flag {act.option_strings or act.dest} in {name}"
+            if isinstance(act, argparse._SubParsersAction):
+                parsers += [(f"{name} {family}", p) for family, p in act.choices.items()]
 
 
 def test_cli_import_loads_no_scipy():
