@@ -77,13 +77,17 @@ def build_parser() -> argparse.ArgumentParser:
     draw.add_argument("--n", type=int, required=True, help="number of samples")
     draw.add_argument("--seed", type=_seed, required=True, help="sampler seed")
     draw.add_argument("--out", required=True, help="output CSV path")
+    # each family supplies its sampler, as each command supplies its run
     f = families.add_parser("ast", parents=[draw], help="asymmetric Student-t with tail exponents nu+ and nu-")
+    f.set_defaults(sample=lambda a: ast_sample(a.n, AsymmetricStudentT(nu_plus=a.nu_plus, nu_minus=a.nu_minus), a.seed))
     f.add_argument("--nu-plus", type=float, required=True, help="right tail exponent")
     f.add_argument("--nu-minus", type=float, required=True, help="left tail exponent")
     f = families.add_parser("edgeworth", parents=[draw], help="Hermite-corrected Gaussian")
+    f.set_defaults(sample=lambda a: edgeworth_sample(a.n, a.zeta3, a.kurt, a.seed))
     f.add_argument("--zeta3", type=float, required=True, help="target skewness")
     f.add_argument("--kurt", type=float, default=0.0, help="target excess kurtosis")
-    families.add_parser("gaussian", parents=[draw], help="standard normal")
+    f = families.add_parser("gaussian", parents=[draw], help="standard normal")
+    f.set_defaults(sample=lambda a: gaussian_sample(a.n, a.seed))
 
     p = sub.add_parser("fig10", help="quadrature sweep of zeta3 and zeta* over right-tail exponents")
     p.set_defaults(run=_cmd_fig10)
@@ -115,7 +119,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("report", help="batch: analyze several series and bundle one JSON report",
                        parents=[period, bootstrap, out_dir])
-    p.set_defaults(run=_cmd_report)
+    # no --kind: every series is read as returns
+    p.set_defaults(run=_cmd_report, kind="return")
     p.add_argument("--series", action="append", required=True, help="series CSV, repeatable")
     p.add_argument("--seed", type=_seed, required=True, help="seed for bootstraps and symmetrized curves")
     return parser
@@ -155,23 +160,16 @@ def _stem(path: str) -> str:
     return os.path.splitext(os.path.basename(path))[0]
 
 
-def _write_curve(path: str, kind: str, args, out: _Outputs, p_texts: dict[int, list[str]]) -> ReturnSeries:
-    """Read one series and write its {stem}_ranked_pnl.csv.
-
-    `p_texts` maps each length the command has written a curve of to the text
-    of its p column: empty after the first curve, so a length written once
-    keeps no whole column; filled by the second curve and reused by later ones.
-    """
-    series = rio.read_series(path, kind=kind, period=args.period)
+def _write_curve(path: str, args, out: _Outputs, p_texts: dict[int, list[str]] | None = None) -> ReturnSeries:
+    """Read one series and write its {stem}_ranked_pnl.csv."""
+    series = rio.read_series(path, kind=args.kind, period=args.period)
     curve = ranked_pnl(series, "raw")
     sym = ranked_pnl(symmetrize(series, args.seed))
-    p_text = p_texts.get(len(series))
-    p_texts.setdefault(len(series), [])
-    rio.write_curve_csv(out.add(f"{_stem(path)}_ranked_pnl.csv"), curve, sym, p_text=p_text)
+    rio.write_curve_csv(out.add(f"{_stem(path)}_ranked_pnl.csv"), curve, sym, p_texts=p_texts)
     return series
 
 
-def _skew_reports(paths: list[str], kind: str, args, out: _Outputs, step) -> tuple[list, list]:
+def _skew_reports(paths: list[str], args, out: _Outputs, step) -> tuple[list, list]:
     """Skew reports of the series at `paths`, and `step` of each series.
 
     One series at a time: read it and write its curve, let `skew_reports` check
@@ -183,7 +181,7 @@ def _skew_reports(paths: list[str], kind: str, args, out: _Outputs, step) -> tup
 
     def each_series():
         for path in paths:
-            series = _write_curve(path, kind, args, out, p_texts)
+            series = _write_curve(path, args, out, p_texts)
             yield series
             steps.append(step(series))
 
@@ -196,22 +194,16 @@ def _cmd_analyze(args, parser: argparse.ArgumentParser, out: _Outputs) -> None:
             return {}
         return {"coskew": co_skewness(series, rio.read_series(args.benchmark, kind=args.kind, period=args.period))}
 
-    (report,), (coskew,) = _skew_reports([args.input], args.kind, args, out, coskew_of)
+    (report,), (coskew,) = _skew_reports([args.input], args, out, coskew_of)
     rio.write_json(out.add(f"{_stem(args.input)}_skew_report.json"), {**report.as_dict(), **coskew})
 
 
 def _cmd_rankplot(args, parser: argparse.ArgumentParser, out: _Outputs) -> None:
-    _write_curve(args.input, args.kind, args, out, {})
+    _write_curve(args.input, args, out)
 
 
 def _cmd_synth(args, parser: argparse.ArgumentParser, out: _Outputs) -> None:
-    if args.dist == "ast":
-        series = ast_sample(args.n, AsymmetricStudentT(nu_plus=args.nu_plus, nu_minus=args.nu_minus), args.seed)
-    elif args.dist == "edgeworth":
-        series = edgeworth_sample(args.n, args.zeta3, args.kurt, args.seed)
-    else:
-        series = gaussian_sample(args.n, args.seed)
-    rio.write_series(out.add(args.out), series)
+    rio.write_series(out.add(args.out), args.sample(args))
 
 
 def _cmd_fig10(args, parser: argparse.ArgumentParser, out: _Outputs) -> None:
@@ -259,7 +251,7 @@ def _cmd_report(args, parser: argparse.ArgumentParser, out: _Outputs) -> None:
     for stem in stems:
         if stems.count(stem) > 1:
             parser.error(f"--series files need distinct names: {stem!r} repeats")
-    reports, stats = _skew_reports(args.series, "return", args, out, perf_stats)
+    reports, stats = _skew_reports(args.series, args, out, perf_stats)
     rows = [
         CrossSectionRow(
             name=rep.label,

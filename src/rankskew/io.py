@@ -31,7 +31,7 @@ from typing import Iterable, Iterator, TextIO
 import numpy as np
 
 from .analysis import CrossSection, CrossSectionRow, RegressionResult
-from .errors import CsvFormatError, InvalidParams, IOWrite
+from .errors import CsvFormatError, InvalidParams, IOWrite, TooShort
 from .portfolio import Panel
 from .series import Period, ReturnSeries
 from .skew import RankedPnlCurve
@@ -319,12 +319,14 @@ def read_series(path: str, kind: str = "return", period: Period = "daily") -> Re
     """Load a date,value CSV as a return series labelled with the file's stem.
 
     kind "price" converts prices to arithmetic returns p_t/p_{t-1} - 1;
-    "return" is passthrough.
+    "return" is passthrough. A file with too few rows for 2 returns is TooShort.
     """
     if kind not in ("return", "price"):
         raise InvalidParams(f"unknown kind {kind!r}, expected 'return' or 'price'")
     with _utf8(path):
         d, v = _parse_series(path) or _scan_series(path)
+    if v.size < (need := 3 if kind == "price" else 2):
+        raise TooShort(f"{path}: need at least {need} rows of {kind}s, got {v.size}")
     name = os.path.splitext(os.path.basename(path))[0]
     if kind == "price":
         if np.any(v[:-1] == 0.0):
@@ -408,24 +410,23 @@ def write_scatter_csv(path: str, cs: CrossSection, result: RegressionResult) -> 
 
 
 def write_curve_csv(
-    path: str, curve: RankedPnlCurve, symmetrized: RankedPnlCurve, *, p_text: list[str] | None = None
+    path: str, curve: RankedPnlCurve, symmetrized: RankedPnlCurve, *, p_texts: dict[int, list[str]] | None = None
 ) -> None:
     """Ranked-P&L plot data: columns p, F and the symmetrized twin's F_sym.
 
-    Without `p_text` every column is formatted a block of rows at a time and
-    no whole column of text is held. `p_text` is the text of p = k/N, which
-    curves of one length share: an empty list is filled with it, and a
-    filled one is written as it is.
+    Every column is formatted a block of rows at a time and no whole column
+    of text is held, unless `p_texts`, one dict for the curves of a command,
+    has seen a curve of this length: the text of p = k/N, which curves of one
+    length share, is kept there by the second curve and reused by later ones.
     """
-    if symmetrized.p.size != curve.p.size:
+    n = curve.p.size
+    if symmetrized.p.size != n:
         raise IOWrite("curve and symmetrized curve differ in length")
     p, f, f_sym = (np.asarray(x, dtype=np.float64) for x in (curve.p, curve.f, symmetrized.f))
-    if p_text is not None:
-        if not p_text:
-            p_text += _fields(p)
-        if len(p_text) != p.size:
-            raise IOWrite("curve and p text differ in length")
-        p = p_text
+    if p_texts is not None and n not in p_texts:
+        p_texts[n] = []
+    elif p_texts is not None:
+        p = p_texts[n] = p_texts[n] or _fields(p)
     _write_csv(path, _CURVE_HEADER, p, f, f_sym)
 
 

@@ -193,7 +193,8 @@ def co_skewness(s: ReturnSeries, benchmark: ReturnSeries) -> float:
     sr = float(np.std(r))
     sb = float(np.std(b))
     if sr == 0.0 or sb == 0.0:
-        raise ZeroVariance("degenerate leg in co-skewness")
+        leg, other = (s, benchmark) if sr == 0.0 else (benchmark, s)
+        raise ZeroVariance(f"co-skewness: {leg.label} is constant on the {common.size} dates it shares with {other.label}")
     return float(np.mean(r * b * b) / (sr * sb * sb))
 
 

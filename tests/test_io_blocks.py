@@ -181,6 +181,7 @@ def test_read_series_agrees_with_scanner(tmp_path_factory, text, block):
 @example(text="date,asset,value\n2001-01-01,,0.5\n", block=1 << 16)
 @example(text="date,asset,value\n+002001-01,a,0.5\n", block=1 << 16)
 @example(text="date,asset,value\n0001-01-01,a,0.5\n+001-01-01,b,0.5\n", block=1 << 16)
+@example(text="date,asset,value\n2001-01-01,a,abc\n", block=1 << 16)
 @settings(max_examples=300, deadline=None)
 def test_read_panel_agrees_with_scanner(tmp_path_factory, text, block):
     _compare(tmp_path_factory, text, block, read_panel, _scanned_panel)
@@ -264,12 +265,17 @@ def test_writers_match_row_writers_byte_for_byte(tmp_path, offset):
     curve = RankedPnlCurve(p=p, f=np.cumsum(_floats(rng, n)), variant="raw")
     twin = RankedPnlCurve(p=p, f=_floats(rng, n), variant="symmetrized")
     _same_bytes(tmp_path, rio.write_curve_csv, write_curve_csv_by_row, curve, twin)
-    # the text of p shared by curves of one length: filled by the first write, reused by the second
-    p_text: list[str] = []
-    for _ in range(2):
-        rio.write_curve_csv(tmp_path / "shared.csv", curve, twin, p_text=p_text)
+    # the text of p shared by curves of one length: none kept by the first write, kept by the second, reused by the third
+    p_texts: dict[int, list[str]] = {}
+    for k in range(3):
+        rio.write_curve_csv(tmp_path / "shared.csv", curve, twin, p_texts=p_texts)
         assert (tmp_path / "shared.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
-    assert len(p_text) == n
+        if k == 0:
+            assert p_texts == {n: []}
+        elif k == 1:
+            kept = p_texts[n]
+            assert len(kept) == n
+    assert p_texts == {n: kept} and p_texts[n] is kept
 
     # n cells in all, a third of the grid missing
     values = _floats(rng, 3 * (n // 2)).reshape(-1, 3)

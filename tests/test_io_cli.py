@@ -3,6 +3,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -16,6 +17,7 @@ from rankskew import (
     IOWrite,
     Panel,
     RankedPnlCurve,
+    TooShort,
     read_cross_section,
     read_panel,
     read_series,
@@ -370,11 +372,12 @@ def test_cli_synth_needs_two_points(tmp_path, capsys, family, n):
 )
 def test_cli_negative_seed_is_usage_error(tmp_path, capsys, argv):
     write_series(tmp_path / "x.csv", daily(np.random.default_rng(8).standard_normal(60) * 0.01, label="x"))
-    with pytest.raises(SystemExit) as exc:
-        run_cli(*(a.replace("{d}", str(tmp_path)) for a in argv), "--seed", "-1")
-    assert exc.value.code == 2
-    assert "argument --seed: expected a non-negative integer, got '-1'" in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
+    for seed in ("-1", "abc"):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*(a.replace("{d}", str(tmp_path)) for a in argv), "--seed", seed)
+        assert exc.value.code == 2
+        assert f"argument --seed: expected a non-negative integer, got '{seed}'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 def test_cli_unknown_flag_is_usage_error(tmp_path):
@@ -576,8 +579,6 @@ def test_write_curve_csv_refuses_curves_of_different_lengths(tmp_path):
     path = tmp_path / "c.csv"
     with pytest.raises(IOWrite, match="curve and symmetrized curve differ in length"):
         write_curve_csv(str(path), curve, sym)
-    with pytest.raises(IOWrite, match="curve and p text differ in length"):
-        write_curve_csv(str(path), curve, curve, p_text=["0.5"])
     assert not path.exists()
 
 
@@ -842,6 +843,41 @@ def test_cli_analyze_checks_benchmark_overlap_before_bootstrap(tmp_path, capsys,
     argv = ["analyze", str(tmp_path / "x.csv"), "--benchmark", str(tmp_path / "b.csv"), "--seed", "1"]
     assert run_cli(*argv, "--out-dir", str(out)) == 1
     assert capsys.readouterr().err == "rankskew: error: x vs b: 10 overlapping dates, need 12\n"
+    assert not out.exists()
+
+
+def test_co_skewness_names_the_constant_leg(tmp_path, capsys):
+    """The benchmark varies before the input starts and is constant on the 60 dates they share."""
+    rng = np.random.default_rng(6)
+    x = daily(rng.standard_normal(60) * 0.01, label="x", start="2001-03-01")
+    b = daily(np.r_[rng.standard_normal(59) * 0.01, np.full(60, 0.002)], label="b")
+    write_series(tmp_path / "x.csv", x)
+    write_series(tmp_path / "b.csv", b)
+    out = tmp_path / "out"
+    argv = ["analyze", str(tmp_path / "x.csv"), "--benchmark", str(tmp_path / "b.csv"), "--seed", "1"]
+    assert run_cli(*argv, "--bootstrap", "10", "--out-dir", str(out)) == 1
+    assert capsys.readouterr().err == "rankskew: error: co-skewness: b is constant on the 60 dates it shares with x\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "text, kind, message",
+    [
+        ("date,value\n", "return", "need at least 2 rows of returns, got 0"),
+        ("date,value\r\n2001-01-01,0.1\r\n", "return", "need at least 2 rows of returns, got 1"),
+        ("date,value\n2001-01-01,100\n", "price", "need at least 3 rows of prices, got 1"),
+        ("date,value\n2001-01-01,100\n2001-01-02,101\n", "price", "need at least 3 rows of prices, got 2"),
+    ],
+    ids=["header-only", "one-return-crlf", "one-price", "two-prices"],
+)
+def test_too_short_series_names_the_file(tmp_path, capsys, text, kind, message):
+    path = tmp_path / "h.csv"
+    path.write_bytes(text.encode())
+    with pytest.raises(TooShort, match=f"^{re.escape(str(path))}: {message}$"):
+        read_series(str(path), kind=kind)
+    out = tmp_path / "out"
+    assert run_cli("rankplot", str(path), "--kind", kind, "--seed", "1", "--out-dir", str(out)) == 1
+    assert capsys.readouterr().err == f"rankskew: error: {path}: {message}\n"
     assert not out.exists()
 
 

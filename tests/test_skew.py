@@ -308,10 +308,10 @@ def test_co_skewness_requires_overlap():
 
 
 def test_co_skewness_rejects_constant_leg():
-    varied = daily(np.random.default_rng(3).standard_normal(20) * 0.01)
-    constant = daily([0.01] * 20)
+    varied = daily(np.random.default_rng(3).standard_normal(20) * 0.01, label="v")
+    constant = daily([0.01] * 20, label="c")
     for r, b in ((varied, constant), (constant, varied)):
-        with pytest.raises(ZeroVariance, match="degenerate leg in co-skewness"):
+        with pytest.raises(ZeroVariance, match="^co-skewness: c is constant on the 20 dates it shares with v$"):
             co_skewness(r, b)
 
 
