@@ -13,7 +13,9 @@ time: the exact header, ASCII without quotes or whitespace other than
 '\\n', and the header's field count on every line. Any other file, and
 any file with a bad row, is read again by the row scanner, which also
 takes csv-module quoting, CRLF, blank lines, padded tokens and extra
-columns, and names the file and line of the first bad row. Every CSV is
+columns, and names the file and line of the first bad row. Both panel
+readers end in one grid builder, _grid, so the column parser itself reads
+a day spelled two ways ('0001-01-01', '+001-01-01') as one. Every CSV is
 UTF-8, read past a byte-order mark if it starts with one and written
 without; a file that is not UTF-8 names the first line that fails to decode.
 """
@@ -181,26 +183,25 @@ def _scan_series(path: str) -> tuple[np.ndarray, np.ndarray]:
 
 def _scan_panel(path: str) -> tuple[np.ndarray, list[str], np.ndarray]:
     """(dates, assets, values grid) of any date,asset,value file, row by row."""
-    cells: dict[tuple[np.datetime64, str], float] = {}
-    assets: dict[str, None] = {}
+    days: list[np.datetime64] = []
+    assets: dict[str, int] = {}
+    cols: list[int] = []
+    values: list[float] = []
+    seen: set[tuple[np.datetime64, str]] = set()
     for line, row in _scan(path, _PANEL_HEADER):
         d = _parse_date(row[0], path, line)
         a = row[1].strip()
         if not a:
             raise CsvFormatError(path, line, "empty asset label")
-        if (d, a) in cells:
+        if (d, a) in seen:
             raise CsvFormatError(path, line, f"duplicate cell {a}@{d}")
-        cells[d, a] = _parse_float(row[2], path, line)
-        assets.setdefault(a)
-    if not cells:
+        seen.add((d, a))
+        values.append(_parse_float(row[2], path, line))
+        days.append(d)
+        cols.append(assets.setdefault(a, len(assets)))
+    if not days:
         raise CsvFormatError(path, 1, "no data rows")
-    dates = np.array(sorted({d for d, _ in cells}), dtype="datetime64[D]")
-    values = np.full((dates.size, len(assets)), np.nan)
-    col = {a: i for i, a in enumerate(assets)}
-    pos = {d: i for i, d in enumerate(dates.tolist())}
-    for (d, a), v in cells.items():
-        values[pos[d.tolist()], col[a]] = v
-    return dates, list(assets), values
+    return _grid(np.array(days, dtype="datetime64[D]"), list(assets), np.array(cols), np.array(values))
 
 
 # ---------------------------------------------------------------------------
@@ -208,25 +209,31 @@ def _scan_panel(path: str) -> tuple[np.ndarray, list[str], np.ndarray]:
 # ---------------------------------------------------------------------------
 
 
-def _column_blocks(fh, ncol: int) -> Iterator[list[list[str]] | None]:
-    """Yield the rest of `fh` in blocks of about _BLOCK_CHARS characters,
-    each as `ncol` lists of column tokens. Yield None and stop at the first
-    block outside the canonical dialect, or with a line the csv module would
+def _column_blocks(path: str, header: str) -> Iterator[list[list[str]] | None]:
+    """Yield the rows of `path` after the exact `header` line in blocks of
+    about _BLOCK_CHARS characters, each as a list of column tokens per field
+    of `header`. Yield None and stop at another header, at the first block
+    outside the canonical dialect, or with a line the csv module would
     refuse as too long."""
-    while lines := fh.readlines(_BLOCK_CHARS):
-        text = "".join(lines)
-        if (
-            not text.isascii()
-            or text.encode("ascii").translate(None, _CANONICAL)
-            or len(text) > csv.field_size_limit()
-            or set(map(str.count, lines, repeat(","))) != {ncol - 1}
-        ):
+    ncol = header.count(",") + 1
+    with _open_text(path) as fh:
+        if fh.readline() != header + "\n":
             yield None
             return
-        tokens = text.replace("\n", ",").split(",")
-        if text.endswith("\n"):
-            tokens.pop()
-        yield [tokens[j::ncol] for j in range(ncol)]
+        while lines := fh.readlines(_BLOCK_CHARS):
+            text = "".join(lines)
+            if (
+                not text.isascii()
+                or text.encode("ascii").translate(None, _CANONICAL)
+                or len(text) > csv.field_size_limit()
+                or set(map(str.count, lines, repeat(","))) != {ncol - 1}
+            ):
+                yield None
+                return
+            tokens = text.replace("\n", ",").split(",")
+            if text.endswith("\n"):
+                tokens.pop()
+            yield [tokens[j::ncol] for j in range(ncol)]
 
 
 def _iso_days(tokens: list[str]) -> np.ndarray:
@@ -238,28 +245,31 @@ def _iso_days(tokens: list[str]) -> np.ndarray:
     return np.array(tokens, dtype="datetime64[D]")
 
 
-def _codes(code: dict[str, int], tokens: list[str]) -> np.ndarray:
-    """Integer code of each token; a new token gets the next code."""
-    for t in dict.fromkeys(tokens):
-        code.setdefault(t, len(code))
-    return np.array(list(map(code.__getitem__, tokens)), dtype=np.int64)
+def _grid(days: np.ndarray, assets: list[str], col: np.ndarray, values: np.ndarray) -> tuple | None:
+    """(dates, assets, grid) with values[i] at (days[i], assets[col[i]]), a row per distinct day; None on a repeat."""
+    dates = np.sort(days)
+    dates = dates[np.append(True, dates[1:] != dates[:-1])]  # np.unique(days) would import numpy.ma
+    row = dates.searchsorted(days)
+    del days
+    if np.bincount(row * len(assets) + col).max() > 1:
+        return None
+    grid = np.full((dates.size, len(assets)), np.nan)
+    grid[row, col] = values
+    return dates, assets, grid
 
 
 def _parse_series(path: str) -> tuple[np.ndarray, np.ndarray] | None:
     """(dates, values) of a canonical date,value file; None for any other file."""
     dates = [np.empty(0, dtype="datetime64[D]")]
     values = [np.empty(0)]
-    with _open_text(path) as fh:
-        if fh.readline() != _SERIES_HEADER + "\n":
+    for block in _column_blocks(path, _SERIES_HEADER):
+        if block is None:
             return None
-        for block in _column_blocks(fh, 2):
-            if block is None:
-                return None
-            try:
-                dates.append(_iso_days(block[0]))
-                values.append(np.fromiter(map(float, block[1]), np.float64, len(block[1])))
-            except ValueError:
-                return None
+        try:
+            dates.append(_iso_days(block[0]))
+            values.append(np.fromiter(map(float, block[1]), np.float64, len(block[1])))
+        except ValueError:
+            return None
     d = np.concatenate(dates)
     del dates
     v = np.concatenate(values)
@@ -271,43 +281,26 @@ def _parse_series(path: str) -> tuple[np.ndarray, np.ndarray] | None:
 
 def _parse_panel(path: str) -> tuple[np.ndarray, list[str], np.ndarray] | None:
     """(dates, assets, values grid) of a canonical date,asset,value file;
-    None for any other file."""
-    date_code: dict[str, int] = {}
+    None for any other file, and for one with a repeated cell or a
+    non-finite value, whose line the scanner names."""
     asset_code: dict[str, int] = {}
-    rows, cols, values = [], [], []
-    with _open_text(path) as fh:
-        if fh.readline() != _PANEL_HEADER + "\n":
+    days, cols, values = [], [], []
+    for block in _column_blocks(path, _PANEL_HEADER):
+        if block is None:
             return None
-        for block in _column_blocks(fh, 3):
-            if block is None:
-                return None
-            try:
-                values.append(np.fromiter(map(float, block[2]), np.float64, len(block[2])))
-            except ValueError:
-                return None
-            rows.append(_codes(date_code, block[0]))
-            cols.append(_codes(asset_code, block[1]))
-    if not date_code or "" in asset_code:
+        try:
+            days.append(_iso_days(block[0]))
+            values.append(np.fromiter(map(float, block[2]), np.float64, len(block[2])))
+        except ValueError:
+            return None
+        for a in dict.fromkeys(block[1]):  # a new asset gets the next column
+            asset_code.setdefault(a, len(asset_code))
+        cols.append(np.array(list(map(asset_code.__getitem__, block[1])), dtype=np.int64))
+    if not days or "" in asset_code or not all(np.isfinite(v).all() for v in values):
         return None
-    try:
-        days = _iso_days(list(date_code))
-    except ValueError:
-        return None
-    order = np.argsort(days)
-    dates = days[order]
-    row, col, value = np.concatenate(rows), np.concatenate(cols), np.concatenate(values)
-    # two spellings of one day, a repeated cell or a non-finite value: the scanner says where
-    if (
-        (np.diff(dates.astype(np.int64)) == 0).any()
-        or np.bincount(row * len(asset_code) + col).max() > 1
-        or not np.isfinite(value).all()
-    ):
-        return None
-    rank = np.empty_like(order)
-    rank[order] = np.arange(order.size)
-    grid = np.full((dates.size, len(asset_code)), np.nan)
-    grid[rank[row], col] = value
-    return dates, list(asset_code), grid
+    col, value = np.concatenate(cols), np.concatenate(values)
+    del cols, values
+    return _grid(np.concatenate(days), list(asset_code), col, value)
 
 
 # ---------------------------------------------------------------------------
@@ -376,23 +369,25 @@ _FALSY = {"0", "false", "no"}
 
 
 def read_cross_section(path: str) -> CrossSection:
+    """Load a cross-section; an empty or repeated name and a negative error bar name their line."""
     rows: list[CrossSectionRow] = []
+    names: set[str] = set()
     with _utf8(path):
         for line_no, row in _scan(path, _CS_HEADER):
+            name = row[0].strip()
+            if not name:
+                raise CsvFormatError(path, line_no, "empty strategy name")
+            if name in names:
+                raise CsvFormatError(path, line_no, f"duplicate strategy name {name}")
+            names.add(name)
             flag = row[6].strip().lower()
             if flag not in _TRUTHY | _FALSY:
                 raise CsvFormatError(path, line_no, f"bad fit flag {row[6]!r}")
-            rows.append(
-                CrossSectionRow(
-                    name=row[0].strip(),
-                    sharpe=_parse_float(row[1], path, line_no, "sharpe"),
-                    ann_vol=_parse_float(row[2], path, line_no, "vol"),
-                    zeta_star=_parse_float(row[3], path, line_no, "zeta_star"),
-                    err_sharpe=_parse_float(row[4], path, line_no, "err_sharpe"),
-                    err_zeta_star=_parse_float(row[5], path, line_no, "err_zeta_star"),
-                    included_in_fit=flag in _TRUTHY,
-                )
-            )
+            # sharpe, vol, zeta_star, err_sharpe, err_zeta_star: each named as in the header
+            x = [_parse_float(t, path, line_no, what) for t, what in zip(row[1:6], _CS_HEADER.split(",")[1:6])]
+            if min(x[3:]) < 0:
+                raise CsvFormatError(path, line_no, f"negative error bar for {name}")
+            rows.append(CrossSectionRow(name, *x, included_in_fit=flag in _TRUTHY))
     return CrossSection(rows=rows)
 
 

@@ -92,11 +92,12 @@ def rank_buckets(
     """
     if n_buckets < 1:
         raise InvalidParams("need at least one bucket")
-    common_assets = [a for a in returns.assets if a in set(signal.assets)]
+    s_col = {a: j for j, a in enumerate(signal.assets)}
+    r_cols = np.array([i for i, a in enumerate(returns.assets) if a in s_col])
+    common_assets = [returns.assets[i] for i in r_cols]
     if len(common_assets) < n_buckets:
         raise TooFewAssets(f"{len(common_assets)} assets shared with the signal panel, need {n_buckets}")
-    r_cols = np.array([returns.assets.index(a) for a in common_assets])
-    s_cols = np.array([signal.assets.index(a) for a in common_assets])
+    s_cols = np.array([s_col[a] for a in common_assets])
     label_rank = np.argsort(np.argsort(np.array(common_assets)))
 
     n_dates = returns.dates.size

@@ -17,6 +17,7 @@ from scipy.integrate import quad
 
 from rankskew.analysis import _MIN_COVERAGE, CrossSection, PcaSpectrum, RegressionResult, WindowSpectrum, _pairwise_corr
 from rankskew.errors import (
+    CsvFormatError,
     InvalidParams,
     IOWrite,
     MomentDoesNotExist,
@@ -27,7 +28,7 @@ from rankskew.errors import (
     WrongPeriod,
     ZeroVariance,
 )
-from rankskew.io import _check_labels
+from rankskew.io import _PANEL_HEADER, _check_labels, _parse_date, _parse_float, _scan
 from rankskew.portfolio import Panel, _rebalance_indices
 from rankskew.series import (
     ABS_VOL_UNBIAS,
@@ -304,6 +305,31 @@ def write_decile_csv_by_row(path: str, table) -> None:
         fh.write("bucket,vol_pct,zeta_star,sharpe\n")
         for r in table.rows:
             fh.write(f"{r.bucket},{_fmt(r.vol_pct)},{_fmt(r.zeta_star)},{_fmt(r.sharpe)}\n")
+
+
+def scan_panel_by_cells(path: str) -> tuple[np.ndarray, list[str], np.ndarray]:
+    """(dates, assets, values grid) of any date,asset,value file, row by row:
+    the row scanner that filled its grid from a dict of cells."""
+    cells: dict[tuple[np.datetime64, str], float] = {}
+    assets: dict[str, None] = {}
+    for line, row in _scan(path, _PANEL_HEADER):
+        d = _parse_date(row[0], path, line)
+        a = row[1].strip()
+        if not a:
+            raise CsvFormatError(path, line, "empty asset label")
+        if (d, a) in cells:
+            raise CsvFormatError(path, line, f"duplicate cell {a}@{d}")
+        cells[d, a] = _parse_float(row[2], path, line)
+        assets.setdefault(a)
+    if not cells:
+        raise CsvFormatError(path, 1, "no data rows")
+    dates = np.array(sorted({d for d, _ in cells}), dtype="datetime64[D]")
+    values = np.full((dates.size, len(assets)), np.nan)
+    col = {a: i for i, a in enumerate(assets)}
+    pos = {d: i for i, d in enumerate(dates.tolist())}
+    for (d, a), v in cells.items():
+        values[pos[d.tolist()], col[a]] = v
+    return dates, list(assets), values
 
 
 def rank_buckets_loop(

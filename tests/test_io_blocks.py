@@ -29,6 +29,7 @@ from rankskew import (
 from rankskew import io as rio
 from rankskew.skew import RankedPnlCurve
 from tests.oracles import (
+    scan_panel_by_cells,
     write_curve_csv_by_row,
     write_decile_csv_by_row,
     write_fig10_csv_by_row,
@@ -187,6 +188,17 @@ def test_read_panel_agrees_with_scanner(tmp_path_factory, text, block):
     _compare(tmp_path_factory, text, block, read_panel, _scanned_panel)
 
 
+@given(text=csv_texts("date,asset,value", _panel_rows, [_BAD_DATES, _BAD_ASSETS, _BAD_VALUES]))
+@example(text="date,asset,value\n0001-01-01,a,0.5\n+001-01-01,a,0.5\n")
+@example(text="date,asset,value\n2001-01-02,b,0.5\n2001-01-01,a,-0.0\n")
+@settings(max_examples=300, deadline=None)
+def test_scan_panel_agrees_with_cell_scanner(tmp_path_factory, text):
+    """The row scanner, ending in the shared grid builder, reads what the scanner that filled a dict of cells read."""
+    path = tmp_path_factory.mktemp("csv") / "in.csv"
+    path.write_bytes(text.encode())
+    assert _outcome(_scanned_panel, str(path)) == _outcome(lambda p: Panel(*scan_panel_by_cells(p)), str(path))
+
+
 def test_canonical_files_take_the_column_path(tmp_path, monkeypatch):
     """Files as the writers write them never reach the row scanner."""
     rng = np.random.default_rng(3)
@@ -210,6 +222,20 @@ def test_canonical_files_take_the_column_path(tmp_path, monkeypatch):
     assert np.array_equal(grid.values, panel.values, equal_nan=True)
 
 
+def test_one_day_spelled_two_ways_takes_the_column_path(tmp_path, monkeypatch):
+    """A canonical panel that spells one day two ways, for two assets, is one row to the column parser."""
+    path = tmp_path / "p.csv"
+    path.write_text("date,asset,value\n0001-01-03,a,2.0\n0001-01-01,a,0.5\n+001-01-01,b,-1.5\n")
+
+    def no_scanner(path):
+        raise AssertionError(f"{path} went to the row scanner")
+
+    monkeypatch.setattr(rio, "_scan_panel", no_scanner)
+    panel = read_panel(str(path))
+    assert panel.dates.astype(str).tolist() == ["0001-01-01", "0001-01-03"] and panel.assets == ["a", "b"]
+    assert np.array_equal(panel.values, [[0.5, -1.5], [2.0, np.nan]], equal_nan=True)
+
+
 def test_read_series_peak_allocation_is_bounded(tmp_path):
     """Reading 150 000 rows holds at most 4.2 float64 arrays of that length at a time (6.1 while the
     parser kept its per-block lists and checked the order on an int64 copy)."""
@@ -225,6 +251,28 @@ def test_read_series_peak_allocation_is_bounded(tmp_path):
         tracemalloc.stop()
     assert np.array_equal(back.dates, dates) and np.array_equal(back.values, series.values)
     assert peak / (8 * n) <= 4.2
+
+
+def test_read_panel_peak_allocation_is_bounded(tmp_path):
+    """Reading a panel of 49 473 cells holds at most 9.17 float64 arrays of that many cells at a time, as the
+    reader that coded the date strings and placed its rows through an inverse permutation did (one grid builder
+    holds 6.83)."""
+    rng = np.random.default_rng(9)
+    values = rng.standard_normal((1000, 55)) * 0.01
+    values[1:][rng.random((999, 55)) < 0.1] = np.nan
+    panel = Panel(dates=np.datetime64("1990-01-01", "D") + np.arange(1000), assets=[f"A{k:02d}" for k in range(55)],
+                  values=values)
+    write_panel(tmp_path / "p.csv", panel)
+    cells = int(np.isfinite(values).sum())
+    tracemalloc.start()
+    try:
+        back = read_panel(str(tmp_path / "p.csv"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert back.assets == panel.assets and np.array_equal(back.dates, panel.dates)
+    assert np.array_equal(back.values, values, equal_nan=True)
+    assert cells == 49_473 and peak / (8 * cells) <= 9.17
 
 
 # ---------------------------------------------------------------------------

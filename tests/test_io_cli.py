@@ -245,6 +245,18 @@ def test_cross_section_parsing(tmp_path):
     path.write_text("name,sharpe,vol,zeta_star,err_sharpe,err_zeta_star,fit\nmkt,0.5,0.1,-1.0,0.1,0.1,maybe\n")
     with pytest.raises(CsvFormatError):
         read_cross_section(str(path))
+    # a repeated name, an empty name and a negative error bar each name the file and the row's line
+    for rows, message in [
+        ("mkt,0.5,0.1,-1.0,0.1,0.1,1\ntrend,0.9,0.1,0.4,0.1,0.1,0\n mkt ,0.2,0.1,0.3,0.1,0.1,1\n",
+         "duplicate strategy name mkt"),
+        ("mkt,0.5,0.1,-1.0,0.1,0.1,1\ntrend,0.9,0.1,0.4,0.1,0.1,0\n ,0.2,0.1,0.3,0.1,0.1,1\n", "empty strategy name"),
+        ("mkt,0.5,0.1,-1.0,0.1,0.1,1\ntrend,0.9,0.1,0.4,0.1,0.1,0\na,0.2,0.1,0.3,0.1,-0.1,1\n",
+         "negative error bar for a"),
+    ]:
+        path.write_text("name,sharpe,vol,zeta_star,err_sharpe,err_zeta_star,fit\n" + rows)
+        with pytest.raises(CsvFormatError, match=message) as exc:
+            read_cross_section(str(path))
+        assert exc.value.line == 4 and str(path) in str(exc.value)
 
 
 # ---------------------------------------------------------------------------
