@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -135,7 +135,7 @@ class WindowSpectrum:
 @dataclass(frozen=True)
 class PcaSpectrum:
     windows: list[WindowSpectrum]
-    top_vector_stability: float | None = field(default=None)
+    top_vector_stability: float | None
 
     def as_dict(self) -> dict:
         return {
@@ -183,9 +183,10 @@ def pca_spectrum(panel: Panel, window: int = 252, step: int = 21) -> PcaSpectrum
 
     Each window keeps the strategies with at least `_MIN_COVERAGE` of its
     dates populated, builds the pairwise-complete correlation matrix and
-    reports eigenvalues (descending) and the lambda1/lambda2 separation.
-    Stability is the mean |cosine| between top eigenvectors of
-    consecutive windows, compared on their common strategies.
+    reports eigenvalues (descending: `eigh`'s ascending order reversed) and
+    the lambda1/lambda2 separation. Stability is the mean |cosine| between
+    top eigenvectors of consecutive kept windows, compared on their common
+    strategies.
     """
     if len(panel.assets) < 2:
         raise TooFewRows("need at least 2 strategies")
@@ -196,8 +197,7 @@ def pca_spectrum(panel: Panel, window: int = 252, step: int = 21) -> PcaSpectrum
         raise TooShort(f"window {window} exceeds history {n}")
     # every window's matrix first, so the checks fail in window order; then one
     # stacked eigh per matrix size, which leaves BLAS no gaps to spin in
-    kept: list[tuple[int, np.ndarray]] = []
-    mats: list[np.ndarray] = []
+    kept: list[tuple[int, np.ndarray, np.ndarray]] = []
     for start in range(0, n - window + 1, step):
         block = panel.values[start : start + window]
         coverage = np.isfinite(block).sum(axis=0) / window
@@ -210,46 +210,32 @@ def pca_spectrum(panel: Panel, window: int = 252, step: int = 21) -> PcaSpectrum
             raise SingularWindow(
                 f"{panel.assets[cols[np.argmax(constant)]]} is constant in the window ending {panel.dates[start + window - 1]}"
             )
-        kept.append((start, cols))
-        mats.append(_pairwise_corr(sub))
-    by_size: dict[int, list[int]] = {}
-    for i, corr in enumerate(mats):
-        by_size.setdefault(corr.shape[0], []).append(i)
-    eig: list = [None] * len(mats)
-    for members in by_size.values():
-        evals, evecs = np.linalg.eigh(np.stack([mats[i] for i in members]))
-        for i, ev, vec in zip(members, evals, evecs):
-            eig[i] = (ev, vec)
+        kept.append((start, cols, _pairwise_corr(sub)))
+    eig: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    for size in dict.fromkeys(cols.size for _, cols, _ in kept):
+        members = [i for i, (_, cols, _) in enumerate(kept) if cols.size == size]
+        evals, evecs = np.linalg.eigh(np.stack([kept[i][2] for i in members]))
+        eig.update(zip(members, zip(evals, evecs)))
     windows: list[WindowSpectrum] = []
-    tops: list[tuple[np.ndarray, np.ndarray]] = []
-    for (start, cols), (evals, evecs) in zip(kept, eig):
-        order = np.argsort(evals)[::-1]
-        evals = evals[order]
-        top = evecs[:, order[0]]
-        sep = float(evals[0] / evals[1]) if evals[1] > 1e-12 else None
-        names = [panel.assets[c] for c in cols]
+    cosines = []
+    for i, (start, cols, _) in enumerate(kept):
+        evals, evecs = eig[i]
+        evals, top = evals[::-1], evecs[:, -1]
         windows.append(
             WindowSpectrum(
                 end_date=panel.dates[start + window - 1],
-                assets=names,
+                assets=[panel.assets[c] for c in cols],
                 eigenvalues=[float(v) for v in evals],
-                separation=sep,
+                separation=float(evals[0] / evals[1]) if evals[1] > 1e-12 else None,
             )
         )
-        tops.append((cols, top))
-
-    stability = None
-    cosines = []
-    for (ca, va), (cb, vb) in zip(tops[:-1], tops[1:]):
-        # ascending column indices name the strategies, so common ones pair up in order
-        common, ia, ib = np.intersect1d(ca, cb, return_indices=True)
-        if common.size < 2:
-            continue
-        sa = va[ia]
-        sb = vb[ib]
-        norm = float(np.linalg.norm(sa) * np.linalg.norm(sb))
-        if norm > 0:
-            cosines.append(abs(float(np.dot(sa, sb)) / norm))
-    if cosines:
-        stability = float(np.mean(cosines))
+        if i:
+            # ascending column indices name the strategies, so common ones pair up in order
+            common, ia, ib = np.intersect1d(prev_cols, cols, return_indices=True)
+            sa, sb = prev_top[ia], top[ib]
+            norm = float(np.linalg.norm(sa) * np.linalg.norm(sb))
+            if common.size >= 2 and norm > 0:
+                cosines.append(abs(float(np.dot(sa, sb)) / norm))
+        prev_cols, prev_top = cols, top
+    stability = float(np.mean(cosines)) if cosines else None
     return PcaSpectrum(windows=windows, top_vector_stability=stability)

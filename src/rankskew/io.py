@@ -3,7 +3,8 @@
 One function, _write_csv, writes every CSV a block of rows at a time:
 each float as repr(), the shortest decimal that round-trips to the same
 float64, and '\\n' newlines, so identical inputs and seeds produce
-byte-identical artifacts. A failed write raises IOWrite naming the file.
+byte-identical artifacts. A failed write, and a NaN or infinity that no
+reader would take back, raise IOWrite naming the file.
 A column may also come as text already formatted, such as the p = k/N
 column that the curves of one length share (see write_curve_csv).
 
@@ -89,8 +90,24 @@ def _fields(block) -> list[str]:
     return block.astype(str).tolist()
 
 
+def _finite(column) -> bool:
+    """Whether every float of a column is finite. An array holds floats only if its dtype
+    is float (write_panel's object arrays are text); a list of text holds none."""
+    if isinstance(column, np.ndarray):
+        return column.dtype.kind != "f" or bool(np.isfinite(column).all())
+    if column and isinstance(column[0], str):
+        return True
+    return all(math.isfinite(x) for x in column if isinstance(x, float))
+
+
 def _write_csv(path: str, header: str, *columns) -> None:
-    """Write `header` and a row per index of the equal-length `columns`, _WRITE_ROWS rows per write."""
+    """Write `header` and a row per index of the equal-length `columns`, _WRITE_ROWS rows per write.
+
+    A NaN or infinity, which no reader takes back, is refused with IOWrite before the file is opened.
+    """
+    for name, column in zip(header.split(","), columns):
+        if not _finite(column):
+            raise IOWrite(f"cannot write {path}: non-finite value in column {name}")
     with _writing(path) as fh:
         fh.write(header + "\n")
         for i in range(0, len(columns[0]), _WRITE_ROWS):

@@ -30,14 +30,6 @@ PERIODS_PER_YEAR: dict[str, int] = {"daily": 252, "monthly": 12}
 ABS_VOL_UNBIAS = math.sqrt(math.pi / 2.0)  # E|Z| = sqrt(2/pi) for Z ~ N(0,1)
 
 
-def _as_dates(dates) -> np.ndarray:
-    return np.asarray(dates, dtype="datetime64[D]")
-
-
-def _as_values(values) -> np.ndarray:
-    return np.asarray(values, dtype=np.float64)
-
-
 def _check_seed(seed: int) -> None:
     """Refuse a seed numpy's generators cannot take, before any work."""
     if seed < 0:
@@ -69,8 +61,8 @@ class ReturnSeries:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "dates", _as_dates(self.dates))
-        object.__setattr__(self, "values", _as_values(self.values))
+        object.__setattr__(self, "dates", np.asarray(self.dates, dtype="datetime64[D]"))
+        object.__setattr__(self, "values", np.asarray(self.values, dtype=np.float64))
         if self.period not in PERIODS_PER_YEAR:
             raise WrongPeriod(f"unknown period {self.period!r}")
         if self.values.size < 2:

@@ -177,6 +177,35 @@ def test_pca_stacked_eigh_matches_per_window_calls(seed):
     assert spec.as_dict() == want.as_dict()
 
 
+@given(seed=st.integers(0, 2**32 - 1), n_cols=st.integers(3, 6), tied=st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_pca_matches_per_window_oracle_across_skips_sizes_and_ties(seed, n_cols, tied):
+    """Skipped windows between kept ones, windows of several sizes and, when `tied`,
+    windows whose two strategies have correlation 0 and so eigenvalues 1 and 1."""
+    rng = np.random.default_rng(seed)
+    window, step = 40, 10
+    x = rng.standard_normal((600, n_cols)) @ rng.standard_normal((n_cols, n_cols))
+    x[rng.random(x.shape) < 0.03] = np.nan
+    x[100:200, 1:] = np.nan  # only s0 left: the windows inside keep < 2 strategies
+    for _ in range(3):  # stretches without some strategies: smaller windows
+        start = rng.integers(200, 560)
+        gone = rng.choice(np.arange(2, n_cols), size=rng.integers(1, n_cols - 1), replace=False)
+        x[start : start + rng.integers(20, 120), gone] = np.nan
+    if tied:
+        # only s0 and s1 here, and s0 is constant on the rows where s1 has data
+        x[300:400, 2:] = np.nan
+        x[300:400, 1] = rng.standard_normal(100)
+        x[300:400:10, 1] = np.nan
+        x[300:400, 0] = np.where(np.isfinite(x[300:400, 1]), 0.5, rng.standard_normal(100))
+    panel = _panel_from_matrix(x)
+    spec = pca_spectrum(panel, window=window, step=step)
+    assert spec.as_dict() == pca_spectrum_per_window(panel, window=window, step=step).as_dict()
+    assert len(spec.windows) < (600 - window) // step + 1
+    assert len({len(w.assets) for w in spec.windows}) >= 2
+    if tied:
+        assert sum(w.eigenvalues == [1.0, 1.0] for w in spec.windows) >= 2
+
+
 @given(
     seed=st.integers(0, 2**32 - 1),
     n_rows=st.integers(20, 300),

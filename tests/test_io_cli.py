@@ -13,15 +13,18 @@ import pytest
 
 from rankskew import (
     CsvFormatError,
+    Fig10Row,
     InvalidParams,
     IOWrite,
     Panel,
     RankedPnlCurve,
     TooShort,
+    ranked_pnl,
     read_cross_section,
     read_panel,
     read_series,
     write_curve_csv,
+    write_fig10_csv,
     write_json,
     write_panel,
     write_series,
@@ -406,6 +409,12 @@ def test_cli_unknown_flag_is_usage_error(tmp_path):
         (["synth", "ast", "--nu-plus", "5", "--nu-minus", "nan", "--n", "10", "--seed", "1"], "tail exponents"),
         (["synth", "edgeworth", "--zeta3", "nan", "--n", "10", "--seed", "1"], "parameters outside"),
         (["synth", "edgeworth", "--zeta3", "0.1", "--kurt", "nan", "--n", "10", "--seed", "1"], "parameters outside"),
+        # past nu ~ 2000 the quadrature overflows: refused, not written as nan or 0 rows
+        (["fig10", "--nu-minus", "3.5", "--nu-plus-grid", "3.5,5000"], "tail exponent nu_plus = 5000.0"),
+        (["fig10", "--nu-minus", "3.5", "--nu-plus-grid", "2000,2040"], "tail exponent nu_plus = 2000.0"),
+        (["fig10", "--nu-minus", "3.5", "--nu-plus-grid", "1e308"], "tail exponent nu_plus = 1e+308"),
+        (["synth", "ast", "--nu-plus", "5000", "--nu-minus", "3.5", "--n", "100", "--seed", "1"], "nu_plus = 5000.0"),
+        (["fig10", "--nu-minus", "1000.5", "--nu-plus-grid", "5"], "tail exponent nu_minus = 1000.5"),
     ],
 )
 def test_cli_rejects_non_finite_distribution_parameters(tmp_path, capsys, argv, message):
@@ -591,6 +600,33 @@ def test_write_curve_csv_refuses_curves_of_different_lengths(tmp_path):
     path = tmp_path / "c.csv"
     with pytest.raises(IOWrite, match="curve and symmetrized curve differ in length"):
         write_curve_csv(str(path), curve, sym)
+    assert not path.exists()
+
+
+def test_write_curve_csv_refuses_non_finite_before_opening(tmp_path):
+    """Partial sums of finite returns can overflow; no CSV holds a token its reader refuses."""
+    src = tmp_path / "s.csv"
+    values = [8e307] * 3 + [-1e308] * 3 + [1.0, -1.0]
+    src.write_text("date,value\n" + "".join(f"2001-01-{d:02d},{v!r}\n" for d, v in enumerate(values, 1)))
+    with np.errstate(over="ignore"):
+        curve = ranked_pnl(read_series(str(src)))
+    assert not np.isfinite(curve.f).all()
+    path = tmp_path / "c.csv"
+    with pytest.raises(IOWrite) as exc:
+        write_curve_csv(str(path), curve, curve)
+    assert str(exc.value) == f"cannot write {path}: non-finite value in column F"
+    assert not path.exists()
+
+
+@pytest.mark.parametrize(
+    "zeta3, zeta_star, column", [(None, float("nan"), "zeta_star"), (float("inf"), -7.0, "zeta3")]
+)
+def test_write_fig10_csv_refuses_non_finite_before_opening(tmp_path, zeta3, zeta_star, column):
+    path = tmp_path / "f.csv"
+    rows = [Fig10Row(nu_plus=3.5, zeta3=None, zeta_star=0.0), Fig10Row(nu_plus=5.0, zeta3=zeta3, zeta_star=zeta_star)]
+    with pytest.raises(IOWrite) as exc:
+        write_fig10_csv(str(path), rows)
+    assert str(exc.value) == f"cannot write {path}: non-finite value in column {column}"
     assert not path.exists()
 
 

@@ -232,6 +232,17 @@ def test_ast_rule_matches_scalar_quad_oracle(nu_plus, nu_minus):
     assert _close(ast_zeta_star_exact(new), ast_zeta_star_quad(old))
 
 
+@pytest.mark.parametrize("nu_plus,nu_minus", [(1000.0, 3.5), (3.5, 1000.0)])
+def test_ast_rule_matches_scalar_quad_oracle_at_the_exponent_bound(nu_plus, nu_minus):
+    """The largest exponent the constructor takes; zeta* agrees to 1.5e-12 there, not 1e-12."""
+    new = AsymmetricStudentT(nu_plus, nu_minus)
+    old = AsymmetricStudentTQuad(nu_plus, nu_minus)
+    for got, want in ((new.norm_const, old.norm_const), (new.mean, old.mean), (new.var, old.var)):
+        assert _close(got, want), (got, want)
+    got, want = ast_zeta_star_exact(new), ast_zeta_star_quad(old)
+    assert abs(got - want) <= 2e-12 * abs(want), (got, want)
+
+
 @pytest.mark.parametrize("nu_plus,nu_minus", [(0.7, 0.9), (1.5, 4.0)])
 def test_ast_rule_matches_scalar_quad_oracle_raw_density(nu_plus, nu_minus):
     new = AsymmetricStudentT(nu_plus, nu_minus)
