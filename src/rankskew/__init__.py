@@ -28,6 +28,7 @@ from .errors import (
     MomentDoesNotExist,
     NegativeDensity,
     NonFiniteValue,
+    NotConverged,
     RankSkewError,
     ShapeMismatch,
     SignChangeInWindow,

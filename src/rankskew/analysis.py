@@ -152,6 +152,21 @@ class PcaSpectrum:
         }
 
 
+def _nanmedian(block: np.ndarray) -> np.ndarray:
+    """`np.nanmedian(block, axis=0)` bit for bit, without the numpy.ma import it makes.
+
+    NaNs sort last, so each column's k non-NaN values lead its sorted copy
+    and their median is the mean of entries (k - 1)//2 and k//2. numpy
+    sums those two from its identity 0.0, which makes a median of zeros
+    +0.0 whichever signed zeros the sort put in the middle; so does
+    adding them to 0.0 here.
+    """
+    s = np.sort(block, axis=0)
+    k = block.shape[0] - np.count_nonzero(np.isnan(block), axis=0)
+    cols = np.arange(block.shape[1])
+    return (0.0 + s[(k - 1) // 2, cols] + s[k // 2, cols]) / 2
+
+
 def _pairwise_corr(block: np.ndarray) -> np.ndarray:
     """Pairwise-complete Pearson correlation matrix of panel columns.
 
@@ -165,7 +180,7 @@ def _pairwise_corr(block: np.ndarray) -> np.ndarray:
     correlation 0. `einsum` without `optimize` never calls threaded BLAS.
     """
     m = np.isfinite(block).astype(np.float64)
-    x = np.where(m > 0, block - np.nanmedian(block, axis=0), 0.0)
+    x = np.where(m > 0, block - _nanmedian(block), 0.0)
     n = np.einsum("ti,tj->ij", m, m)
     sx = np.einsum("ti,tj->ij", x, m)  # sx[i, j]: sum of column i over the rows shared with j
     sxx = np.einsum("ti,tj->ij", x * x, m)

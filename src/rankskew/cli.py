@@ -163,8 +163,9 @@ def _stem(path: str) -> str:
 def _write_curve(path: str, args, out: _Outputs, p_texts: dict[int, list[str]] | None = None) -> ReturnSeries:
     """Read one series and write its {stem}_ranked_pnl.csv."""
     series = rio.read_series(path, kind=args.kind, period=args.period)
-    curve = ranked_pnl(series, "raw")
+    # the twin first: its series is freed before the raw curve is built
     sym = ranked_pnl(symmetrize(series, args.seed))
+    curve = ranked_pnl(series, "raw")
     rio.write_curve_csv(out.add(f"{_stem(path)}_ranked_pnl.csv"), curve, sym, p_texts=p_texts)
     return series
 

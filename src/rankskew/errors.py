@@ -43,6 +43,10 @@ class NegativeDensity(RankSkewError):
     pass
 
 
+class NotConverged(RankSkewError):
+    pass
+
+
 class TooFewAssets(RankSkewError):
     pass
 

@@ -77,8 +77,8 @@ def _writing(path: str) -> Iterator[TextIO]:
 
 def _fields(block) -> list[str]:
     """The text of a column block. A list of str is text already and is itself. A float is
-    the repr of a Python float (numpy 2's repr of an np.float64 is 'np.float64(...)'); in a
-    column of objects a str is itself and None an empty field; a column of another dtype,
+    the repr of a Python float (numpy 2's repr of an np.float64 is 'np.float64(...)'); a
+    column of objects holds floats and None, an empty field; a column of another dtype,
     such as datetime64[D] or integers, is str."""
     if isinstance(block, list) and block and isinstance(block[0], str):
         return block
@@ -86,13 +86,13 @@ def _fields(block) -> list[str]:
     if block.dtype.kind == "f":
         return list(map(repr, block.tolist()))
     if block.dtype == object:
-        return [x if isinstance(x, str) else "" if x is None else repr(float(x)) for x in block.tolist()]
+        return ["" if x is None else repr(float(x)) for x in block.tolist()]
     return block.astype(str).tolist()
 
 
 def _finite(column) -> bool:
     """Whether every float of a column is finite. An array holds floats only if its dtype
-    is float (write_panel's object arrays are text); a list of text holds none."""
+    is float; a list of text holds none."""
     if isinstance(column, np.ndarray):
         return column.dtype.kind != "f" or bool(np.isfinite(column).all())
     if column and isinstance(column[0], str):
@@ -259,12 +259,13 @@ def _iso_days(tokens: list[str]) -> np.ndarray:
     n = len(tokens)
     if set(map(len, tokens)) - {10} or text[4::10].count("-") != n or text[7::10].count("-") != n:
         raise ValueError("date not of the form YYYY-MM-DD")
-    return np.array(tokens, dtype="datetime64[D]")
+    # the checked text as one buffer of 10-byte strings, parsed in C (a non-ASCII token is a ValueError too)
+    return np.frombuffer(text.encode("ascii"), dtype="S10").astype("datetime64[D]")
 
 
 def _grid(days: np.ndarray, assets: list[str], col: np.ndarray, values: np.ndarray) -> tuple | None:
     """(dates, assets, grid) with values[i] at (days[i], assets[col[i]]), a row per distinct day; None on a repeat."""
-    dates = np.sort(days)
+    dates = np.sort(days, kind="stable")  # the rows of a file arrive in date order, which a stable sort runs through
     dates = dates[np.append(True, dates[1:] != dates[:-1])]  # np.unique(days) would import numpy.ma
     row = dates.searchsorted(days)
     del days
@@ -312,7 +313,7 @@ def _parse_panel(path: str) -> tuple[np.ndarray, list[str], np.ndarray] | None:
             return None
         for a in dict.fromkeys(block[1]):  # a new asset gets the next column
             asset_code.setdefault(a, len(asset_code))
-        cols.append(np.array(list(map(asset_code.__getitem__, block[1])), dtype=np.int64))
+        cols.append(np.fromiter(map(asset_code.__getitem__, block[1]), np.int64, len(block[1])))
     if not days or "" in asset_code or not all(np.isfinite(v).all() for v in values):
         return None
     col, value = np.concatenate(cols), np.concatenate(values)
@@ -371,10 +372,10 @@ def write_panel(path: str, panel: Panel) -> None:
         if not a or a != a.strip():
             raise IOWrite(f"cannot write {path}: asset label {a!r} is empty or padded with whitespace")
     rows, cols = np.nonzero(np.isfinite(panel.values))
-    # each date is formatted once; the rows gather its text
+    # each date is formatted once; the cells gather its text, and the labels', into lists of str in C
     days = panel.dates.astype(str).astype(object)
     assets = np.array(panel.assets, dtype=object)
-    _write_csv(path, _PANEL_HEADER, days[rows], assets[cols], panel.values[rows, cols])
+    _write_csv(path, _PANEL_HEADER, days[rows].tolist(), assets[cols].tolist(), panel.values[rows, cols])
 
 
 # ---------------------------------------------------------------------------

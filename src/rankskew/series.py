@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import os
 from dataclasses import dataclass
 from typing import Literal
 
@@ -34,6 +35,19 @@ def _check_seed(seed: int) -> None:
     """Refuse a seed numpy's generators cannot take, before any work."""
     if seed < 0:
         raise InvalidParams(f"need a non-negative seed, got {seed}")
+
+
+def _check_size(count: int, what: str, item_bytes: int = 8) -> None:
+    """Refuse, before any allocation, `count` items of `item_bytes` bytes: more than this host's physical
+    memory, or than numpy's address space where the OS does not say."""
+    try:
+        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        memory = np.iinfo(np.intp).max
+    if count * item_bytes > memory:
+        raise InvalidParams(
+            f"{what} {count} need {count * item_bytes / 2**30:.3g} GiB, more than the {memory / 2**30:.3g} GiB of this host"
+        )
 
 
 def det_sum(x: np.ndarray) -> float:
@@ -69,7 +83,7 @@ class ReturnSeries:
             raise TooShort(f"{self.label}: need at least 2 points, got {self.values.size}")
         if self.dates.shape != self.values.shape:
             raise ShapeMismatch(f"{self.label}: dates/values length mismatch")
-        if self.dates.size > 1 and not np.all(np.diff(self.dates).astype(np.int64) > 0):
+        if not (self.dates[1:] > self.dates[:-1]).all():
             raise UnsortedDates(f"{self.label}: dates must be strictly increasing")
         if not np.all(np.isfinite(self.values)):
             raise NonFiniteValue(f"{self.label}: non-finite return value")
@@ -183,10 +197,16 @@ def symmetrize(s: ReturnSeries, seed: int) -> ReturnSeries:
     expected mean are preserved.
     """
     _check_seed(seed)
-    rng = np.random.default_rng(seed)
-    eps = rng.integers(0, 2, size=len(s)) * 2 - 1
     m = np.mean(s.values)
-    return ReturnSeries(label=s.label, period=s.period, dates=s.dates, values=m + eps * (s.values - m))
+    eps = np.random.default_rng(seed).integers(0, 2, size=len(s))
+    eps *= 2
+    eps -= 1
+    # m + eps (r - m), each step in place: multiplying by +-1 is exact
+    v = s.values - m
+    v *= eps
+    del eps
+    v += m
+    return ReturnSeries(label=s.label, period=s.period, dates=s.dates, values=v)
 
 
 def perf_stats(s: ReturnSeries) -> PerfStats:

@@ -47,6 +47,7 @@ from .series import (
     PERIODS_PER_YEAR,
     ReturnSeries,
     _check_seed,
+    _check_size,
     det_dot,
     det_sum,
     standardize,
@@ -117,9 +118,13 @@ def ranked_pnl(s: ReturnSeries, variant: Variant = "raw") -> RankedPnlCurve:
     else:
         raise InvalidParams(f"unknown curve variant {variant!r}")
     n = len(s)
-    p = np.arange(1, n + 1, dtype=np.float64) / n
-    f = np.cumsum(v[amplitude_order(v)])
-    return RankedPnlCurve(p=p, f=f if variant == "raw" else f / n, variant=variant)
+    p = np.arange(1, n + 1, dtype=np.float64)
+    p /= n
+    f = v.take(amplitude_order(v))
+    np.cumsum(f, out=f)
+    if variant == "standardized":
+        f /= n
+    return RankedPnlCurve(p=p, f=f, variant=variant)
 
 
 def _sorted_centred(values: np.ndarray) -> tuple[np.ndarray, float]:
@@ -376,6 +381,16 @@ def _bootstrap(samples: list[tuple[str, np.ndarray, float, float]], n_boot: int,
     return zs, sh
 
 
+def _point_and_sample(s: ReturnSeries) -> tuple[tuple[float, float, float, float], tuple[str, np.ndarray, float, float]]:
+    """The point statistics of a series, and its bootstrap sample (label, c, m0, ann) for `_bootstrap`."""
+    if len(s) < 30:
+        raise TooShort(f"{s.label}: need at least 30 points for a report")
+    c, m0 = _sorted_centred(s.values)
+    moments = _moments(c, s.label)  # its zero-variance check names the series, so it runs before the kernel's
+    point = (_zeta_star_from_counts(c, np.ones(c.size))[0], *moments)
+    return point, (s.label, c, m0, math.sqrt(PERIODS_PER_YEAR[s.period]))
+
+
 def skew_reports(series: Iterable[ReturnSeries], bootstrap: int = 1000, seed: int = 0) -> list[SkewReport]:
     """All skewness diagnostics of each series, with bootstrap errors, without co-skewness.
 
@@ -388,21 +403,15 @@ def skew_reports(series: Iterable[ReturnSeries], bootstrap: int = 1000, seed: in
     """
     if bootstrap < 2:
         raise InvalidParams(f"need at least 2 bootstrap replicates, got {bootstrap}")
+    _check_size(bootstrap, "bootstrap replicates", 16)  # a zeta* and a Sharpe per replicate and series
     _check_seed(seed)
-    points = []
-    samples = []
-    for s in series:
-        if len(s) < 30:
-            raise TooShort(f"{s.label}: need at least 30 points for a report")
-        c, m0 = _sorted_centred(s.values)
-        moments = _moments(c, s.label)  # its zero-variance check names the series, so it runs before the kernel's
-        points.append((_zeta_star_from_counts(c, np.ones(c.size))[0], *moments))
-        samples.append((s.label, c, m0, math.sqrt(PERIODS_PER_YEAR[s.period])))
-    zs, sh = _bootstrap(samples, bootstrap, seed)
+    # no name outlives the comprehension, so no series lives through the bootstrap
+    taken = [_point_and_sample(s) for s in series]
+    zs, sh = _bootstrap([sample for _, sample in taken], bootstrap, seed)
     return [
         SkewReport(*point, err_zeta_star=float(np.std(z, ddof=1)), err_sharpe=float(np.std(h, ddof=1)),
                    n=c.size, label=label, seed=seed, bootstrap=bootstrap)
-        for point, (label, c, _, _), z, h in zip(points, samples, zs, sh)
+        for (point, (label, c, _, _)), z, h in zip(taken, zs, sh)
     ]
 
 

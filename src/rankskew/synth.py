@@ -10,7 +10,11 @@ composite Gauss-Legendre rule, independently of the samplers.
 Heavy tails are tamed with the substitution r = sinh(u): an integrand
 decaying like |r|^(-1-nu) becomes exp(-nu u), smooth on panels of equal
 width, so 16 nodes on each of 100 panels reach ~1e-14 relative accuracy
-even for nu near 1/2. Panel edges sit wherever a density may jump.
+even for nu near 1/2. Panel edges sit wherever a density may jump. A
+moment r^k decays only like exp(-(nu - k) u), so the asymmetric
+Student-t's normalization, mean and variance add the tails beyond the
+rule's range in closed form. The nested zeta* integral doubles its panels
+until two rules agree.
 Samplers invert a 65537-knot CDF grid in the same coordinate, which
 keeps them deterministic and portable (no rejection loops).
 """
@@ -22,8 +26,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidParams, MomentDoesNotExist, NegativeDensity
-from .series import ReturnSeries, _check_seed, det_dot, det_sum
+from .errors import InvalidParams, MomentDoesNotExist, NegativeDensity, NotConverged
+from .series import ReturnSeries, _check_seed, _check_size, det_dot, det_sum
 
 GRID_SIZE = 65537
 
@@ -35,9 +39,11 @@ _SYNTH_EPOCH = np.datetime64("2000-01-01", "D")
 
 
 def _check_draw(n: int, seed: int) -> None:
-    """Refuse a sample size below the 2 points of any ReturnSeries, or a negative seed, before any quadrature or draw."""
+    """Refuse a sample size below the 2 points of any ReturnSeries or beyond memory, or a negative seed,
+    before any quadrature or draw."""
     if n < 2:
         raise InvalidParams(f"need n >= 2, got {n}")
+    _check_size(n, "draws")
     _check_seed(seed)
 
 
@@ -49,14 +55,19 @@ def _synthetic_series(label: str, values: np.ndarray) -> ReturnSeries:
 _PANELS = 100
 _GL_T, _GL_W = np.polynomial.legendre.leggauss(16)
 
+# The nested zeta* rule doubles its panels up to _MAX_PANELS per interval, until two rules
+# agree to _ZETA_STAR_TOL: relative to zeta*, and absolute where |zeta*| < 1.
+_MAX_PANELS = 3200
+_ZETA_STAR_TOL = 1e-11
 
-def _nodes(*edges: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Composite 16-node Gauss-Legendre rule, _PANELS equal panels between each pair of edges.
+
+def _nodes(*edges: float, panels: int = _PANELS) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Composite 16-node Gauss-Legendre rule, `panels` equal panels between each pair of edges.
 
     Returns the nodes and weights, each of shape (panels, 16), and the
     panels' left ends.
     """
-    ends = np.concatenate([np.linspace(a, b, _PANELS + 1)[:-1] for a, b in zip(edges, edges[1:])] + [[edges[-1]]])
+    ends = np.concatenate([np.linspace(a, b, panels + 1)[:-1] for a, b in zip(edges, edges[1:])] + [[edges[-1]]])
     left, half = ends[:-1], 0.5 * np.diff(ends)[:, None]
     return left[:, None] + half * (_GL_T + 1.0), half * _GL_W, left
 
@@ -116,18 +127,32 @@ class AsymmetricStudentT:
             if nu > 1000.0:
                 raise InvalidParams(f"tail exponent {name} = {nu} exceeds 1000, the verified range of the quadrature")
         raw, m1, m2 = self._moments(0, 1, 2)
-        object.__setattr__(self, "norm_const", 1.0 / raw)
+        object.__setattr__(self, "norm_const", 1.0 / (raw + self._tails(0)))
         mean = var = None
         if min(self.nu_plus, self.nu_minus) > 1.0:
-            mean = self.norm_const * m1
+            mean = self.norm_const * (m1 + self._tails(1))
             if min(self.nu_plus, self.nu_minus) > 2.0:
-                var = self.norm_const * m2 - mean * mean
+                var = self.norm_const * (m2 + self._tails(2)) - mean * mean
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "var", var)
 
     def _u_max(self) -> float:
         # exp(-nu u) tail of the transformed integrand: make it < 1e-13 relative
         return 30.0 + 45.0 / min(self.nu_plus, self.nu_minus)
+
+    def _tails(self, k: int) -> float:
+        """The raw moment k of the unnormalized density beyond +-R = sinh(u_max), the range of `_moments`.
+
+        Out there each side is a constant times |r|^(-1-nu) to a relative
+        1/R^2, so its tail is p(R) R^(k+1) / (nu - k): below an ulp of the
+        moment unless nu is within ~1 of k (about 1e-2 of the variance at
+        nu = 2.1). Needs both exponents above k; equal exponents give an odd
+        k exactly 0, and swapping them exactly negates it.
+        """
+        r = math.sinh(self._u_max())
+        p = math.exp(float(_ast_log_unnorm(r, self.nu_plus, self.nu_minus)))
+        q = math.exp(float(_ast_log_unnorm(-r, self.nu_plus, self.nu_minus)))
+        return r ** (k + 1) * (p / (self.nu_plus - k) + (-1) ** k * q / (self.nu_minus - k))
 
     def _moments(self, *ks: int) -> list[float]:
         """Raw moments of the unnormalized density, from one evaluation on the nodes.
@@ -214,25 +239,42 @@ def _zeta_star_of_pdf(density, dist, *breaks: float) -> float:
     the density may jump in between. The inner integral at an outer node is
     the sum of the panels to its left plus a 16-node rule on the rest of
     its own panel.
+
+    The rule runs on _PANELS // 2 panels per interval and on twice as many,
+    doubling until two successive values agree to _ZETA_STAR_TOL, and returns
+    the finer one. A smooth density stops at _PANELS panels; a steep one, such
+    as a thin tail next to a left tail near nu = 2 whose large variance
+    squeezes the bulk near 0, takes more. One not resolved by _MAX_PANELS
+    is refused with NotConverged.
     """
     mu, sd = dist.mean, math.sqrt(dist.var)
 
     def pdf(x):
         return sd * density(mu + sd * x, dist)
 
-    u, w, left = _nodes(*breaks)
-
     def inner(v: np.ndarray) -> np.ndarray:
         y = np.sinh(v)
         return y * (pdf(y) - pdf(-y)) * np.cosh(v)
 
-    half = 0.5 * (u - left[:, None])
-    v = left[:, None, None] + half[..., None] * (_GL_T + 1.0)  # 16 nodes between each u and its panel's left end
-    rest = np.add.reduce(half[..., None] * _GL_W * inner(v), axis=-1)
-    done = np.cumsum(np.add.reduce(w * inner(u), axis=-1))
-    below = np.concatenate(([0.0], done[:-1]))
-    x = np.sinh(u)
-    return -100.0 * det_dot((w * (pdf(x) + pdf(-x)) * np.cosh(u)).ravel(), (below[:, None] + rest).ravel())
+    def rule(panels: int) -> float:
+        u, w, left = _nodes(*breaks, panels=panels)
+        half = 0.5 * (u - left[:, None])
+        v = left[:, None, None] + half[..., None] * (_GL_T + 1.0)  # 16 nodes between each u and its panel's left end
+        rest = np.add.reduce(half[..., None] * _GL_W * inner(v), axis=-1)
+        done = np.cumsum(np.add.reduce(w * inner(u), axis=-1))
+        below = np.concatenate(([0.0], done[:-1]))
+        x = np.sinh(u)
+        return -100.0 * det_dot((w * (pdf(x) + pdf(-x)) * np.cosh(u)).ravel(), (below[:, None] + rest).ravel())
+
+    coarse, panels = rule(_PANELS // 2), _PANELS
+    while abs((fine := rule(panels)) - coarse) > _ZETA_STAR_TOL * max(abs(fine), 1.0):
+        if panels >= _MAX_PANELS:
+            raise NotConverged(
+                f"zeta* moved by {abs(fine - coarse):.2g} between {panels // 2} and {panels} panels, "
+                f"more than the {_ZETA_STAR_TOL:g} the quadrature is verified to"
+            )
+        coarse, panels = fine, 2 * panels
+    return fine
 
 
 def ast_zeta_star_exact(dist: AsymmetricStudentT) -> float:

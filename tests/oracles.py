@@ -509,7 +509,12 @@ def _quad(fn, lo, hi) -> float:
 
 
 class AsymmetricStudentTQuad(AsymmetricStudentT):
-    """`rankskew.synth.AsymmetricStudentT` with its normalization and moments by scalar `quad`."""
+    """`rankskew.synth.AsymmetricStudentT` with its normalization and mean by scalar `quad`.
+
+    E[r^2] is Jones and Faddy's closed form: a `quad` over the rule's range
+    misses the |r|^(1 - nu) tail beyond it, about 1e-2 of the variance at
+    nu = 2.1 and 4e-5 at 2.2.
+    """
 
     def __post_init__(self) -> None:
         if not (0.5 < self.nu_plus < math.inf and 0.5 < self.nu_minus < math.inf):
@@ -525,7 +530,8 @@ class AsymmetricStudentTQuad(AsymmetricStudentT):
         if min(self.nu_plus, self.nu_minus) > 1.0:
             mean = self._raw_moment(1)
             if min(self.nu_plus, self.nu_minus) > 2.0:
-                var = self._raw_moment(2) - mean * mean
+                a, b = 0.5 * self.nu_minus, 0.5 * self.nu_plus
+                var = (a + b) / 4.0 * ((a - b) ** 2 + a + b - 2.0) / ((a - 1.0) * (b - 1.0)) - mean * mean
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "var", var)
 
@@ -589,6 +595,44 @@ def ast_zeta_star_quad(dist: AsymmetricStudentTQuad) -> float:
         return sd * float(ast_density(mu + sd * x, dist))
 
     return zeta_star_of_pdf(pdf, math.asinh(math.sinh(dist._u_max()) / sd + 1.0))
+
+
+def ast_zeta_star_mpmath(nu_plus: float, nu_minus: float) -> float:
+    """zeta* of the standardized asymmetric Student-t from closed forms and one mpmath integral at 30 digits.
+
+    With a = nu-/2, b = nu+/2 and c = a + b, Jones and Faddy's density is
+    C (1 + s)^(a + 1/2) (1 - s)^(b + 1/2) with s = t/sqrt(c + t^2), its CDF
+    the regularized incomplete beta I_z(a, b) at z = (1 + s)/2, and its mean
+    and E[t^2] are closed forms. Integrating the nested zeta* integral over
+    the outer variable first leaves one integral over the whole half-line,
+    zeta* = -(100/sd) int_0^inf t (p(mu + t) - p(mu - t)) S(t) dt, with the
+    two-sided tail mass S(t) = P(T > mu + t) + P(T < mu - t). Nothing here
+    shares a node, range or formula with `rankskew.synth`.
+    """
+    import mpmath as mp
+
+    with mp.workdps(30):
+        a, b = mp.mpf(nu_minus) / 2, mp.mpf(nu_plus) / 2
+        c = a + b
+        norm = 1 / (2 ** (c - 1) * mp.beta(a, b) * mp.sqrt(c))
+        mu = (a - b) * mp.sqrt(c) * mp.gamma(a - 0.5) * mp.gamma(b - 0.5) / (2 * mp.gamma(a) * mp.gamma(b))
+        sd = mp.sqrt(c / 4 * ((a - b) ** 2 + a + b - 2) / ((a - 1) * (b - 1)) - mu * mu)
+
+        def s(t):
+            return t / mp.sqrt(c + t * t)
+
+        def p(t):
+            return norm * (1 + s(t)) ** (a + 0.5) * (1 - s(t)) ** (b + 0.5)
+
+        def tail_mass(t):
+            # P(T > mu + t) as I_{1-z}(b, a), which keeps its digits where it is small
+            return mp.betainc(b, a, 0, (1 - s(mu + t)) / 2, regularized=True) + mp.betainc(
+                a, b, 0, (1 + s(mu - t)) / 2, regularized=True
+            )
+
+        cuts = [0] + [mp.mpf(10) ** k for k in range(-3, 25)] + [mp.inf]
+        total = mp.quad(lambda t: t * (p(mu + t) - p(mu - t)) * tail_mass(t), cuts)
+        return float(-100 * total / sd)
 
 
 def edgeworth_moments_quad(dist: EdgeworthDensity) -> tuple[float, float, float, float, float]:

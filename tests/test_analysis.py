@@ -18,7 +18,7 @@ from rankskew import (
     cross_section_stats,
     pca_spectrum,
 )
-from rankskew.analysis import _MIN_COVERAGE, BELOW_LINE, ON_LINE, PURE_ALPHA, _pairwise_corr
+from rankskew.analysis import _MIN_COVERAGE, BELOW_LINE, ON_LINE, PURE_ALPHA, _nanmedian, _pairwise_corr
 from tests.oracles import first_constant_column_ptp, pairwise_corr_loop, pca_spectrum_per_window
 
 
@@ -225,6 +225,28 @@ def test_pairwise_corr_matches_loop_oracle(seed, n_rows, n_cols, gaps, offset):
     got = _pairwise_corr(x)
     assert np.max(np.abs(got - pairwise_corr_loop(x))) <= 1e-12
     assert np.array_equal(got, got.T)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_rows=st.sampled_from([1, 2, 3, 4, 7, 8, 251, 252, 599, 600, 601, 1000]),  # numpy's path changes at 600
+    n_cols=st.integers(1, 6),
+    pool=st.sampled_from(["continuous", "ties", "signed zeros"]),
+    gaps=st.floats(0.0, 0.9),
+)
+@settings(max_examples=300, deadline=None)
+def test_nanmedian_is_numpys_bit_for_bit(seed, n_rows, n_cols, pool, gaps):
+    """Odd and even counts of non-NaN cells, ties, and medians of mixed +0.0 and -0.0, which numpy gives as +0.0."""
+    rng = np.random.default_rng(seed)
+    if pool == "continuous":
+        x = rng.standard_normal((n_rows, n_cols))
+    else:
+        values = [-1.5, -0.0, 0.0, 0.5, 2.0] if pool == "ties" else [-0.0, 0.0]
+        x = rng.choice(values, size=(n_rows, n_cols))
+    kept = x[rng.integers(0, n_rows, n_cols), np.arange(n_cols)]
+    x[rng.random(x.shape) < gaps] = np.nan
+    x[rng.integers(0, n_rows, n_cols), np.arange(n_cols)] = kept  # no column is all NaN
+    assert np.array_equal(_nanmedian(x).view(np.int64), np.nanmedian(x, axis=0).view(np.int64))
 
 
 def test_pairwise_corr_degenerate_pairs_are_zero():

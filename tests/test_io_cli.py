@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -825,6 +826,41 @@ def test_cli_bootstrap_count_checked_before_any_read(tmp_path, capsys, monkeypat
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["synth", "gaussian", "--n", "4611686018427387904", "--seed", "1", "--out", "{d}/out/g.csv"],
+         "draws 4611686018427387904 need"),
+        (["analyze", "{d}/x.csv", "--seed", "1", "--bootstrap", "1000000000000", "--out-dir", "{d}/out"],
+         "bootstrap replicates 1000000000000 need"),
+    ],
+    ids=["synth-n", "analyze-bootstrap"],
+)
+def test_cli_impossible_size_is_named_before_any_allocation(tmp_path, capsys, argv, message):
+    """A size no array on the host could hold is a named error, exit 1, checked before any array or file is made."""
+    write_series(tmp_path / "x.csv", daily(np.random.default_rng(3).standard_normal(60) * 0.01, label="x"))
+    assert run_cli(*(a.replace("{d}", str(tmp_path)) for a in argv)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"rankskew: error: {message}") and err.endswith("GiB of this host\n"), err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_analyze_peak_memory_is_bounded(tmp_path):
+    """`analyze` at N = 150 000 holds at most 7.5 N-arrays at a time (8.07 while the raw curve was built before the
+    twin, and symmetrize and ranked_pnl made a new array per step); the first run warms numpy's lazy imports."""
+    n = 150_000
+    write_series(tmp_path / "x.csv", daily(np.random.default_rng(5).standard_t(4, n) * 0.01, label="x"))
+    argv = ("analyze", str(tmp_path / "x.csv"), "--seed", "1", "--bootstrap", "2", "--out-dir", str(tmp_path))
+    assert run_cli(*argv) == 0
+    tracemalloc.start()
+    try:
+        assert run_cli(*argv) == 0
+        peak = tracemalloc.get_traced_memory()[1] / (8 * n)
+    finally:
+        tracemalloc.stop()
+    assert peak <= 7.5, peak
+
+
 @pytest.mark.parametrize("command", ["analyze", "report"])
 def test_cli_bootstrap_zero_variance_names_series(tmp_path, capsys, command):
     deg = tmp_path / "deg.csv"
@@ -1001,6 +1037,37 @@ def test_cli_import_loads_no_scipy():
     r = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
     assert r.returncode == 0, r.stderr
     assert r.stdout.strip() == "[]"
+
+
+def test_cli_panel_commands_load_no_numpy_ma(tmp_path):
+    """`carry`, `deciles` and `pca` never import numpy.ma, whose import costs ~15 ms and ~1 MiB per process."""
+    import rankskew
+
+    rng = np.random.default_rng(21)
+    dates = np.datetime64("2001-01-01", "D") + np.arange(80)
+    ccy = ["AAA", "BBB", "CCC", "DDD"]
+    spot = np.exp(np.cumsum(rng.standard_normal((80, 4)) * 0.005, axis=0))
+    write_panel(tmp_path / "spot.csv", Panel(dates=dates, assets=ccy, values=spot))
+    write_panel(tmp_path / "rates.csv", Panel(dates=dates, assets=ccy, values=rng.normal(0.03, 0.01, (80, 4))))
+    strategies = rng.standard_normal((80, 3)) * 0.01
+    strategies[rng.random(strategies.shape) < 0.05] = np.nan
+    write_panel(tmp_path / "strategies.csv", Panel(dates=dates, assets=["s0", "s1", "s2"], values=strategies))
+    steps = [
+        ["carry", "--spot", "spot.csv", "--rates", "rates.csv"],
+        ["deciles", "--returns", "carry_returns.csv", "--signal", "carry_signal.csv", "--buckets", "2", "--rebalance", "daily"],
+        ["pca", "strategies.csv", "--window", "40", "--step", "10"],
+    ]
+    script = (
+        "import sys\nfrom rankskew.cli import main\n"
+        f"for argv in {steps!r}:\n    assert main(argv) == 0, argv\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['numpy', 'ma']))"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(rankskew.__file__))
+    r = subprocess.run([sys.executable, "-c", script], env=env, cwd=tmp_path, capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "[]"
+    assert (tmp_path / "pca.json").exists() and (tmp_path / "deciles.csv").exists()
 
 
 def test_cli_byte_determinism(tmp_path):

@@ -15,6 +15,7 @@ from rankskew import (
     InvalidParams,
     MomentDoesNotExist,
     NegativeDensity,
+    NotConverged,
     ast_density,
     ast_sample,
     ast_zeta3_exact,
@@ -29,6 +30,7 @@ from rankskew.synth import GRID_SIZE, _ast_cdf_grid, _cumulative_simpson
 from tests.oracles import (
     AsymmetricStudentTQuad,
     ast_zeta3_quad,
+    ast_zeta_star_mpmath,
     ast_zeta_star_quad,
     edgeworth_moments_quad,
     edgeworth_zeta_star_split_quad,
@@ -241,6 +243,23 @@ def test_ast_rule_matches_scalar_quad_oracle_at_the_exponent_bound(nu_plus, nu_m
         assert _close(got, want), (got, want)
     got, want = ast_zeta_star_exact(new), ast_zeta_star_quad(old)
     assert abs(got - want) <= 2e-12 * abs(want), (got, want)
+
+
+@pytest.mark.parametrize("nu_plus,nu_minus", [(10.0, 2.1), (100.0, 2.1)])
+def test_ast_zeta_star_near_nu_minus_two_matches_mpmath(nu_plus, nu_minus):
+    """A left tail near nu = 2. The variance needs its tail beyond the rule's range (4e-3 of zeta* at
+    (10, 2.1) without it), and the thin right tail beside the bulk, which the large variance squeezes
+    near 0, needs finer panels: 4.5e-4 of zeta* at (100, 2.1) on 100 panels, which stops at 800."""
+    pytest.importorskip("mpmath")
+    got = ast_zeta_star_exact(AsymmetricStudentT(nu_plus, nu_minus))
+    want = ast_zeta_star_mpmath(nu_plus, nu_minus)
+    assert abs(got - want) <= 1e-11 * abs(want), (got, want)
+    assert ast_zeta_star_exact(AsymmetricStudentT(nu_minus, nu_plus)) == -got
+
+
+def test_ast_zeta_star_refuses_what_the_rule_cannot_resolve():
+    with pytest.raises(NotConverged, match="3200 panels"):
+        ast_zeta_star_exact(AsymmetricStudentT(1000.0, 2.001))
 
 
 @pytest.mark.parametrize("nu_plus,nu_minus", [(0.7, 0.9), (1.5, 4.0)])
