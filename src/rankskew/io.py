@@ -28,7 +28,7 @@ import json
 import math
 import os
 from contextlib import contextmanager
-from itertools import islice, repeat
+from itertools import islice
 from typing import Iterable, Iterator, TextIO
 
 import numpy as np
@@ -47,6 +47,8 @@ _WRITE_ROWS = 2048  # rows formatted per write
 # The characters of the canonical dialect: '\n' and the printable ASCII
 # characters other than ' ' and '"'.
 _CANONICAL = bytes([ord("\n"), ord("!"), *range(ord("#"), ord("~") + 1)])
+# Every byte but the separators ',' and '\n': deleting these leaves a block's separators in order.
+_NOT_SEPARATOR = bytes(range(256)).translate(None, b",\n")
 
 # The header of each CSV file, shared by its reader, row scanner and writer.
 _SERIES_HEADER = "date,value"
@@ -63,6 +65,18 @@ def _check_labels(path: str, labels: Iterable[str]) -> None:
     for label in labels:
         if any(ch in label for ch in ',"\r\n'):
             raise IOWrite(f"cannot write {path}: label {label!r} contains a comma, quote or line break")
+
+
+# The first and last day whose text is the 10 characters of YYYY-MM-DD, the only dates the readers take.
+_DAY_RANGE = np.array(["-999-01-01", "9999-12-31"], dtype="datetime64[D]")
+
+
+def _check_days(path: str, days: np.ndarray) -> None:
+    """Raise IOWrite for a day the readers would not take back: a year outside -999..9999 (or NaT).
+    `days` ascend, as a series' and a panel's do, so only the ends are looked at."""
+    for day in days[:1], days[-1:]:
+        if day.size and not _DAY_RANGE[0] <= day[0] <= _DAY_RANGE[1]:
+            raise IOWrite(f"cannot write {path}: date {day[0]} is not of the form YYYY-MM-DD (years -999 to 9999)")
 
 
 @contextmanager
@@ -233,17 +247,21 @@ def _column_blocks(path: str, header: str) -> Iterator[list[list[str]] | None]:
     outside the canonical dialect, or with a line the csv module would
     refuse as too long."""
     ncol = header.count(",") + 1
+    separators = b"," * (ncol - 1) + b"\n"  # of one line
     with _open_text(path) as fh:
         if fh.readline() != header + "\n":
             yield None
             return
         while lines := fh.readlines(_BLOCK_CHARS):
             text = "".join(lines)
+            raw = text.encode()  # a character outside ASCII is bytes outside the canonical dialect
+            # the lines end at '\n' (any other line break is not canonical), so each has ncol - 1 commas
+            # exactly when the block's separators are one line's, repeated, less a last line's missing '\n'
+            expected = (separators * len(lines))[: None if raw.endswith(b"\n") else -1]
             if (
-                not text.isascii()
-                or text.encode("ascii").translate(None, _CANONICAL)
+                raw.translate(None, _CANONICAL)
                 or len(text) > csv.field_size_limit()
-                or set(map(str.count, lines, repeat(","))) != {ncol - 1}
+                or raw.translate(None, _NOT_SEPARATOR) != expected
             ):
                 yield None
                 return
@@ -350,6 +368,8 @@ def read_series(path: str, kind: str = "return", period: Period = "daily") -> Re
 
 
 def write_series(path: str, s: ReturnSeries) -> None:
+    """Refuses, as IOWrite, a date the readers would not read back."""
+    _check_days(path, s.dates)
     _write_csv(path, _SERIES_HEADER, s.dates, s.values)
 
 
@@ -366,7 +386,8 @@ def read_panel(path: str) -> Panel:
 
 
 def write_panel(path: str, panel: Panel) -> None:
-    """Refuses, as IOWrite, an asset label the readers would not read back as itself."""
+    """Refuses, as IOWrite, a date or an asset label the readers would not read back as itself."""
+    _check_days(path, panel.dates)
     _check_labels(path, panel.assets)
     for a in panel.assets:
         if not a or a != a.strip():

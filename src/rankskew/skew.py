@@ -23,8 +23,11 @@ N values draws its indices from the generator seeded with seed + b, so
 the draw depends only on (seed, b, N). A draw is the multiplicity of each
 sample entry and the list of entries drawn at least once; only those are
 ranked. `skew_reports` makes each draw once and uses it for every series
-of that length: equal-length series in one report are resampled on the
-same index draws, a paired bootstrap when their dates align.
+of that length, so each series' errors are exactly those it gets alone.
+The draw indexes each series' values in ascending order, not its dates:
+across equal-length series the replicates are paired by rank, not by date,
+even when the dates align, and two independent series get strongly
+correlated replicates. They are no joint bootstrap of the series.
 """
 
 from __future__ import annotations
@@ -100,8 +103,19 @@ class SkewReport:
 
 
 def amplitude_order(values: np.ndarray) -> np.ndarray:
-    """Indices sorting by |value| ascending, ties by chronological index."""
-    return np.argsort(np.abs(values), kind="stable")
+    """Indices sorting by |value| ascending, ties by chronological index.
+
+    Distinct amplitudes have one sorting permutation, so numpy's default
+    (SIMD) argsort gives the stable order; one sort of |value| shows whether
+    any are tied, such as tick-rounded returns or +-0.0, and only then is
+    the stable argsort paid for. The sorted copy is freed before the argsort.
+    The values are finite, as a series' are: NaNs would not compare as ties.
+    """
+    a = np.abs(values)
+    s = np.sort(a)
+    tied = bool((s[1:] == s[:-1]).any())
+    del s
+    return a.argsort(kind="stable" if tied else None)
 
 
 def ranked_pnl(s: ReturnSeries, variant: Variant = "raw") -> RankedPnlCurve:
@@ -358,7 +372,8 @@ def _bootstrap(samples: list[tuple[str, np.ndarray, float, float]], n_boot: int,
     the list of entries it draws at all (about 63 % of them): both are made
     once per replicate and length and shared by every sample of that
     length, and replicates can be evaluated in any order with identical
-    results.
+    results. The counts index each sample's sorted values, so samples of
+    one length are paired by rank, not by date (see the module docstring).
     """
     by_size: dict[int, list[int]] = {}
     for i, (_, c, _, _) in enumerate(samples):
@@ -398,8 +413,9 @@ def skew_reports(series: Iterable[ReturnSeries], bootstrap: int = 1000, seed: in
     centred sample is kept for the bootstrap, so `series` may be a
     generator. Every check and statistic that needs no resample is made
     before the bootstrap, in the order of the series. Equal-length series
-    are resampled on the same index draws (see `_bootstrap`), a paired
-    bootstrap when their dates align.
+    share each replicate's draw (see `_bootstrap`), which indexes their
+    sorted values: each series' errors are those `skew_report` gives it
+    alone, but across series the replicates are paired by rank, not by date.
     """
     if bootstrap < 2:
         raise InvalidParams(f"need at least 2 bootstrap replicates, got {bootstrap}")
