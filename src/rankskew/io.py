@@ -3,22 +3,25 @@
 One function, _write_csv, writes every CSV a block of rows at a time:
 each float as repr(), the shortest decimal that round-trips to the same
 float64, and '\\n' newlines, so identical inputs and seeds produce
-byte-identical artifacts. A failed write, and a NaN or infinity that no
-reader would take back, raise IOWrite naming the file.
+byte-identical artifacts. Dates are spelled YYYY-MM-DD from their integer
+fields (_day_text). A failed write, and a NaN or infinity that no reader
+would take back, raise IOWrite naming the file.
 A column may also come as text already formatted, such as the p = k/N
 column that the curves of one length share (see write_curve_csv).
 
-Series and panel CSVs are read a block of rows at a time. A file in the
-canonical dialect, the one _write_csv produces, is parsed a column at a
-time: the exact header, ASCII without quotes or whitespace other than
-'\\n', and the header's field count on every line. Any other file, and
-any file with a bad row, is read again by the row scanner, which also
-takes csv-module quoting, CRLF, blank lines, padded tokens and extra
-columns, and names the file and line of the first bad row. Both panel
-readers end in one grid builder, _grid, so the column parser itself reads
-a day spelled two ways ('0001-01-01', '+001-01-01') as one. Every CSV is
-UTF-8, read past a byte-order mark if it starts with one and written
-without; a file that is not UTF-8 names the first line that fails to decode.
+Series and panel CSVs are read a block of rows at a time: a chunk of
+_BLOCK_CHARS characters cut at its last '\\n', so no string is made per
+line. A file in the canonical dialect, the one _write_csv produces, is
+parsed a column at a time: the exact header, ASCII without quotes or
+whitespace other than '\\n', and the header's field count on every line.
+Any other file, and any file with a bad row, is read again by the row
+scanner, which also takes csv-module quoting, CRLF, blank lines, padded
+tokens and extra columns, and names the file and line of the first bad row.
+Both panel readers end in one grid builder, _grid, so the column parser
+itself reads a day spelled two ways ('0001-01-01', '+001-01-01') as one.
+Every CSV is UTF-8, read past a byte-order mark if it starts with one and
+written without; a file that is not UTF-8 names the first line that fails
+to decode.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ import csv
 import json
 import math
 import os
+from collections import defaultdict
 from contextlib import contextmanager
 from itertools import islice
 from typing import Iterable, Iterator, TextIO
@@ -41,7 +45,7 @@ from .skew import RankedPnlCurve
 
 # Fixed sizes, not options: whole-file parsing costs memory on long series
 # for no gain in speed.
-_BLOCK_CHARS = 1 << 16  # readlines() hint: characters parsed per block
+_BLOCK_CHARS = 1 << 16  # characters read per block, which then ends at its last '\n'
 _WRITE_ROWS = 2048  # rows formatted per write
 
 # The characters of the canonical dialect: '\n' and the printable ASCII
@@ -89,11 +93,34 @@ def _writing(path: str) -> Iterator[TextIO]:
         raise IOWrite(f"cannot write {path}: {exc}") from exc
 
 
+def _day_text(days: np.ndarray) -> np.ndarray:
+    """The YYYY-MM-DD text of datetime64[D] days in the years -999..9999, as astype(str) spells it
+    (a year below 0 is '-' and three digits), from integer fields: a (k, 10) array of code points
+    viewed as U10."""
+    years = days.astype("datetime64[Y]")
+    months = days.astype("datetime64[M]")
+    y = years.astype(np.int64) + 1970
+    m = (months - years).astype(np.int64) + 1
+    d = (days - months).astype(np.int64) + 1
+    a = np.abs(y)
+    code = np.empty((days.size, 10), np.uint32)
+    code[:, 0] = np.where(y < 0, ord("-"), a // 1000 + ord("0"))
+    code[:, 1] = a // 100 % 10 + ord("0")
+    code[:, 2] = a // 10 % 10 + ord("0")
+    code[:, 3] = a % 10 + ord("0")
+    code[:, 4] = code[:, 7] = ord("-")
+    code[:, 5] = m // 10 + ord("0")
+    code[:, 6] = m % 10 + ord("0")
+    code[:, 8] = d // 10 + ord("0")
+    code[:, 9] = d % 10 + ord("0")
+    return code.view("U10").ravel()
+
+
 def _fields(block) -> list[str]:
     """The text of a column block. A list of str is text already and is itself. A float is
     the repr of a Python float (numpy 2's repr of an np.float64 is 'np.float64(...)'); a
-    column of objects holds floats and None, an empty field; a column of another dtype,
-    such as datetime64[D] or integers, is str."""
+    column of objects holds floats and None, an empty field; a datetime64[D] day is spelled
+    by _day_text; a column of another dtype, such as integers, is str."""
     if isinstance(block, list) and block and isinstance(block[0], str):
         return block
     block = np.asarray(block)
@@ -101,6 +128,8 @@ def _fields(block) -> list[str]:
         return list(map(repr, block.tolist()))
     if block.dtype == object:
         return ["" if x is None else repr(float(x)) for x in block.tolist()]
+    if block.dtype == "datetime64[D]":
+        return _day_text(block).tolist()
     return block.astype(str).tolist()
 
 
@@ -240,34 +269,47 @@ def _scan_panel(path: str) -> tuple[np.ndarray, list[str], np.ndarray]:
 # ---------------------------------------------------------------------------
 
 
+def _blocks(fh: TextIO) -> Iterator[str]:
+    """The rest of `fh` as blocks of whole lines, each ending in '\\n'. A read of _BLOCK_CHARS
+    characters is cut at its last '\\n' and the rest carries into the next block; a read
+    without one carries whole. A last line without a '\\n' is given one."""
+    tail = ""
+    while chunk := fh.read(_BLOCK_CHARS):
+        cut = chunk.rfind("\n") + 1
+        if cut:
+            yield tail + chunk[:cut]
+            tail = chunk[cut:]
+        else:
+            tail += chunk
+    if tail:
+        yield tail + "\n"
+
+
 def _column_blocks(path: str, header: str) -> Iterator[list[list[str]] | None]:
     """Yield the rows of `path` after the exact `header` line in blocks of
-    about _BLOCK_CHARS characters, each as a list of column tokens per field
-    of `header`. Yield None and stop at another header, at the first block
-    outside the canonical dialect, or with a line the csv module would
-    refuse as too long."""
+    about _BLOCK_CHARS characters (see _blocks), each as a list of column
+    tokens per field of `header`. Yield None and stop at another header, at
+    the first block outside the canonical dialect, or with a line the csv
+    module would refuse as too long."""
     ncol = header.count(",") + 1
     separators = b"," * (ncol - 1) + b"\n"  # of one line
     with _open_text(path) as fh:
         if fh.readline() != header + "\n":
             yield None
             return
-        while lines := fh.readlines(_BLOCK_CHARS):
-            text = "".join(lines)
+        for text in _blocks(fh):
             raw = text.encode()  # a character outside ASCII is bytes outside the canonical dialect
             # the lines end at '\n' (any other line break is not canonical), so each has ncol - 1 commas
-            # exactly when the block's separators are one line's, repeated, less a last line's missing '\n'
-            expected = (separators * len(lines))[: None if raw.endswith(b"\n") else -1]
+            # exactly when the block's separators are one line's, repeated once per '\n'
             if (
                 raw.translate(None, _CANONICAL)
                 or len(text) > csv.field_size_limit()
-                or raw.translate(None, _NOT_SEPARATOR) != expected
+                or raw.translate(None, _NOT_SEPARATOR) != separators * raw.count(b"\n")
             ):
                 yield None
                 return
             tokens = text.replace("\n", ",").split(",")
-            if text.endswith("\n"):
-                tokens.pop()
+            tokens.pop()
             yield [tokens[j::ncol] for j in range(ncol)]
 
 
@@ -319,7 +361,8 @@ def _parse_panel(path: str) -> tuple[np.ndarray, list[str], np.ndarray] | None:
     """(dates, assets, values grid) of a canonical date,asset,value file;
     None for any other file, and for one with a repeated cell or a
     non-finite value, whose line the scanner names."""
-    asset_code: dict[str, int] = {}
+    asset_code: defaultdict[str, int] = defaultdict()
+    asset_code.default_factory = asset_code.__len__  # a new asset gets the next column
     days, cols, values = [], [], []
     for block in _column_blocks(path, _PANEL_HEADER):
         if block is None:
@@ -329,8 +372,6 @@ def _parse_panel(path: str) -> tuple[np.ndarray, list[str], np.ndarray] | None:
             values.append(np.fromiter(map(float, block[2]), np.float64, len(block[2])))
         except ValueError:
             return None
-        for a in dict.fromkeys(block[1]):  # a new asset gets the next column
-            asset_code.setdefault(a, len(asset_code))
         cols.append(np.fromiter(map(asset_code.__getitem__, block[1]), np.int64, len(block[1])))
     if not days or "" in asset_code or not all(np.isfinite(v).all() for v in values):
         return None
@@ -393,8 +434,8 @@ def write_panel(path: str, panel: Panel) -> None:
         if not a or a != a.strip():
             raise IOWrite(f"cannot write {path}: asset label {a!r} is empty or padded with whitespace")
     rows, cols = np.nonzero(np.isfinite(panel.values))
-    # each date is formatted once; the cells gather its text, and the labels', into lists of str in C
-    days = panel.dates.astype(str).astype(object)
+    # each date is spelled once; the cells gather its text, and the labels', into lists of str in C
+    days = _day_text(panel.dates).astype(object)
     assets = np.array(panel.assets, dtype=object)
     _write_csv(path, _PANEL_HEADER, days[rows].tolist(), assets[cols].tolist(), panel.values[rows, cols])
 

@@ -166,6 +166,10 @@ def _compare(tmp_path_factory, text: str, block: int, read, scanned) -> None:
     block=st.sampled_from([1, 24, 100, 1 << 16]),
 )
 @example(text="date,value\n+002001-01,0.5\n2002-01-01,0.1\n", block=1 << 16)
+# chunk edges: a read that ends right after a '\n', lines longer than a read, a short last line without '\n'
+@example(text="date,value\n2001-01-01,0.5\n2002-01-01,0.1\n2003-01-01,0.2\n", block=15)
+@example(text="date,value\n2001-01-01,0.5\n2002-01-01,0.1\n", block=4)
+@example(text="date,value\n2001-01-01,0.5\n2002-01-01,0.1", block=1 << 16)
 @settings(max_examples=300, deadline=None)
 def test_read_series_agrees_with_scanner(tmp_path_factory, text, block):
     _compare(tmp_path_factory, text, block, read_series, _scanned_series)
@@ -183,6 +187,10 @@ def test_read_series_agrees_with_scanner(tmp_path_factory, text, block):
 @example(text="date,asset,value\n+002001-01,a,0.5\n", block=1 << 16)
 @example(text="date,asset,value\n0001-01-01,a,0.5\n+001-01-01,b,0.5\n", block=1 << 16)
 @example(text="date,asset,value\n2001-01-01,a,abc\n", block=1 << 16)
+# chunk edges as for a series, and a later block that brings a new asset: columns in order of first appearance
+@example(text="date,asset,value\n2001-01-01,b,0.5\n2001-01-01,a,0.1\n2001-01-02,c,0.2\n2001-01-02,a,0.3\n", block=17)
+@example(text="date,asset,value\n2001-01-01,b,0.5\n2001-01-02,a,0.1\n", block=5)
+@example(text="date,asset,value\n2001-01-01,b,0.5\n2001-01-02,a,0.1", block=1 << 16)
 @settings(max_examples=300, deadline=None)
 def test_read_panel_agrees_with_scanner(tmp_path_factory, text, block):
     _compare(tmp_path_factory, text, block, read_panel, _scanned_panel)
@@ -200,7 +208,7 @@ def test_scan_panel_agrees_with_cell_scanner(tmp_path_factory, text):
 
 
 def test_canonical_files_take_the_column_path(tmp_path, monkeypatch):
-    """Files as the writers write them never reach the row scanner."""
+    """Files as the writers write them never reach the row scanner, also when every read is shorter than a line."""
     rng = np.random.default_rng(3)
     dates = np.datetime64("1999-12-20", "D") + np.arange(5000)
     series = ReturnSeries(label="s", period="daily", dates=dates, values=rng.standard_normal(5000))
@@ -215,11 +223,13 @@ def test_canonical_files_take_the_column_path(tmp_path, monkeypatch):
 
     monkeypatch.setattr(rio, "_scan_series", no_scanner)
     monkeypatch.setattr(rio, "_scan_panel", no_scanner)
-    back = read_series(str(tmp_path / "s.csv"))
-    assert np.array_equal(back.dates, series.dates) and np.array_equal(back.values, series.values)
-    grid = read_panel(str(tmp_path / "p.csv"))
-    assert grid.assets == panel.assets and np.array_equal(grid.dates, panel.dates)
-    assert np.array_equal(grid.values, panel.values, equal_nan=True)
+    for block in (rio._BLOCK_CHARS, 5):
+        monkeypatch.setattr(rio, "_BLOCK_CHARS", block)
+        back = read_series(str(tmp_path / "s.csv"))
+        assert np.array_equal(back.dates, series.dates) and np.array_equal(back.values, series.values)
+        grid = read_panel(str(tmp_path / "p.csv"))
+        assert grid.assets == panel.assets and np.array_equal(grid.dates, panel.dates)
+        assert np.array_equal(grid.values, panel.values, equal_nan=True)
 
 
 def test_one_day_spelled_two_ways_takes_the_column_path(tmp_path, monkeypatch):
@@ -278,6 +288,21 @@ def test_read_panel_peak_allocation_is_bounded(tmp_path):
 # ---------------------------------------------------------------------------
 # Writers: byte-identical to the row-at-a-time writers
 # ---------------------------------------------------------------------------
+
+_DAY_INTS = rio._DAY_RANGE.astype(np.int64).tolist()  # the days writers take, as integers
+# the ends of that range, years -1, 0 and 1, leap days and the turns of the centuries and of 1970
+_EDGE_DAYS = ["-999-01-01", "-999-12-31", "-100-02-28", "-100-03-01", "-004-02-29", "-001-01-01", "-001-12-31",
+              "0000-01-01", "0000-02-29", "0000-12-31", "0001-01-01", "0999-12-31", "1000-01-01", "1900-02-28",
+              "1900-03-01", "1969-12-31", "1970-01-01", "2000-02-29", "9999-12-31"]
+
+
+@given(st.lists(st.integers(*_DAY_INTS), max_size=40))
+@example(np.array(_EDGE_DAYS, dtype="datetime64[D]").astype(np.int64).tolist())
+def test_day_text_spells_days_as_numpy_does(days):
+    """The date speller of both writers agrees with numpy's astype(str) on every day the writers take."""
+    days = np.array(days, dtype=np.int64).astype("datetime64[D]")
+    assert rio._day_text(days).tolist() == days.astype(str).tolist()
+
 
 # with the values at repr's switches to exponent notation: 1e-05 and 1e+16
 _SPECIAL = [0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e-310, 1e300, -1e300, 3.0, -17.0, 0.1, 2.0**53,
