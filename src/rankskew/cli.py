@@ -160,13 +160,13 @@ def _stem(path: str) -> str:
     return os.path.splitext(os.path.basename(path))[0]
 
 
-def _write_curve(path: str, args, out: _Outputs, p_texts: dict[int, list[str]] | None = None) -> ReturnSeries:
+def _write_curve(path: str, args, out: _Outputs) -> ReturnSeries:
     """Read one series and write its {stem}_ranked_pnl.csv."""
     series = rio.read_series(path, kind=args.kind, period=args.period)
     # the twin first: its series is freed before the raw curve is built
     sym = ranked_pnl(symmetrize(series, args.seed))
     curve = ranked_pnl(series, "raw")
-    rio.write_curve_csv(out.add(f"{_stem(path)}_ranked_pnl.csv"), curve, sym, p_texts=p_texts)
+    rio.write_curve_csv(out.add(f"{_stem(path)}_ranked_pnl.csv"), curve, sym)
     return series
 
 
@@ -175,14 +175,12 @@ def _skew_reports(paths: list[str], args, out: _Outputs, step) -> tuple[list, li
 
     One series at a time: read it and write its curve, let `skew_reports` check
     it, then run `step` on it, so every step has run before the bootstrap.
-    Curves of one length share one text of their p column.
     """
     steps = []
-    p_texts: dict[int, list[str]] = {}
 
     def each_series():
         for path in paths:
-            series = _write_curve(path, args, out, p_texts)
+            series = _write_curve(path, args, out)
             yield series
             steps.append(step(series))
 

@@ -1,13 +1,18 @@
 """CSV/JSON ingestion and byte-stable export.
 
-One function, _write_csv, writes every CSV a block of rows at a time:
-each float as repr(), the shortest decimal that round-trips to the same
-float64, and '\\n' newlines, so identical inputs and seeds produce
-byte-identical artifacts. Dates are spelled YYYY-MM-DD from their integer
-fields (_day_text). A failed write, and a NaN or infinity that no reader
-would take back, raise IOWrite naming the file.
-A column may also come as text already formatted, such as the p = k/N
-column that the curves of one length share (see write_curve_csv).
+One function, _write_csv, writes every CSV, _WRITE_ROWS rows at a time,
+each block built in numpy as one buffer of UTF-8 bytes and written with one
+call. A float is spelled exactly as repr() spells it, the shortest decimal
+that round-trips to the same float64, by floattext.float_text: it finds the
+digits of a whole array at once (Schubfach, in uint64 arithmetic), and a
+template per sign, decimal point position and digit count lays them out in
+repr()'s fixed or exponent form. Dates are spelled YYYY-MM-DD from their
+integer fields (_day_text), labels are their UTF-8 bytes, and '\\n' ends
+each row, so identical inputs and seeds produce byte-identical artifacts.
+The fields of a block sit side by side in one byte array, and each field's
+bytes past its length are dropped, so text may hold any character, NUL
+included. A failed write, and a NaN or infinity that no reader would take
+back, raise IOWrite naming the file.
 
 Series and panel CSVs are read a block of rows at a time: a chunk of
 _BLOCK_CHARS characters cut at its last '\\n', so no string is made per
@@ -33,12 +38,13 @@ import os
 from collections import defaultdict
 from contextlib import contextmanager
 from itertools import islice
-from typing import Iterable, Iterator, TextIO
+from typing import BinaryIO, Iterable, Iterator, NamedTuple, TextIO
 
 import numpy as np
 
 from .analysis import CrossSection, CrossSectionRow, RegressionResult
 from .errors import CsvFormatError, InvalidParams, IOWrite, TooShort
+from .floattext import float_text
 from .portfolio import Panel
 from .series import Period, ReturnSeries
 from .skew import RankedPnlCurve
@@ -84,10 +90,10 @@ def _check_days(path: str, days: np.ndarray) -> None:
 
 
 @contextmanager
-def _writing(path: str) -> Iterator[TextIO]:
-    """`path` open to write UTF-8 text; an OSError is raised as IOWrite naming the file."""
+def _writing(path: str) -> Iterator[BinaryIO]:
+    """`path` open to write bytes; an OSError is raised as IOWrite naming the file."""
     try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        with open(path, "wb") as fh:
             yield fh
     except OSError as exc:
         raise IOWrite(f"cannot write {path}: {exc}") from exc
@@ -95,15 +101,14 @@ def _writing(path: str) -> Iterator[TextIO]:
 
 def _day_text(days: np.ndarray) -> np.ndarray:
     """The YYYY-MM-DD text of datetime64[D] days in the years -999..9999, as astype(str) spells it
-    (a year below 0 is '-' and three digits), from integer fields: a (k, 10) array of code points
-    viewed as U10."""
+    (a year below 0 is '-' and three digits), from integer fields: a (k, 10) array of ASCII codes."""
     years = days.astype("datetime64[Y]")
     months = days.astype("datetime64[M]")
     y = years.astype(np.int64) + 1970
     m = (months - years).astype(np.int64) + 1
     d = (days - months).astype(np.int64) + 1
     a = np.abs(y)
-    code = np.empty((days.size, 10), np.uint32)
+    code = np.empty((days.size, 10), np.uint8)
     code[:, 0] = np.where(y < 0, ord("-"), a // 1000 + ord("0"))
     code[:, 1] = a // 100 % 10 + ord("0")
     code[:, 2] = a // 10 % 10 + ord("0")
@@ -113,49 +118,115 @@ def _day_text(days: np.ndarray) -> np.ndarray:
     code[:, 6] = m % 10 + ord("0")
     code[:, 8] = d // 10 + ord("0")
     code[:, 9] = d % 10 + ord("0")
-    return code.view("U10").ravel()
+    return code
 
 
-def _fields(block) -> list[str]:
-    """The text of a column block. A list of str is text already and is itself. A float is
-    the repr of a Python float (numpy 2's repr of an np.float64 is 'np.float64(...)'); a
-    column of objects holds floats and None, an empty field; a datetime64[D] day is spelled
-    by _day_text; a column of another dtype, such as integers, is str."""
-    if isinstance(block, list) and block and isinstance(block[0], str):
-        return block
-    block = np.asarray(block)
-    if block.dtype.kind == "f":
-        return list(map(repr, block.tolist()))
-    if block.dtype == object:
-        return ["" if x is None else repr(float(x)) for x in block.tolist()]
-    if block.dtype == "datetime64[D]":
-        return _day_text(block).tolist()
-    return block.astype(str).tolist()
+# ---------------------------------------------------------------------------
+# CSV writing: a block of rows as one buffer of bytes
+# ---------------------------------------------------------------------------
 
 
-def _finite(column) -> bool:
-    """Whether every float of a column is finite. An array holds floats only if its dtype
-    is float; a list of text holds none."""
-    if isinstance(column, np.ndarray):
-        return column.dtype.kind != "f" or bool(np.isfinite(column).all())
-    if column and isinstance(column[0], str):
-        return True
-    return all(math.isfinite(x) for x in column if isinstance(x, float))
+class _Floats(NamedTuple):
+    """A float column; a row marked in `empty` is an empty field."""
+
+    values: np.ndarray
+    empty: np.ndarray | None = None
+
+
+class _Text(NamedTuple):
+    """A text column: row i is the bytes of code[r] where keep[r], r = index[i], or r = i without an index."""
+
+    code: np.ndarray  # (t, w) uint8
+    keep: np.ndarray  # (t, w) bool, a run of True from the start
+    index: np.ndarray | None = None
+
+
+def _text(labels: list[str], index: np.ndarray | None = None) -> _Text:
+    """The UTF-8 bytes of `labels` as a text column, `index` choosing its rows."""
+    raw = [label.encode() for label in labels]
+    code = np.array(raw, dtype=bytes) if raw else np.empty(0, "S1")
+    size = np.array(list(map(len, raw)), np.intp)
+    return _Text(code.view(np.uint8).reshape(len(raw), code.itemsize), np.arange(code.itemsize) < size[:, None], index)
+
+
+def _column(column) -> _Floats | _Text | np.ndarray:
+    """A column given to _write_csv in the form its blocks are spelled from: a datetime64[D] array stays
+    as it is; str labels, and values of any dtype but float and object, such as integers, become their
+    text; floats and None, an empty field, become _Floats."""
+    if isinstance(column, _Text) or (isinstance(column, np.ndarray) and column.dtype == "datetime64[D]"):
+        return column
+    if isinstance(column, list) and column and isinstance(column[0], str):
+        return _text(column)
+    values = np.asarray(column)
+    if values.dtype.kind == "f":
+        return _Floats(values.astype(np.float64, copy=False))
+    if values.dtype == object:
+        empty = np.array([x is None for x in column], dtype=bool)
+        return _Floats(np.array([0.0 if x is None else float(x) for x in column], dtype=np.float64), empty)
+    return _text(values.astype(str).tolist())
+
+
+def _rows(column: _Floats | _Text | np.ndarray) -> int:
+    if isinstance(column, _Floats):
+        return column.values.size
+    if isinstance(column, _Text):
+        return len(column.code) if column.index is None else column.index.size
+    return column.size
+
+
+def _join(fields: list[tuple[np.ndarray, np.ndarray | None]], k: int) -> np.ndarray:
+    """The bytes of k CSV rows from their fields, a (text, keep) per column: field i is the bytes of
+    text[i] where keep[i], or all of them when keep is None. The fields and separators are laid side
+    by side in one (k, width) byte array, and the bytes not kept are dropped from it."""
+    width = sum(text.shape[1] + 1 for text, _ in fields)
+    row = np.empty((k, width), np.uint8)
+    keep = np.ones((k, width), bool)
+    c = 0
+    for text, field_keep in fields:
+        w = text.shape[1]
+        row[:, c : c + w] = text
+        if field_keep is not None:
+            keep[:, c : c + w] = field_keep
+        row[:, c + w] = ord(",")
+        c += w + 1
+    row[:, -1] = ord("\n")
+    return row[keep]
+
+
+def _block(columns: list, i: int, j: int) -> np.ndarray:
+    """The bytes of rows i..j-1 of `columns` as CSV text: floats spelled by float_text, days by
+    _day_text, and text columns as they are."""
+    fields = []
+    for c in columns:
+        if isinstance(c, _Floats):
+            text, keep = float_text(c.values[i:j])
+            if c.empty is not None:
+                keep[c.empty[i:j]] = False
+            fields.append((text, keep))
+        elif isinstance(c, _Text):
+            rows = slice(i, j) if c.index is None else c.index[i:j]
+            fields.append((c.code[rows], c.keep[rows]))
+        else:
+            fields.append((_day_text(c[i:j]), None))
+    return _join(fields, j - i)
 
 
 def _write_csv(path: str, header: str, *columns) -> None:
     """Write `header` and a row per index of the equal-length `columns`, _WRITE_ROWS rows per write.
 
-    A NaN or infinity, which no reader takes back, is refused with IOWrite before the file is opened.
+    A column is floats (an array, or a list whose None is an empty field), datetime64[D] days, str
+    labels, values such as integers that are spelled as str() spells them, or a _Text. A NaN or
+    infinity, which no reader takes back, is refused with IOWrite before the file is opened.
     """
+    columns = [_column(c) for c in columns]
     for name, column in zip(header.split(","), columns):
-        if not _finite(column):
+        if isinstance(column, _Floats) and not np.isfinite(column.values).all():
             raise IOWrite(f"cannot write {path}: non-finite value in column {name}")
     with _writing(path) as fh:
-        fh.write(header + "\n")
-        for i in range(0, len(columns[0]), _WRITE_ROWS):
-            text = [_fields(c[i : i + _WRITE_ROWS]) for c in columns]
-            fh.write("\n".join(map(",".join, zip(*text))) + "\n")
+        fh.write(header.encode() + b"\n")
+        n = _rows(columns[0])
+        for i in range(0, n, _WRITE_ROWS):
+            fh.write(_block(columns, i, min(i + _WRITE_ROWS, n)))
 
 
 def _parse_date(token: str, path: str, line: int) -> np.datetime64:
@@ -434,10 +505,7 @@ def write_panel(path: str, panel: Panel) -> None:
         if not a or a != a.strip():
             raise IOWrite(f"cannot write {path}: asset label {a!r} is empty or padded with whitespace")
     rows, cols = np.nonzero(np.isfinite(panel.values))
-    # each date is spelled once; the cells gather its text, and the labels', into lists of str in C
-    days = _day_text(panel.dates).astype(object)
-    assets = np.array(panel.assets, dtype=object)
-    _write_csv(path, _PANEL_HEADER, days[rows].tolist(), assets[cols].tolist(), panel.values[rows, cols])
+    _write_csv(path, _PANEL_HEADER, panel.dates[rows], _text(panel.assets, cols), panel.values[rows, cols])
 
 
 # ---------------------------------------------------------------------------
@@ -484,25 +552,11 @@ def write_scatter_csv(path: str, cs: CrossSection, result: RegressionResult) -> 
 # ---------------------------------------------------------------------------
 
 
-def write_curve_csv(
-    path: str, curve: RankedPnlCurve, symmetrized: RankedPnlCurve, *, p_texts: dict[int, list[str]] | None = None
-) -> None:
-    """Ranked-P&L plot data: columns p, F and the symmetrized twin's F_sym.
-
-    Every column is formatted a block of rows at a time and no whole column
-    of text is held, unless `p_texts`, one dict for the curves of a command,
-    has seen a curve of this length: the text of p = k/N, which curves of one
-    length share, is kept there by the second curve and reused by later ones.
-    """
-    n = curve.p.size
-    if symmetrized.p.size != n:
+def write_curve_csv(path: str, curve: RankedPnlCurve, symmetrized: RankedPnlCurve) -> None:
+    """Ranked-P&L plot data: columns p, F and the symmetrized twin's F_sym."""
+    if symmetrized.p.size != curve.p.size:
         raise IOWrite("curve and symmetrized curve differ in length")
-    p, f, f_sym = (np.asarray(x, dtype=np.float64) for x in (curve.p, curve.f, symmetrized.f))
-    if p_texts is not None and n not in p_texts:
-        p_texts[n] = []
-    elif p_texts is not None:
-        p = p_texts[n] = p_texts[n] or _fields(p)
-    _write_csv(path, _CURVE_HEADER, p, f, f_sym)
+    _write_csv(path, _CURVE_HEADER, *(np.asarray(x, dtype=np.float64) for x in (curve.p, curve.f, symmetrized.f)))
 
 
 def write_fig10_csv(path: str, rows) -> None:
@@ -522,4 +576,4 @@ def write_json(path: str, obj) -> None:
     except ValueError as exc:
         raise IOWrite(f"cannot write {path}: {exc}") from exc
     with _writing(path) as fh:
-        fh.write(text + "\n")
+        fh.write(text.encode() + b"\n")

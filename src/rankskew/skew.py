@@ -57,12 +57,11 @@ from .series import (
     symmetrize,
 )
 
-#: Coefficient of the weak-non-Gaussian relation zeta* ~ C zeta3 (1 - kurt/24).
-#: Pinned by the quadrature oracle on Hermite-corrected Gaussian densities
-#: (see tests and scripts/pin_edgeworth_constant.py): C = 50/(3 pi). The
-#: relation is exact at kurt = 0; for kurt > 0 the stated bracket understates
-#: the correction (the oracle gives 1 - kurt/8), so treat this as a
-#: small-(zeta3, kurt) approximation.
+#: Coefficient C of zeta* = C zeta3 (1 - kurt/8), C = 50/(3 pi), for the Edgeworth density
+#: phi(x) [1 + (zeta3/6) He3(x) + (kurt/24) He4(x)]. On an uncut density the relation is exact,
+#: in closed form (derived in tests/oracles.py, edgeworth_zeta_star_closed_form, and held to the
+#: quadrature within 1e-10). The paper's bracket (1 - kurt/24) is wrong. Only the cut of
+#: EdgeworthDensity, where the expansion dips negative, makes the relation approximate.
 EDGEWORTH_ZETA_STAR_COEFF = 50.0 / (3.0 * math.pi)
 
 #: Rank-fraction window [p_min, p_max] of the small-p power-law fit.

@@ -5,7 +5,8 @@ so that its replacement can be checked against it. The exceptions:
 `edgeworth_zeta_star_split_quad` is a tighter form of the replaced nested
 `quad` that also splits at the density's jumps, and `zeta_star_ij_se` and
 `sharpe_se_mertens` are analytic references for the bootstrap errors,
-not earlier implementations.
+not earlier implementations, and `edgeworth_zeta_star_closed_form` is
+the closed form of the Edgeworth density's zeta*.
 """
 
 from __future__ import annotations
@@ -249,6 +250,29 @@ def _fmt(x: float) -> str:
 def _open_text(path: str, mode: str = "r"):
     """Open a file as UTF-8: newlines untranslated to read, '\\n' to write."""
     return open(path, mode, encoding="utf-8", newline="" if mode == "r" else "\n")
+
+
+def _fields_by_repr(block) -> list[str]:
+    """The text of a column block: a list of str is itself, a float the repr of a Python float, a column of
+    objects holds floats and None (an empty field), and any other dtype, days and integers, is str."""
+    if isinstance(block, list) and block and isinstance(block[0], str):
+        return block
+    block = np.asarray(block)
+    if block.dtype.kind == "f":
+        return list(map(repr, block.tolist()))
+    if block.dtype == object:
+        return ["" if x is None else repr(float(x)) for x in block.tolist()]
+    return block.astype(str).tolist()
+
+
+def write_csv_by_repr(path: str, header: str, *columns) -> None:
+    """`rankskew.io._write_csv` before its blocks were spelled in numpy: one repr per float, and the
+    fields of 2048 rows joined with ',' and '\\n' per write."""
+    with _open_text(path, "w") as fh:
+        fh.write(header + "\n")
+        for i in range(0, len(columns[0]), 2048):
+            text = [_fields_by_repr(c[i : i + 2048]) for c in columns]
+            fh.write("\n".join(map(",".join, zip(*text))) + "\n")
 
 
 def write_series_by_row(path: str, s: ReturnSeries) -> None:
@@ -633,6 +657,19 @@ def ast_zeta_star_mpmath(nu_plus: float, nu_minus: float) -> float:
         cuts = [0] + [mp.mpf(10) ** k for k in range(-3, 25)] + [mp.inf]
         total = mp.quad(lambda t: t * (p(mu + t) - p(mu - t)) * tail_mass(t), cuts)
         return float(-100 * total / sd)
+
+
+def edgeworth_zeta_star_closed_form(zeta3: float, kurt: float) -> float:
+    """zeta* = (50 / (3 pi)) zeta3 (1 - kurt/8) of the uncut density phi(x) [1 + (zeta3/6) He3 + (kurt/24) He4].
+
+    With S(t) = P(|X| >= t), zeta* = -100 int_0^inf t [p(t) - p(-t)] S(t) dt on a standardized density,
+    which the uncut one is (He3 and He4 are orthogonal to 1, x and x^2). Its odd part is
+    p(t) - p(-t) = (zeta3/3) phi He3, and since int_t^inf phi He4 = phi(t) He3(t),
+    S = 2 Phibar + (kurt/12) phi He3. With I1 = int_0^inf t He3 phi Phibar dt = -1/(4 pi) and
+    I2 = int_0^inf t He3^2 phi^2 dt = 3/(4 pi), zeta* = -100 (zeta3/3) (2 I1 + (kurt/12) I2), which is
+    the closed form. The (1 - kurt/24) of the paper's relation is not it.
+    """
+    return 50.0 / (3.0 * math.pi) * zeta3 * (1.0 - kurt / 8.0)
 
 
 def edgeworth_moments_quad(dist: EdgeworthDensity) -> tuple[float, float, float, float, float]:

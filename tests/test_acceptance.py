@@ -148,13 +148,14 @@ EDGEWORTH_CASES = {
 @pytest.mark.acceptance
 @pytest.mark.parametrize("zeta3,kurt", sorted(EDGEWORTH_CASES))
 def test_criterion_3_edgeworth_relation(zeta3, kurt):
-    """Sampled zeta* against C * zeta3 * (1 - kurt/24) with C from quadrature.
+    """Sampled zeta* against the quadrature of the density, written as C * zeta3 * (1 - kurt/24).
 
-    Pinning C per parameter point via the double-integral oracle resolves
-    the 1.326-vs-1.273 coefficient question: at kurt = 0 the oracle gives
-    C = 50/(3 pi) = 5.3052 (four times 25/(6 pi)), and the kurtosis
-    bracket it implies is (1 - kurt/8), not (1 - kurt/24). The printed
-    line reports the per-case C so the resolution is visible.
+    On an uncut density the quadrature is exactly (50/(3 pi)) zeta3 (1 - kurt/8)
+    (tests/oracles.py, edgeworth_zeta_star_closed_form): the paper's bracket
+    (1 - kurt/24) is wrong, and the C the printed line reports per case,
+    quadrature over zeta3 (1 - kurt/24), shows by how much. Only the cut makes
+    the relation approximate: (0.1, 0) is cut where the expansion dips
+    negative, and its quadrature is 5.1e-4 (relative) below the closed form.
     """
     t0 = time.monotonic()
     dist = EdgeworthDensity(zeta3, kurt)

@@ -301,7 +301,7 @@ _EDGE_DAYS = ["-999-01-01", "-999-12-31", "-100-02-28", "-100-03-01", "-004-02-2
 def test_day_text_spells_days_as_numpy_does(days):
     """The date speller of both writers agrees with numpy's astype(str) on every day the writers take."""
     days = np.array(days, dtype=np.int64).astype("datetime64[D]")
-    assert rio._day_text(days).tolist() == days.astype(str).tolist()
+    assert rio._day_text(days).view("S10").ravel().astype(str).tolist() == days.astype(str).tolist()
 
 
 # with the values at repr's switches to exponent notation: 1e-05 and 1e+16
@@ -338,17 +338,6 @@ def test_writers_match_row_writers_byte_for_byte(tmp_path, offset):
     curve = RankedPnlCurve(p=p, f=np.cumsum(_floats(rng, n)), variant="raw")
     twin = RankedPnlCurve(p=p, f=_floats(rng, n), variant="symmetrized")
     _same_bytes(tmp_path, rio.write_curve_csv, write_curve_csv_by_row, curve, twin)
-    # the text of p shared by curves of one length: none kept by the first write, kept by the second, reused by the third
-    p_texts: dict[int, list[str]] = {}
-    for k in range(3):
-        rio.write_curve_csv(tmp_path / "shared.csv", curve, twin, p_texts=p_texts)
-        assert (tmp_path / "shared.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
-        if k == 0:
-            assert p_texts == {n: []}
-        elif k == 1:
-            kept = p_texts[n]
-            assert len(kept) == n
-    assert p_texts == {n: kept} and p_texts[n] is kept
 
     # n cells in all, a third of the grid missing
     values = _floats(rng, 3 * (n // 2)).reshape(-1, 3)
