@@ -11,8 +11,10 @@ integer fields (_day_text), labels are their UTF-8 bytes, and '\\n' ends
 each row, so identical inputs and seeds produce byte-identical artifacts.
 The fields of a block sit side by side in one byte array, and each field's
 bytes past its length are dropped, so text may hold any character, NUL
-included. A failed write, and a NaN or infinity that no reader would take
-back, raise IOWrite naming the file.
+included. Every CSV writer goes through _column, which refuses, before the file
+is opened, what no reader would take back: a NaN or infinity, a date outside the
+years -999..9999, a label with a comma, quote or line break. Each refusal, and
+a failed write, raises IOWrite naming the file.
 
 Series and panel CSVs are read a block of rows at a time: a chunk of
 _BLOCK_CHARS characters cut at its last '\\n', so no string is made per
@@ -38,7 +40,7 @@ import os
 from collections import defaultdict
 from contextlib import contextmanager
 from itertools import islice
-from typing import BinaryIO, Iterable, Iterator, NamedTuple, TextIO
+from typing import BinaryIO, Callable, Iterator, NamedTuple, TextIO
 
 import numpy as np
 
@@ -70,23 +72,8 @@ _FIG10_HEADER = "nu_plus,zeta3,zeta_star"
 _DECILE_HEADER = "bucket,vol_pct,zeta_star,sharpe"
 
 
-def _check_labels(path: str, labels: Iterable[str]) -> None:
-    """Raise IOWrite for a label the unquoted dialect cannot hold."""
-    for label in labels:
-        if any(ch in label for ch in ',"\r\n'):
-            raise IOWrite(f"cannot write {path}: label {label!r} contains a comma, quote or line break")
-
-
 # The first and last day whose text is the 10 characters of YYYY-MM-DD, the only dates the readers take.
 _DAY_RANGE = np.array(["-999-01-01", "9999-12-31"], dtype="datetime64[D]")
-
-
-def _check_days(path: str, days: np.ndarray) -> None:
-    """Raise IOWrite for a day the readers would not take back: a year outside -999..9999 (or NaT).
-    `days` ascend, as a series' and a panel's do, so only the ends are looked at."""
-    for day in days[:1], days[-1:]:
-        if day.size and not _DAY_RANGE[0] <= day[0] <= _DAY_RANGE[1]:
-            raise IOWrite(f"cannot write {path}: date {day[0]} is not of the form YYYY-MM-DD (years -999 to 9999)")
 
 
 @contextmanager
@@ -126,13 +113,6 @@ def _day_text(days: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-class _Floats(NamedTuple):
-    """A float column; a row marked in `empty` is an empty field."""
-
-    values: np.ndarray
-    empty: np.ndarray | None = None
-
-
 class _Text(NamedTuple):
     """A text column: row i is the bytes of code[r] where keep[r], r = index[i], or r = i without an index."""
 
@@ -149,29 +129,49 @@ def _text(labels: list[str], index: np.ndarray | None = None) -> _Text:
     return _Text(code.view(np.uint8).reshape(len(raw), code.itemsize), np.arange(code.itemsize) < size[:, None], index)
 
 
-def _column(column) -> _Floats | _Text | np.ndarray:
-    """A column given to _write_csv in the form its blocks are spelled from: a datetime64[D] array stays
-    as it is; str labels, and values of any dtype but float and object, such as integers, become their
-    text; floats and None, an empty field, become _Floats."""
-    if isinstance(column, _Text) or (isinstance(column, np.ndarray) and column.dtype == "datetime64[D]"):
-        return column
+def _column(path: str, name: str, column) -> tuple[int, Callable[[int, int], tuple[np.ndarray, np.ndarray | None]]]:
+    """The row count of column `name` of _write_csv, and a speller of its rows i..j-1 as a _join field.
+    A column is days (datetime64[D]), floats (an array, or a list whose None is an empty field), a _Text,
+    str labels, or values of another dtype, such as integers, spelled as str() spells them. IOWrite
+    refuses what no reader takes back: a day outside _DAY_RANGE (or NaT), a label holding a comma, quote
+    or line break, and a NaN or infinity."""
+    if isinstance(column, np.ndarray) and column.dtype == "datetime64[D]":
+        lo, hi = _DAY_RANGE
+        if column.size and not (lo <= column.min() and column.max() <= hi):
+            bad = column[~((lo <= column) & (column <= hi))][0]
+            raise IOWrite(f"cannot write {path}: date {bad} is not of the form YYYY-MM-DD (years -999 to 9999)")
+        return column.size, lambda i, j: (_day_text(column[i:j]), None)
     if isinstance(column, list) and column and isinstance(column[0], str):
-        return _text(column)
-    values = np.asarray(column)
-    if values.dtype.kind == "f":
-        return _Floats(values.astype(np.float64, copy=False))
+        column = _text(column)
+    elif not isinstance(column, _Text) and (values := np.asarray(column)).dtype.kind not in "fO":
+        column = _text(values.astype(str).tolist())
+    if isinstance(column, _Text):
+        code, keep, index = column
+        bad = np.isin(code, list(b',"\r\n')).any(axis=1)  # in UTF-8 these bytes are only ever themselves
+        if bad.any():
+            label = bytes(code[bad.argmax()][keep[bad.argmax()]]).decode()
+            raise IOWrite(f"cannot write {path}: label {label!r} contains a comma, quote or line break")
+
+        def labels(i: int, j: int) -> tuple[np.ndarray, np.ndarray]:
+            rows = slice(i, j) if index is None else index[i:j]
+            return code[rows], keep[rows]
+
+        return (len(code) if index is None else index.size), labels
+    empty = None
     if values.dtype == object:
         empty = np.array([x is None for x in column], dtype=bool)
-        return _Floats(np.array([0.0 if x is None else float(x) for x in column], dtype=np.float64), empty)
-    return _text(values.astype(str).tolist())
+        values = np.array([0.0 if x is None else float(x) for x in column], dtype=np.float64)
+    values = values.astype(np.float64, copy=False)
+    if not np.isfinite(values).all():
+        raise IOWrite(f"cannot write {path}: non-finite value in column {name}")
 
+    def floats(i: int, j: int) -> tuple[np.ndarray, np.ndarray]:
+        text, keep = float_text(values[i:j])
+        if empty is not None:
+            keep[empty[i:j]] = False
+        return text, keep
 
-def _rows(column: _Floats | _Text | np.ndarray) -> int:
-    if isinstance(column, _Floats):
-        return column.values.size
-    if isinstance(column, _Text):
-        return len(column.code) if column.index is None else column.index.size
-    return column.size
+    return values.size, floats
 
 
 def _join(fields: list[tuple[np.ndarray, np.ndarray | None]], k: int) -> np.ndarray:
@@ -193,40 +193,15 @@ def _join(fields: list[tuple[np.ndarray, np.ndarray | None]], k: int) -> np.ndar
     return row[keep]
 
 
-def _block(columns: list, i: int, j: int) -> np.ndarray:
-    """The bytes of rows i..j-1 of `columns` as CSV text: floats spelled by float_text, days by
-    _day_text, and text columns as they are."""
-    fields = []
-    for c in columns:
-        if isinstance(c, _Floats):
-            text, keep = float_text(c.values[i:j])
-            if c.empty is not None:
-                keep[c.empty[i:j]] = False
-            fields.append((text, keep))
-        elif isinstance(c, _Text):
-            rows = slice(i, j) if c.index is None else c.index[i:j]
-            fields.append((c.code[rows], c.keep[rows]))
-        else:
-            fields.append((_day_text(c[i:j]), None))
-    return _join(fields, j - i)
-
-
 def _write_csv(path: str, header: str, *columns) -> None:
-    """Write `header` and a row per index of the equal-length `columns`, _WRITE_ROWS rows per write.
-
-    A column is floats (an array, or a list whose None is an empty field), datetime64[D] days, str
-    labels, values such as integers that are spelled as str() spells them, or a _Text. A NaN or
-    infinity, which no reader takes back, is refused with IOWrite before the file is opened.
-    """
-    columns = [_column(c) for c in columns]
-    for name, column in zip(header.split(","), columns):
-        if isinstance(column, _Floats) and not np.isfinite(column.values).all():
-            raise IOWrite(f"cannot write {path}: non-finite value in column {name}")
+    """Write `header` and a row per index of the equal-length `columns` (see _column), _WRITE_ROWS at a time."""
+    rows, spellers = zip(*(_column(path, name, c) for name, c in zip(header.split(","), columns)))
+    n = rows[0]
     with _writing(path) as fh:
         fh.write(header.encode() + b"\n")
-        n = _rows(columns[0])
         for i in range(0, n, _WRITE_ROWS):
-            fh.write(_block(columns, i, min(i + _WRITE_ROWS, n)))
+            j = min(i + _WRITE_ROWS, n)
+            fh.write(_join([spell(i, j) for spell in spellers], j - i))
 
 
 def _parse_date(token: str, path: str, line: int) -> np.datetime64:
@@ -480,8 +455,6 @@ def read_series(path: str, kind: str = "return", period: Period = "daily") -> Re
 
 
 def write_series(path: str, s: ReturnSeries) -> None:
-    """Refuses, as IOWrite, a date the readers would not read back."""
-    _check_days(path, s.dates)
     _write_csv(path, _SERIES_HEADER, s.dates, s.values)
 
 
@@ -498,9 +471,7 @@ def read_panel(path: str) -> Panel:
 
 
 def write_panel(path: str, panel: Panel) -> None:
-    """Refuses, as IOWrite, a date or an asset label the readers would not read back as itself."""
-    _check_days(path, panel.dates)
-    _check_labels(path, panel.assets)
+    """Refuses, as IOWrite, an empty or padded asset label, which the readers would not read back as itself."""
     for a in panel.assets:
         if not a or a != a.strip():
             raise IOWrite(f"cannot write {path}: asset label {a!r} is empty or padded with whitespace")
@@ -542,7 +513,6 @@ def read_cross_section(path: str) -> CrossSection:
 def write_scatter_csv(path: str, cs: CrossSection, result: RegressionResult) -> None:
     """Plot data for the Sharpe-vs-skewness scatter with the channel."""
     names = [r.name for r in cs.rows]
-    _check_labels(path, names)
     numbers = zip(*((-r.zeta_star, r.sharpe, r.err_zeta_star, r.err_sharpe) for r in cs.rows))
     _write_csv(path, _SCATTER_HEADER, names, *numbers, [result.classifications[n] for n in names])
 

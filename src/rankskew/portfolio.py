@@ -35,7 +35,7 @@ class Panel:
         object.__setattr__(self, "assets", list(self.assets))
         if self.values.shape != (self.dates.size, len(self.assets)):
             raise ShapeMismatch("panel shape mismatch")
-        if self.dates.size > 1 and not np.all(np.diff(self.dates).astype(np.int64) > 0):
+        if not (self.dates[1:] > self.dates[:-1]).all():
             raise UnsortedDates("panel dates must be strictly increasing")
         if len(set(self.assets)) != len(self.assets):
             raise DuplicateLabel("duplicate asset labels")

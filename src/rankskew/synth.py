@@ -367,12 +367,9 @@ class EdgeworthDensity:
         d = _edgeworth_raw(xs, self.zeta3, self.kurt)
         neg = d < 0.0
         i0 = int(np.searchsorted(xs, 0.0))
-        lo = i0
-        while lo > 0 and not neg[lo - 1]:
-            lo -= 1
-        hi = i0
-        while hi < xs.size - 1 and not neg[hi + 1]:
-            hi += 1
+        below, above = np.flatnonzero(neg[:i0]), np.flatnonzero(neg[i0 + 1 :])
+        lo = int(below[-1]) + 1 if below.size else 0  # past the last negative point below 0
+        hi = i0 + int(above[0]) if above.size else xs.size - 1  # before the first one above 0
         clipped = np.abs(d)
         clipped[lo : hi + 1] = 0.0
         clipped_mass = float(np.trapezoid(clipped, xs))

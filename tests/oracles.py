@@ -29,7 +29,7 @@ from rankskew.errors import (
     WrongPeriod,
     ZeroVariance,
 )
-from rankskew.io import _PANEL_HEADER, _check_labels, _parse_date, _parse_float, _scan
+from rankskew.io import _PANEL_HEADER, _parse_date, _parse_float, _scan
 from rankskew.portfolio import Panel, _rebalance_indices
 from rankskew.series import (
     ABS_VOL_UNBIAS,
@@ -306,7 +306,9 @@ def write_curve_csv_by_row(path: str, curve: RankedPnlCurve, symmetrized: Ranked
 
 def write_scatter_csv_by_row(path: str, cs: CrossSection, result: RegressionResult) -> None:
     """Plot data for the Sharpe-vs-skewness scatter with the channel."""
-    _check_labels(path, (r.name for r in cs.rows))
+    for r in cs.rows:
+        if any(ch in r.name for ch in ',"\r\n'):
+            raise IOWrite(f"cannot write {path}: label {r.name!r} contains a comma, quote or line break")
     with _open_text(path, "w") as fh:
         fh.write("name,neg_zeta_star,sharpe,err_x,err_y,class\n")
         for r in cs.rows:

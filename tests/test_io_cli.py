@@ -481,6 +481,16 @@ def test_write_panel_refuses_dates_the_readers_cannot_take(tmp_path, dates, bad)
     assert not (tmp_path / "p.csv").exists()
 
 
+def test_write_panel_checks_only_the_dates_it_writes(tmp_path):
+    """A date row with no finite cell writes no row, so its date need not be one the readers take."""
+    dates = np.array(["-1000-12-31", "2001-01-01", "2001-01-02", "10000-01-01"], dtype="datetime64[D]")
+    values = np.array([[np.nan, np.nan], [0.1, np.nan], [0.2, 0.3], [np.nan, np.nan]])
+    write_panel(str(tmp_path / "p.csv"), Panel(dates=dates, assets=["a", "b"], values=values))
+    back = read_panel(str(tmp_path / "p.csv"))
+    assert np.array_equal(back.dates, dates[1:3]) and back.assets == ["a", "b"]
+    assert np.array_equal(back.values, values[1:3], equal_nan=True)
+
+
 def test_writers_take_the_widest_dates_the_readers_take(tmp_path):
     dates = np.array(["-999-01-01", "0000-01-01", "9999-12-31"], dtype="datetime64[D]")
     write_series(str(tmp_path / "s.csv"), ReturnSeries(label="s", period="daily", dates=dates, values=[0.1, 0.2, 0.3]))

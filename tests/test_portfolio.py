@@ -51,8 +51,9 @@ def test_panel_validation():
         make_panel(np.zeros((3, 2)), ["a", "a"])
     with pytest.raises(ShapeMismatch):
         make_panel(np.zeros((3, 2)), ["a", "b", "c"])
-    with pytest.raises(UnsortedDates):
-        Panel(dates=np.array(["2001-01-02", "2001-01-01"], dtype="datetime64[D]"), assets=["a"], values=np.zeros((2, 1)))
+    for dates in (["2001-01-02", "2001-01-01"], ["2001-01-01", "2001-01-01"], ["2001-01-01", "NaT"], ["NaT", "2001-01-01"]):
+        with pytest.raises(UnsortedDates):
+            Panel(dates=np.array(dates, dtype="datetime64[D]"), assets=["a"], values=np.zeros((2, 1)))
     p = make_panel(np.arange(6.0).reshape(3, 2), ["a", "b"])
     assert np.allclose(column(p, "b"), [1.0, 3.0, 5.0])
 

@@ -28,7 +28,14 @@ from rankskew import (
     fig10_sweep,
     gaussian_sample,
 )
-from rankskew.synth import EDGEWORTH_RANGE, GRID_SIZE, _ast_cdf_grid, _cumulative_simpson
+from rankskew.synth import (
+    EDGEWORTH_RANGE,
+    EDGEWORTH_SCAN_STEP,
+    GRID_SIZE,
+    _ast_cdf_grid,
+    _cumulative_simpson,
+    _edgeworth_raw,
+)
 from tests.oracles import (
     AsymmetricStudentTQuad,
     ast_zeta3_quad,
@@ -372,6 +379,24 @@ def test_edgeworth_zeta_star_is_the_closed_form_where_uncut(zeta3, kurt):
     assume(min(-dist.support[0], dist.support[1]) >= EDGEWORTH_RANGE)  # the scan's ends, up to rounding
     want = edgeworth_zeta_star_closed_form(zeta3, kurt)
     assert abs(edgeworth_zeta_star_exact(dist) - want) <= 1e-10 * abs(want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.floats(-0.3, 0.3), st.floats(0.0, 3.0))
+def test_edgeworth_support_is_the_nonnegative_run_of_the_scan(zeta3, kurt):
+    """The kept support is nonnegative at every scan point, and each end is an end of the scan
+    or sits next to a scan point where the expansion is negative."""
+    try:
+        dist = EdgeworthDensity(zeta3, kurt)
+    except NegativeDensity:
+        assume(False)
+    xs = np.arange(-EDGEWORTH_RANGE, EDGEWORTH_RANGE + EDGEWORTH_SCAN_STEP / 2, EDGEWORTH_SCAN_STEP)
+    d = _edgeworth_raw(xs, zeta3, kurt)
+    lo, hi = np.searchsorted(xs, dist.support)
+    assert (xs[lo], xs[hi]) == dist.support
+    assert (d[lo : hi + 1] >= 0.0).all()
+    assert lo == 0 or d[lo - 1] < 0.0
+    assert hi == xs.size - 1 or d[hi + 1] < 0.0
 
 
 @pytest.mark.parametrize("zeta3,kurt", sorted(EDGEWORTH_CASES))
