@@ -4,7 +4,9 @@ float_text spells each value with the shortest decimal that round-trips to the s
 float64, the nearer of two on a tie of lengths, exactly as repr() of a Python float
 does: the digits from _decimal, then a template per sign, decimal point position and
 digit count that lays them out in repr()'s fixed-point form (decimal point from -3 to
-16) or exponent form.
+16) or exponent form. Each value's text is ASCII, padded to 24 bytes with PAD (0xFF), a
+byte that valid UTF-8 never holds, so a CSV writer can lay floats beside UTF-8 labels
+and drop every pad at once.
 
 _decimal is Schubfach (R. Giulietti, "The Schubfach way to render doubles", 2020), as Java's
 DoubleToDecimal has it, over uint64 arrays. A double c * 2**q lies in a rounding interval; with
@@ -97,9 +99,10 @@ def _decimal(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return d, k
 
 
-# A value's alphabet, 32 bytes: '-', '.', '0', 'e', the exponent's sign and three digits, seven
+PAD = 0xFF  # the byte past a field's text
+# A value's alphabet, 32 bytes: '-', '.', '0', 'e', the exponent's sign and three digits, PAD, six
 # unused bytes, then the significand's 17 digits d1..d17, trailing zeros included.
-_MINUS, _DOT, _ZERO, _E, _EXP_SIGN, _EXP, _DIGITS = 0, 1, 2, 3, 4, 5, 15
+_MINUS, _DOT, _ZERO, _E, _EXP_SIGN, _EXP, _PAD, _DIGITS = 0, 1, 2, 3, 4, 5, 8, 15
 _POW10 = _U64(10) ** np.arange(18, dtype=_U64)
 # '0000'..'9999', four ASCII digits a uint32, from the pairs '00'..'99'
 _PAIRS = (np.arange(100)[:, None] // [10, 1] % 10 + ord("0")).astype(np.uint8)
@@ -120,8 +123,8 @@ def _alphabet_heads() -> np.ndarray:
 _HEADS = _alphabet_heads()
 
 
-def _templates() -> tuple[np.ndarray, np.ndarray]:
-    """repr()'s layouts as alphabet indices and lengths, a row per key: sign * 374 + form * 17 + n - 1 for
+def _templates() -> np.ndarray:
+    """repr()'s layouts as alphabet indices, padded with _PAD, a row per key: sign * 374 + form * 17 + n - 1 for
     n significant digits, the forms 0..19 fixed-point with the decimal point at -3..16, and 20 and 21
     exponent form with two and three exponent digits."""
     form, n, j = np.ix_(np.arange(22), np.arange(1, 18), np.arange(23))
@@ -142,16 +145,14 @@ def _templates() -> tuple[np.ndarray, np.ndarray]:
     signed = np.hstack([np.full((size.size, 1), _MINUS, np.int32), code])
     code = np.vstack([np.hstack([code, code[:, :1]]), signed])
     size = np.concatenate([size, size + 1])
-    return np.where(np.arange(24) < size[:, None], code, 0), size
+    return np.where(np.arange(24) < size[:, None], code, _PAD)
 
 
-_TEMPLATES, _TEMPLATE_SIZES = _templates()
-_TEMPLATE_KEEP = np.arange(24) < _TEMPLATE_SIZES[:, None]
+_TEMPLATES = _templates()
 
 
-def float_text(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(text, keep) of finite float64 x, two (m, 24) arrays: repr() of x[i] is text[i] where keep[i]
-    (a run of True from the start)."""
+def float_text(x: np.ndarray) -> np.ndarray:
+    """The text of finite float64 x, an (m, 24) uint8 array: row i is repr() of x[i], then PAD to its end."""
     d, k = _decimal(x)
     length = np.maximum(_POW10.searchsorted(d, side="right"), 1)
     f = d * _POW10[17 - length]  # the digits d1..d17
@@ -167,7 +168,7 @@ def float_text(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     point = k + length  # the decimal point's position: |x| = 0.d1d2... * 10**point
     code = np.empty((x.size, 4), _U64)
     code[:, 0] = _HEADS.take(point + 323)
-    code[:, 1] = d1 + _U64(ord("0")) << _U64(56)
+    code[:, 1] = d1 + _U64(ord("0")) << _U64(56) | _U64(PAD)
     code[:, 2:] = tail
     # the significant digits end at the last byte of d2..d17 that is not '0'; frexp finds a word's top byte
     nbytes = (np.frexp((tail ^ _U64(0x3030_3030_3030_3030)).astype(np.float64))[1] + 7) // 8
@@ -176,4 +177,4 @@ def float_text(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     key = (x.view(_U64) >> _U64(63)).astype(np.intp) * 374 + form * 17 + n - 1
     at = _TEMPLATES.take(key, axis=0)
     at += np.arange(0, 32 * x.size, 32)[:, None]  # where each value's alphabet starts
-    return code.view(np.uint8).ravel().take(at), _TEMPLATE_KEEP.take(key, axis=0)
+    return code.view(np.uint8).ravel().take(at)

@@ -9,12 +9,15 @@ template per sign, decimal point position and digit count lays them out in
 repr()'s fixed or exponent form. Dates are spelled YYYY-MM-DD from their
 integer fields (_day_text), labels are their UTF-8 bytes, and '\\n' ends
 each row, so identical inputs and seeds produce byte-identical artifacts.
-The fields of a block sit side by side in one byte array, and each field's
-bytes past its length are dropped, so text may hold any character, NUL
-included. Every CSV writer goes through _column, which refuses, before the file
-is opened, what no reader would take back: a NaN or infinity, a date outside the
-years -999..9999, a label with a comma, quote or line break. Each refusal, and
-a failed write, raises IOWrite naming the file.
+Each field of a block is a byte array padded past its text with PAD (0xFF),
+a byte that valid UTF-8 never holds; the fields sit side by side in one byte
+array and the pads are dropped, so text may hold any character, NUL included.
+Every CSV writer goes through _column, which refuses, before the file is
+opened, what no reader would take back: a NaN or infinity, a date outside the
+years -999..9999, a label that is not UTF-8 text (such as a lone surrogate,
+which sys.argv holds for a file name that is not UTF-8) or holds a comma,
+quote or line break; _write_csv refuses columns of unequal lengths. Each
+refusal, and a failed write, raises IOWrite naming the file.
 
 Series and panel CSVs are read a block of rows at a time: a chunk of
 _BLOCK_CHARS characters cut at its last '\\n', so no string is made per
@@ -46,7 +49,7 @@ import numpy as np
 
 from .analysis import CrossSection, CrossSectionRow, RegressionResult
 from .errors import CsvFormatError, InvalidParams, IOWrite, TooShort
-from .floattext import float_text
+from .floattext import PAD, float_text
 from .portfolio import Panel
 from .series import Period, ReturnSeries
 from .skew import RankedPnlCurve
@@ -114,49 +117,40 @@ def _day_text(days: np.ndarray) -> np.ndarray:
 
 
 class _Text(NamedTuple):
-    """A text column: row i is the bytes of code[r] where keep[r], r = index[i], or r = i without an index."""
+    """A text column: row i is labels[index[i]]."""
 
-    code: np.ndarray  # (t, w) uint8
-    keep: np.ndarray  # (t, w) bool, a run of True from the start
-    index: np.ndarray | None = None
-
-
-def _text(labels: list[str], index: np.ndarray | None = None) -> _Text:
-    """The UTF-8 bytes of `labels` as a text column, `index` choosing its rows."""
-    raw = [label.encode() for label in labels]
-    code = np.array(raw, dtype=bytes) if raw else np.empty(0, "S1")
-    size = np.array(list(map(len, raw)), np.intp)
-    return _Text(code.view(np.uint8).reshape(len(raw), code.itemsize), np.arange(code.itemsize) < size[:, None], index)
+    labels: list[str]
+    index: np.ndarray
 
 
-def _column(path: str, name: str, column) -> tuple[int, Callable[[int, int], tuple[np.ndarray, np.ndarray | None]]]:
+def _column(path: str, name: str, column) -> tuple[int, Callable[[int, int], np.ndarray]]:
     """The row count of column `name` of _write_csv, and a speller of its rows i..j-1 as a _join field.
     A column is days (datetime64[D]), floats (an array, or a list whose None is an empty field), a _Text,
     str labels, or values of another dtype, such as integers, spelled as str() spells them. IOWrite
-    refuses what no reader takes back: a day outside _DAY_RANGE (or NaT), a label holding a comma, quote
-    or line break, and a NaN or infinity."""
+    refuses what no reader takes back: a day outside _DAY_RANGE (or NaT), a label that is not UTF-8
+    text or holds a comma, quote or line break, and a NaN or infinity."""
     if isinstance(column, np.ndarray) and column.dtype == "datetime64[D]":
         lo, hi = _DAY_RANGE
         if column.size and not (lo <= column.min() and column.max() <= hi):
             bad = column[~((lo <= column) & (column <= hi))][0]
             raise IOWrite(f"cannot write {path}: date {bad} is not of the form YYYY-MM-DD (years -999 to 9999)")
-        return column.size, lambda i, j: (_day_text(column[i:j]), None)
+        return column.size, lambda i, j: _day_text(column[i:j])
     if isinstance(column, list) and column and isinstance(column[0], str):
-        column = _text(column)
+        column = _Text(column, np.arange(len(column)))
     elif not isinstance(column, _Text) and (values := np.asarray(column)).dtype.kind not in "fO":
-        column = _text(values.astype(str).tolist())
+        column = _Text(values.astype(str).tolist(), np.arange(values.size))
     if isinstance(column, _Text):
-        code, keep, index = column
+        labels, index = column
+        try:
+            raw = [label.encode() for label in labels]
+        except UnicodeEncodeError as exc:
+            raise IOWrite(f"cannot write {path}: label {exc.object!r} is not UTF-8 text") from exc
+        width = max(map(len, raw), default=0)
+        code = np.frombuffer(b"".join(r.ljust(width, bytes([PAD])) for r in raw), np.uint8).reshape(len(raw), width)
         bad = np.isin(code, list(b',"\r\n')).any(axis=1)  # in UTF-8 these bytes are only ever themselves
         if bad.any():
-            label = bytes(code[bad.argmax()][keep[bad.argmax()]]).decode()
-            raise IOWrite(f"cannot write {path}: label {label!r} contains a comma, quote or line break")
-
-        def labels(i: int, j: int) -> tuple[np.ndarray, np.ndarray]:
-            rows = slice(i, j) if index is None else index[i:j]
-            return code[rows], keep[rows]
-
-        return (len(code) if index is None else index.size), labels
+            raise IOWrite(f"cannot write {path}: label {labels[bad.argmax()]!r} contains a comma, quote or line break")
+        return index.size, lambda i, j: code[index[i:j]]
     empty = None
     if values.dtype == object:
         empty = np.array([x is None for x in column], dtype=bool)
@@ -165,43 +159,36 @@ def _column(path: str, name: str, column) -> tuple[int, Callable[[int, int], tup
     if not np.isfinite(values).all():
         raise IOWrite(f"cannot write {path}: non-finite value in column {name}")
 
-    def floats(i: int, j: int) -> tuple[np.ndarray, np.ndarray]:
-        text, keep = float_text(values[i:j])
+    def floats(i: int, j: int) -> np.ndarray:
+        text = float_text(values[i:j])
         if empty is not None:
-            keep[empty[i:j]] = False
-        return text, keep
+            text[empty[i:j]] = PAD
+        return text
 
     return values.size, floats
 
 
-def _join(fields: list[tuple[np.ndarray, np.ndarray | None]], k: int) -> np.ndarray:
-    """The bytes of k CSV rows from their fields, a (text, keep) per column: field i is the bytes of
-    text[i] where keep[i], or all of them when keep is None. The fields and separators are laid side
-    by side in one (k, width) byte array, and the bytes not kept are dropped from it."""
-    width = sum(text.shape[1] + 1 for text, _ in fields)
-    row = np.empty((k, width), np.uint8)
-    keep = np.ones((k, width), bool)
-    c = 0
-    for text, field_keep in fields:
-        w = text.shape[1]
-        row[:, c : c + w] = text
-        if field_keep is not None:
-            keep[:, c : c + w] = field_keep
-        row[:, c + w] = ord(",")
-        c += w + 1
+def _join(fields: list[np.ndarray]) -> np.ndarray:
+    """The bytes of CSV rows from their fields, a (k, w) uint8 array per column whose row is a field's text
+    padded with PAD. The fields and separators are laid side by side in one (k, width) byte array, and
+    the pads are dropped from it."""
+    comma = np.full((len(fields[0]), 1), ord(","), np.uint8)
+    row = np.hstack([part for field in fields for part in (field, comma)])
     row[:, -1] = ord("\n")
-    return row[keep]
+    return row[row != PAD]
 
 
 def _write_csv(path: str, header: str, *columns) -> None:
-    """Write `header` and a row per index of the equal-length `columns` (see _column), _WRITE_ROWS at a time."""
+    """Write `header` and a row per index of the `columns` (see _column), _WRITE_ROWS at a time. IOWrite
+    refuses columns of unequal row counts."""
     rows, spellers = zip(*(_column(path, name, c) for name, c in zip(header.split(","), columns)))
+    if len(set(rows)) > 1:
+        raise IOWrite(f"cannot write {path}: columns differ in length ({', '.join(map(str, rows))} rows)")
     n = rows[0]
     with _writing(path) as fh:
         fh.write(header.encode() + b"\n")
         for i in range(0, n, _WRITE_ROWS):
-            j = min(i + _WRITE_ROWS, n)
-            fh.write(_join([spell(i, j) for spell in spellers], j - i))
+            fh.write(_join([spell(i, min(i + _WRITE_ROWS, n)) for spell in spellers]))
 
 
 def _parse_date(token: str, path: str, line: int) -> np.datetime64:
@@ -476,7 +463,7 @@ def write_panel(path: str, panel: Panel) -> None:
         if not a or a != a.strip():
             raise IOWrite(f"cannot write {path}: asset label {a!r} is empty or padded with whitespace")
     rows, cols = np.nonzero(np.isfinite(panel.values))
-    _write_csv(path, _PANEL_HEADER, panel.dates[rows], _text(panel.assets, cols), panel.values[rows, cols])
+    _write_csv(path, _PANEL_HEADER, panel.dates[rows], _Text(panel.assets, cols), panel.values[rows, cols])
 
 
 # ---------------------------------------------------------------------------
@@ -524,8 +511,6 @@ def write_scatter_csv(path: str, cs: CrossSection, result: RegressionResult) -> 
 
 def write_curve_csv(path: str, curve: RankedPnlCurve, symmetrized: RankedPnlCurve) -> None:
     """Ranked-P&L plot data: columns p, F and the symmetrized twin's F_sym."""
-    if symmetrized.p.size != curve.p.size:
-        raise IOWrite("curve and symmetrized curve differ in length")
     _write_csv(path, _CURVE_HEADER, *(np.asarray(x, dtype=np.float64) for x in (curve.p, curve.f, symmetrized.f)))
 
 

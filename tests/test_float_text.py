@@ -16,7 +16,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from rankskew import io as rio
-from rankskew.floattext import float_text
+from rankskew.floattext import PAD, float_text
 from tests.oracles import write_csv_by_repr
 
 _TINY = 5e-324
@@ -30,8 +30,7 @@ def _bits(values) -> list[int]:
 
 
 def _spelled(x: np.ndarray) -> list[str]:
-    text, keep = float_text(x)
-    return [bytes(t[k]).decode() for t, k in zip(text, keep)]
+    return [bytes(t[t != PAD]).decode() for t in float_text(x)]
 
 
 @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=300))
@@ -49,9 +48,12 @@ def test_float_text_is_repr(bits):
     x = np.array(bits, dtype=np.uint64).view(np.float64)
     x = x[np.isfinite(x)]
     assert _spelled(x) == list(map(repr, x.tolist()))
+    pad = float_text(x) == PAD
+    assert (pad[:, 1:] >= pad[:, :-1]).all()  # each row's pads are one run at its end
 
 
-_LABELS = ["a", "", "é", "x\x00y", "\x00", "日本語", "a\x00", "long-" * 9]
+# "ÿ" is C3 BF and "\U0010ffff" is F4 8F BF BF in UTF-8: high bytes that the writer must not take for PAD
+_LABELS = ["a", "", "é", "x\x00y", "\x00", "日本語", "a\x00", "long-" * 9, "ÿ", "\U0010ffff", "𝜁*"]
 
 
 def _columns(rng, n: int):
@@ -64,7 +66,7 @@ def _columns(rng, n: int):
     integers = rng.integers(-(10**12), 10**12, n)
     maybe = [None if k % 3 == 0 else float(v) for k, v in enumerate(rng.standard_normal(n))]
     index = rng.integers(0, len(_LABELS), n)
-    return floats, days, labels, integers.tolist(), maybe, rio._text(_LABELS, index), [_LABELS[i] for i in index]
+    return floats, days, labels, integers.tolist(), maybe, rio._Text(_LABELS, index), [_LABELS[i] for i in index]
 
 
 @pytest.mark.parametrize("n", [1, rio._WRITE_ROWS - 1, rio._WRITE_ROWS, rio._WRITE_ROWS + 1])

@@ -13,12 +13,15 @@ import numpy as np
 import pytest
 
 from rankskew import (
+    CrossSection,
+    CrossSectionRow,
     CsvFormatError,
     Fig10Row,
     InvalidParams,
     IOWrite,
     Panel,
     RankedPnlCurve,
+    RegressionResult,
     ReturnSeries,
     TooShort,
     ranked_pnl,
@@ -29,6 +32,7 @@ from rankskew import (
     write_fig10_csv,
     write_json,
     write_panel,
+    write_scatter_csv,
     write_series,
 )
 from rankskew.cli import build_parser, main
@@ -524,6 +528,33 @@ def test_cli_regress_rejects_name_with_comma(tmp_path, capsys):
     assert not (tmp_path / "regression.json").exists()
 
 
+def test_write_scatter_csv_refuses_a_label_that_is_not_utf8(tmp_path):
+    """A lone surrogate, which sys.argv holds for a file name that is not UTF-8, has no UTF-8 bytes."""
+    rows = [CrossSectionRow(name, 0.5, 0.1, -1.0, 0.1, 0.1) for name in ("a", "\udcff")]
+    result = RegressionResult(0.0, 1.0, 0.0, 0.0, 0.1, classifications={r.name: "on-line" for r in rows})
+    path = tmp_path / "s.csv"
+    with pytest.raises(IOWrite) as exc:
+        write_scatter_csv(str(path), CrossSection(rows=rows), result)
+    assert str(exc.value) == f"cannot write {path}: label '\\udcff' is not UTF-8 text"
+    assert not path.exists()
+
+
+def test_cli_report_refuses_a_series_name_that_is_not_utf8(tmp_path, capsys):
+    rng = np.random.default_rng(9)
+    paths = [tmp_path / name for name in ("a.csv", "b.csv", os.fsdecode(b"\xff.csv"))]
+    try:
+        paths[-1].touch()
+    except (OSError, UnicodeError):
+        pytest.skip("the file system refuses a file name that is not UTF-8")
+    for p in paths:
+        write_series(p, daily(rng.standard_t(4, 200) * 0.01, label=p.stem))
+    out = tmp_path / "out"
+    argv = ["report", "--seed", "3", "--bootstrap", "10", "--out-dir", str(out)]
+    assert run_cli(*argv, *(arg for p in paths for arg in ("--series", str(p)))) == 1
+    assert "rankskew: error: cannot write" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("grid", [",", "", " , ", "3.5,abc"])
 def test_cli_fig10_empty_grid_is_usage_error(tmp_path, grid):
     with pytest.raises(SystemExit) as exc:
@@ -641,7 +672,7 @@ def test_write_curve_csv_refuses_curves_of_different_lengths(tmp_path):
     curve = RankedPnlCurve(p=np.array([0.5, 1.0]), f=np.array([0.1, 0.2]), variant="raw")
     sym = RankedPnlCurve(p=np.array([1 / 3, 2 / 3, 1.0]), f=np.zeros(3), variant="raw")
     path = tmp_path / "c.csv"
-    with pytest.raises(IOWrite, match="curve and symmetrized curve differ in length"):
+    with pytest.raises(IOWrite, match=r"cannot write .*c\.csv: columns differ in length \(2, 2, 3 rows\)"):
         write_curve_csv(str(path), curve, sym)
     assert not path.exists()
 
