@@ -6,7 +6,8 @@ does: the digits from _decimal, then a template per sign, decimal point position
 digit count that lays them out in repr()'s fixed-point form (decimal point from -3 to
 16) or exponent form. Each value's text is ASCII, padded to 24 bytes with PAD (0xFF), a
 byte that valid UTF-8 never holds, so a CSV writer can lay floats beside UTF-8 labels
-and drop every pad at once.
+and drop every pad at once. The digit tables PAIRS ('00'..'99') and FOUR_DIGITS
+('0000'..'9999') have two users: float_text's significand, and io's dates.
 
 _decimal is Schubfach (R. Giulietti, "The Schubfach way to render doubles", 2020), as Java's
 DoubleToDecimal has it, over uint64 arrays. A double c * 2**q lies in a rounding interval; with
@@ -104,9 +105,9 @@ PAD = 0xFF  # the byte past a field's text
 # unused bytes, then the significand's 17 digits d1..d17, trailing zeros included.
 _MINUS, _DOT, _ZERO, _E, _EXP_SIGN, _EXP, _PAD, _DIGITS = 0, 1, 2, 3, 4, 5, 8, 15
 _POW10 = _U64(10) ** np.arange(18, dtype=_U64)
-# '0000'..'9999', four ASCII digits a uint32, from the pairs '00'..'99'
-_PAIRS = (np.arange(100)[:, None] // [10, 1] % 10 + ord("0")).astype(np.uint8)
-_FOUR_DIGITS = np.concatenate(np.broadcast_arrays(_PAIRS[:, None], _PAIRS[None, :]), axis=2).view(np.uint32).ravel()
+# '00'..'99', a row of two ASCII digits each, and '0000'..'9999', four ASCII digits a uint32
+PAIRS = (np.arange(100)[:, None] // [10, 1] % 10 + ord("0")).astype(np.uint8)
+FOUR_DIGITS = np.concatenate(np.broadcast_arrays(PAIRS[:, None], PAIRS[None, :]), axis=2).view(np.uint32).ravel()
 
 
 def _alphabet_heads() -> np.ndarray:
@@ -126,7 +127,7 @@ _HEADS = _alphabet_heads()
 def _templates() -> np.ndarray:
     """repr()'s layouts as alphabet indices, padded with _PAD, a row per key: sign * 374 + form * 17 + n - 1 for
     n significant digits, the forms 0..19 fixed-point with the decimal point at -3..16, and 20 and 21
-    exponent form with two and three exponent digits."""
+    exponent form with two and three exponent digits. The indices are intp, the dtype take indexes with."""
     form, n, j = np.ix_(np.arange(22), np.arange(1, 18), np.arange(23))
     p = form - 3  # the decimal point's position in a fixed-point form
     digit = _DIGITS + j
@@ -141,8 +142,8 @@ def _templates() -> np.ndarray:
     fixed = form < 20
     code = np.where(fixed, np.where(p <= 0, short, np.where(p < n, split, whole)), expo)
     size = np.where(fixed, np.where(p <= 0, 2 - p + n, np.where(p < n, n + 1, p + 2)), e + 2 + n_exp)[..., 0]
-    code, size = code.reshape(-1, 23).astype(np.int32), size.ravel()
-    signed = np.hstack([np.full((size.size, 1), _MINUS, np.int32), code])
+    code, size = code.reshape(-1, 23).astype(np.intp), size.ravel()
+    signed = np.hstack([np.full((size.size, 1), _MINUS, np.intp), code])
     code = np.vstack([np.hstack([code, code[:, :1]]), signed])
     size = np.concatenate([size, size + 1])
     return np.where(np.arange(24) < size[:, None], code, _PAD)
@@ -151,8 +152,9 @@ def _templates() -> np.ndarray:
 _TEMPLATES = _templates()
 
 
-def float_text(x: np.ndarray) -> np.ndarray:
-    """The text of finite float64 x, an (m, 24) uint8 array: row i is repr() of x[i], then PAD to its end."""
+def _alphabet(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(code, key) of finite float64 x: code[i] is x[i]'s 32-byte alphabet as four uint64, key[i] the row of
+    _TEMPLATES that lays it out."""
     d, k = _decimal(x)
     length = np.maximum(_POW10.searchsorted(d, side="right"), 1)
     f = d * _POW10[17 - length]  # the digits d1..d17
@@ -164,7 +166,7 @@ def float_text(x: np.ndarray) -> np.ndarray:
     fours = np.empty((x.size, 2, 2), _U64)
     fours[:, :, 0] = eights // _U64(10_000)
     fours[:, :, 1] = eights - fours[:, :, 0] * _U64(10_000)
-    tail = _FOUR_DIGITS.take(fours.reshape(x.size, 4)).view(_U64)  # d2..d17, 8 bytes a word
+    tail = FOUR_DIGITS.take(fours.reshape(x.size, 4)).view(_U64)  # d2..d17, 8 bytes a word
     point = k + length  # the decimal point's position: |x| = 0.d1d2... * 10**point
     code = np.empty((x.size, 4), _U64)
     code[:, 0] = _HEADS.take(point + 323)
@@ -174,7 +176,13 @@ def float_text(x: np.ndarray) -> np.ndarray:
     nbytes = (np.frexp((tail ^ _U64(0x3030_3030_3030_3030)).astype(np.float64))[1] + 7) // 8
     n = 1 + np.where(nbytes[:, 1] > 0, 8 + nbytes[:, 1], nbytes[:, 0])
     form = np.where((point >= -3) & (point <= 16), point + 3, 20 + ((point > 100) | (point < -98)))
-    key = (x.view(_U64) >> _U64(63)).astype(np.intp) * 374 + form * 17 + n - 1
+    return code, (x.view(_U64) >> _U64(63)).astype(np.intp) * 374 + form * 17 + n - 1
+
+
+def float_text(x: np.ndarray) -> np.ndarray:
+    """The text of finite float64 x, an (m, 24) uint8 array: row i is repr() of x[i], then PAD to its end.
+    The (m, 24) gather index is the writer's largest temporary, so _alphabet's are freed before it is made."""
+    code, key = _alphabet(x)
     at = _TEMPLATES.take(key, axis=0)
     at += np.arange(0, 32 * x.size, 32)[:, None]  # where each value's alphabet starts
     return code.view(np.uint8).ravel().take(at)

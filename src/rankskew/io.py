@@ -6,9 +6,11 @@ call. A float is spelled exactly as repr() spells it, the shortest decimal
 that round-trips to the same float64, by floattext.float_text: it finds the
 digits of a whole array at once (Schubfach, in uint64 arithmetic), and a
 template per sign, decimal point position and digit count lays them out in
-repr()'s fixed or exponent form. Dates are spelled YYYY-MM-DD from their
-integer fields (_day_text), labels are their UTF-8 bytes, and '\\n' ends
-each row, so identical inputs and seeds produce byte-identical artifacts.
+repr()'s fixed or exponent form. Dates are spelled YYYY-MM-DD by _day_text:
+integer arithmetic finds each day's year, month and day, and floattext's digit
+tables, which spell the floats' significands too, give their digits. Labels
+are their UTF-8 bytes, and '\\n' ends each row, so identical inputs and seeds
+produce byte-identical artifacts.
 Each field of a block is a byte array padded past its text with PAD (0xFF),
 a byte that valid UTF-8 never holds; the fields sit side by side in one byte
 array and the pads are dropped, so text may hold any character, NUL included.
@@ -49,7 +51,7 @@ import numpy as np
 
 from .analysis import CrossSection, CrossSectionRow, RegressionResult
 from .errors import CsvFormatError, InvalidParams, IOWrite, TooShort
-from .floattext import PAD, float_text
+from .floattext import FOUR_DIGITS, PAD, PAIRS, float_text
 from .portfolio import Panel
 from .series import Period, ReturnSeries
 from .skew import RankedPnlCurve
@@ -57,7 +59,8 @@ from .skew import RankedPnlCurve
 # Fixed sizes, not options: whole-file parsing costs memory on long series
 # for no gain in speed.
 _BLOCK_CHARS = 1 << 16  # characters read per block, which then ends at its last '\n'
-_WRITE_ROWS = 2048  # rows formatted per write
+# rows formatted per write; the largest temporary, float_text's (4096, 24) intp index, is 768 KiB
+_WRITE_ROWS = 4096
 
 # The characters of the canonical dialect: '\n' and the printable ASCII
 # characters other than ' ' and '"'.
@@ -91,23 +94,21 @@ def _writing(path: str) -> Iterator[BinaryIO]:
 
 def _day_text(days: np.ndarray) -> np.ndarray:
     """The YYYY-MM-DD text of datetime64[D] days in the years -999..9999, as astype(str) spells it
-    (a year below 0 is '-' and three digits), from integer fields: a (k, 10) array of ASCII codes."""
-    years = days.astype("datetime64[Y]")
-    months = days.astype("datetime64[M]")
-    y = years.astype(np.int64) + 1970
-    m = (months - years).astype(np.int64) + 1
-    d = (days - months).astype(np.int64) + 1
-    a = np.abs(y)
+    (a year below 0 is '-' and three digits): a (k, 10) array of ASCII codes. The year, month and day
+    come from integer arithmetic (H. Hinnant's civil_from_days), their digits from floattext's tables."""
+    z = days.astype(np.int32) + 719_468  # days since 0000-03-01, in eras of 400 years (146 097 days)
+    era = z // 146_097
+    doe = z - era * 146_097
+    yoe = (doe - doe // 1460 + doe // 36_524 - doe // 146_096) // 365  # the year of the era, from March
+    doy = doe - (365 * yoe + yoe // 4 - yoe // 100)
+    mp = (5 * doy + 2) // 153  # the month, 0 for March to 11 for February
+    y = yoe + era * 400 + (mp >= 10)
     code = np.empty((days.size, 10), np.uint8)
-    code[:, 0] = np.where(y < 0, ord("-"), a // 1000 + ord("0"))
-    code[:, 1] = a // 100 % 10 + ord("0")
-    code[:, 2] = a // 10 % 10 + ord("0")
-    code[:, 3] = a % 10 + ord("0")
+    code[:, :4] = FOUR_DIGITS.take(np.abs(y)).view(np.uint8).reshape(-1, 4)
+    code[y < 0, 0] = ord("-")
     code[:, 4] = code[:, 7] = ord("-")
-    code[:, 5] = m // 10 + ord("0")
-    code[:, 6] = m % 10 + ord("0")
-    code[:, 8] = d // 10 + ord("0")
-    code[:, 9] = d % 10 + ord("0")
+    code[:, 5:7] = PAIRS.take((mp + 2) % 12 + 1, axis=0)
+    code[:, 8:] = PAIRS.take(doy - (153 * mp + 2) // 5 + 1, axis=0)
     return code
 
 

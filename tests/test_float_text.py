@@ -69,8 +69,7 @@ def _columns(rng, n: int):
     return floats, days, labels, integers.tolist(), maybe, rio._Text(_LABELS, index), [_LABELS[i] for i in index]
 
 
-@pytest.mark.parametrize("n", [1, rio._WRITE_ROWS - 1, rio._WRITE_ROWS, rio._WRITE_ROWS + 1])
-def test_block_writer_matches_the_repr_writer(tmp_path, n):
+def _matches_the_repr_writer(tmp_path, n: int) -> None:
     floats, days, labels, integers, maybe, picked, picked_labels = _columns(np.random.default_rng(n), n)
     header = "f,d,l,i,m,p"
     rio._write_csv(tmp_path / "new.csv", header, floats, days, labels, integers, maybe, picked)
@@ -81,3 +80,17 @@ def test_block_writer_matches_the_repr_writer(tmp_path, n):
         rio._write_csv(tmp_path / "new.csv", "c", column)
         write_csv_by_repr(tmp_path / "old.csv", "c", same)
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+@pytest.mark.parametrize("n", [1, rio._WRITE_ROWS - 1, rio._WRITE_ROWS, rio._WRITE_ROWS + 1])
+def test_block_writer_matches_the_repr_writer(tmp_path, n):
+    _matches_the_repr_writer(tmp_path, n)
+
+
+@pytest.mark.parametrize("rows", [1, 3])
+def test_block_writer_matches_the_repr_writer_in_small_blocks(tmp_path, monkeypatch, rows):
+    """Blocks of 1 and 3 rows, so that every row, or every third, starts a block, and files end in a
+    block of each length."""
+    monkeypatch.setattr(rio, "_WRITE_ROWS", rows)
+    for n in (1, 30, 31, 32, 200):
+        _matches_the_repr_writer(tmp_path, n)

@@ -296,6 +296,14 @@ _EDGE_DAYS = ["-999-01-01", "-999-12-31", "-100-02-28", "-100-03-01", "-004-02-2
               "1900-03-01", "1969-12-31", "1970-01-01", "2000-02-29", "9999-12-31"]
 
 
+def test_day_text_spells_every_day_the_writers_take():
+    """All 4 017 302 days of _DAY_RANGE, a quarter million at a time, against numpy's astype(str)."""
+    lo, hi = _DAY_INTS
+    for start in range(lo, hi + 1, 1 << 18):
+        days = np.arange(start, min(start + (1 << 18), hi + 1)).astype("datetime64[D]")
+        assert np.array_equal(rio._day_text(days).view("S10").ravel().astype(str), days.astype(str))
+
+
 @given(st.lists(st.integers(*_DAY_INTS), max_size=40))
 @example(np.array(_EDGE_DAYS, dtype="datetime64[D]").astype(np.int64).tolist())
 def test_day_text_spells_days_as_numpy_does(days):
@@ -326,10 +334,8 @@ def _same_bytes(tmp_path, write, by_row, *args) -> None:
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
-@pytest.mark.parametrize("offset", [-1, 0, 1])
-def test_writers_match_row_writers_byte_for_byte(tmp_path, offset):
-    rng = np.random.default_rng(11 + offset)
-    n = rio._WRITE_ROWS + offset
+def _writers_match_row_writers(tmp_path, n: int, seed: int) -> None:
+    rng = np.random.default_rng(seed)
     dates = np.datetime64("1950-06-01", "D") + np.cumsum(rng.integers(1, 40, n))
     series = ReturnSeries(label="s", period="daily", dates=dates, values=_floats(rng, n))
     _same_bytes(tmp_path, write_series, write_series_by_row, series)
@@ -363,3 +369,17 @@ def test_writers_match_row_writers_byte_for_byte(tmp_path, offset):
     result = RegressionResult(intercept=0.0, slope=1.0, corr_skew_sr=0.0, corr_vol_sr=0.0, channel_halfwidth=0.1,
                               classifications=classes)
     _same_bytes(tmp_path, rio.write_scatter_csv, write_scatter_csv_by_row, CrossSection(rows=rows), result)
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_writers_match_row_writers_byte_for_byte(tmp_path, offset):
+    _writers_match_row_writers(tmp_path, rio._WRITE_ROWS + offset, 11 + offset)
+
+
+@pytest.mark.parametrize("rows", [1, 3])
+def test_writers_match_row_writers_in_small_blocks(tmp_path, monkeypatch, rows):
+    """Blocks of 1 and 3 rows, so that every row, or every third, starts a block, and files end in a
+    block of each length."""
+    monkeypatch.setattr(rio, "_WRITE_ROWS", rows)
+    for n in (30, 31, 32, 200):
+        _writers_match_row_writers(tmp_path, n, n)

@@ -1,6 +1,7 @@
 """Every script under scripts/ runs against the current API, at small sizes.
 
-regen_golden.py writes to a temporary directory in place of tests/golden/.
+regen_golden.py writes to a temporary directory in place of tests/golden/; mutants.py runs one
+row of its table, beside two rows it must report.
 """
 
 from __future__ import annotations
@@ -47,3 +48,21 @@ def test_regen_golden_writes_then_keeps_every_artifact(capsys, monkeypatch, tmp_
         assert len(lines) == len(before) and all(line.endswith(f" bytes, {status}") for line in lines), lines
     assert sorted(os.listdir(tmp_path)) == sorted(tests.golden.CASES)
     assert stamps() == before
+
+
+def test_mutants_reports_rows_whose_tests_pass(capsys):
+    """One row of the table is killed; the block-end fault named with the golden tests, whose files are
+    all shorter than a block, survives; a row whose text is not in src/ is reported without a run. The
+    output is the same where hypothesis is not installed, as in the runtime-only check of this file: the
+    killed row also fails a golden case, and a test that cannot be collected counts as failed."""
+    mutants = runpy.run_path(os.path.join(SCRIPTS, "mutants.py"))
+    rows = {m.name: m for m in mutants["MUTANTS"]}
+    unseen = rows["block-end"]._replace(name="unseen", tests=("tests/test_golden.py::test_cli_artifacts_match_golden",))
+    stale = unseen._replace(name="stale", old="no such text")
+    assert mutants["main"]([], (rows["january-year"], unseen, stale)) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "killed january-year",
+        "SURVIVED unseen; tests/test_golden.py::test_cli_artifacts_match_golden passed",
+        "SURVIVED stale; its text occurs 0 times in src/rankskew/io.py",
+        "2 of 3 rows survived: unseen, stale",
+    ]
