@@ -12,7 +12,7 @@ runs there in its own pytest process. A named test fails when any test it select
 be collected. The script prints a line per row and exits 1 if any row's text is not found once, or
 any of its tests passes or is not found.
 
-The full table takes minutes, so the test suite runs one row of it.
+The full table takes minutes, so the test suite runs one row of it; the CI unit job runs it whole.
 """
 
 from __future__ import annotations
@@ -60,6 +60,29 @@ MUTANTS = (
         'a.argsort(kind="stable" if tied else None)',
         "a.argsort()",
         ("tests/test_fast_paths.py::test_amplitude_order_is_the_stable_argsort_of_amplitudes",),
+    ),
+    Mutant(
+        "tie-runs-skipped",  # amplitude ties ranked one by one in value order: the mid-rank rewrite never taken
+        "rankskew/skew.py",
+        "    if np.count_nonzero(tied):\n",
+        "    if False:\n",
+        (
+            "tests/test_skew.py::test_bootstrap_replicates_are_mid_ranked",
+            "tests/test_skew.py::test_zeta_star_ties_are_mid_ranked",
+        ),
+    ),
+    Mutant(
+        "sum-farthest-first",  # the replicate's terms summed in the reverse of amplitude order: the same value, other bytes
+        "rankskew/skew.py",
+        "-50.0 * det_sum(x)",
+        "-50.0 * det_sum(x[::-1])",
+        (
+            "tests/test_skew.py::test_counts_kernel_matches_searchsorted_oracle_bit_for_bit",
+            "tests/test_skew.py::test_counts_kernel_matches_allocating_oracle_bit_for_bit",
+            "tests/test_skew.py::test_counts_kernel_ranks_drawn_entries_of_mixed_tie_groups",
+            "tests/test_skew.py::test_counts_kernel_weight_total_at_scale",
+            "tests/test_skew.py::test_bootstrap_matches_loop_over_oracle",
+        ),
     ),
     Mutant(
         "draws-sorted",  # the draws left in the sorted uniforms' order
@@ -134,7 +157,8 @@ _OUTCOME = re.compile(r"^(PASSED|FAILED|ERROR) ", re.MULTILINE)  # pytest -rA's 
 def _outcome(test: str, where: str, src: str) -> str:
     """'failed', 'passed' or 'not run': one pytest run of `test` in `where` with `src` on the path. Each named
     test runs on its own, since pytest runs nothing when a named id lies in a file that cannot be collected."""
-    env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")
+    # `src` goes before the inherited path, which is kept for whatever the caller put there (such as an import hook)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p), PYTHONDONTWRITEBYTECODE="1")
     cmd = [sys.executable, "-m", "pytest", "-q", "-rA", "-p", "no:cacheprovider", test]
     try:
         out = subprocess.run(cmd, cwd=where, env=env, capture_output=True, text=True, timeout=1800).stdout

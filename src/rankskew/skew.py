@@ -16,7 +16,10 @@ One kernel computes zeta*, for the sample and for every bootstrap
 resample. It ranks amplitudes with mid-rank ties: values at equal
 distance from the mean share their ranks equally, so zeta* does not
 depend on the order of the sample. On samples without such ties it is
-the area of the curve above.
+the area of the curve above. It sums rank weight times signed distance
+from the mean once, over the entries in amplitude order, ties in value
+order: that order fixes the rounding, and so the bytes of zeta* and of
+its bootstrap error.
 
 Bootstrap errors come from i.i.d. resamples. Replicate b of a series of
 N values draws its indices from the generator seeded with seed + b, so
@@ -283,7 +286,7 @@ def small_p_exponent(curve: RankedPnlCurve) -> float:
 
 
 def _zeta_star_from_counts(
-    v_sorted: np.ndarray, counts: np.ndarray, drawn: np.ndarray | None = None
+    v_sorted: np.ndarray, counts: np.ndarray, drawn: np.ndarray | None = None, drawn_counts: np.ndarray | None = None
 ) -> tuple[float, float, float]:
     """(zeta*, mean, std) of a resample given its multiplicity vector.
 
@@ -296,44 +299,56 @@ def _zeta_star_from_counts(
     mean they lie on. The variance is E[v^2] - m^2, so pass values centred
     near their mean.
 
-    `drawn` lists the entries with a nonzero count in ascending order, and
-    only those are ranked; None ranks every entry. An entry drawn zero times
-    has weight 0 either way and moves no other entry's ranks, and the sums
-    run over all N entries in one fixed order, so both give the same bytes.
-    Each step writes into a buffer whose contents are spent, so a call holds
-    three to four N-arrays at a time, fewer with `drawn`.
+    `drawn` lists the entries with a nonzero count in ascending order and
+    `drawn_counts` their counts; only those entries are ranked and summed.
+    None takes them from `counts`, and builds no list when every entry is
+    drawn, as in the point estimate. An entry drawn zero times has weight 0
+    and moves no other entry's ranks, so it is left out of the sum, and both
+    give the same bytes. Each step writes into a buffer whose contents are
+    spent, so a call holds three to four N-arrays at a time, fewer with `drawn`.
 
-    The weights are not summed: the counts add up to n, so the weights
-    telescope to the sum of the ranks 1..n, n(n + 1)/2, with or without tie
-    runs. Each weight is a multiple of 1/2, so while n < 9.4e7 every partial
-    sum of them is exact in float64, and summing them would give the closed
-    form bit for bit.
+    zeta* is -100 sum_k w_k s_k / (sd n^2), with s_k = v_k - m the signed
+    distance and w_k the entry's rank weights. The sum runs once over the
+    drawn entries in amplitude order, ties in value order, the order the
+    stable sort puts them in, which fixes its rounding and so the bytes of
+    err_zeta_star. Since s_k holds the mean, the weights are not summed on
+    their own, and nothing is scattered back to value order. The kernel
+    sums 2 w_k s_k and multiplies by -50: doubling scales every rounding by
+    2, so the bytes are those of -100 sum_k w_k s_k. Each 2 w_k is an
+    integer, exact in float64 while n < 9.4e7, so only the products and
+    their sum round.
     """
     n = v_sorted.size
     m = det_dot(counts, v_sorted) / n
     t = v_sorted * v_sorted
     t *= counts
     var = det_sum(t) / n - m * m
+    del t
     if var <= 0.0:
         raise ZeroVariance("all values equal")
     sd = math.sqrt(var)
+    if drawn is None and not counts.all():
+        drawn = counts.nonzero()[0]
     if drawn is None:
-        d = np.subtract(v_sorted, m, out=t)
+        s = v_sorted - m
+        drawn_counts = counts
     else:
-        d = v_sorted.take(drawn)
-        d -= m
-    del t
-    np.abs(d, out=d)
-    order = d.argsort(kind="stable")
-    d_ranked = d.take(order)
-    tied = d_ranked[1:] == d_ranked[:-1]
-    del d_ranked
-    pos = order if drawn is None else drawn.take(order)
-    del order
-    c = counts.take(pos)
-    # each unit of count in a block of ranks (a, b] weighs the mean rank weight n + 0.5 - (a + b)/2, and
-    # an entry's block is (S - c, S], S = cumsum(c); every step is exact in integers and halves
-    x = c.cumsum(out=d)
+        s = v_sorted.take(drawn)
+        s -= m
+        if drawn_counts is None:
+            drawn_counts = counts.take(drawn)
+    a = np.abs(s)
+    order = a.argsort(kind="stable")
+    # each gather goes into a buffer whose contents are spent, the amplitudes' and then the distances'; with
+    # mode "raise" numpy gathers through a temporary copy, and the indices are in range, so "clip" changes nothing
+    s_ranked = s.take(order, out=a, mode="clip")
+    c = drawn_counts.take(order, out=s, mode="clip")
+    del a, s, order
+    x = np.abs(s_ranked)
+    tied = x[1:] == x[:-1]
+    # each unit of count in a block of ranks (a, b] weighs twice the mean rank weight, 2n + 1 - (a + b), and
+    # an entry's block is (S - c, S], S = cumsum(c); every step is exact in integers
+    c.cumsum(out=x)
     x += x
     x -= c  # a + b
     if np.count_nonzero(tied):
@@ -345,19 +360,10 @@ def _zeta_star_from_counts(
         in_run = np.append(tied, False)
         in_run[1:] |= tied
         x[in_run] = run_ends.repeat(last - first + 1)
-    x *= 0.5
-    np.subtract(n + 0.5, x, out=x)
-    x *= c  # a run drawn zero times weighs 0, like any entry drawn zero times
-    del c
-    w = np.zeros(n)
-    w[pos] = x
-    del x, pos
-    # summing each side nearest-first fixes the rounding, and so the bytes of err_zeta_star
-    split = int(v_sorted.searchsorted(m))
-    lo = slice(split - 1, None, -1) if split > 0 else slice(0, 0)
-    wv = np.multiply(w, v_sorted, out=w)
-    total = (det_sum(wv[lo]) + det_sum(wv[split:])) - m * (0.5 * n * (n + 1))
-    return -100.0 * total / sd / (float(n) * float(n)), float(m), sd
+    np.subtract(2 * n + 1, x, out=x)
+    x *= c
+    x *= s_ranked
+    return -50.0 * det_sum(x) / sd / (float(n) * float(n)), float(m), sd
 
 
 def _bootstrap(samples: list[tuple[str, np.ndarray, float, float]], n_boot: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -367,12 +373,13 @@ def _bootstrap(samples: list[tuple[str, np.ndarray, float, float]], n_boot: int,
     `_sorted_centred` and `ann` annualizes the Sharpe ratio. Resamples are
     i.i.d. with replacement, of the sample's size N. Replicate b draws its
     indices from the generator seeded with seed + b, so the draw depends
-    only on (seed, b, N). The draw is the multiplicity vector `counts` and
-    the list of entries it draws at all (about 63 % of them): both are made
-    once per replicate and length and shared by every sample of that
-    length, and replicates can be evaluated in any order with identical
-    results. The counts index each sample's sorted values, so samples of
-    one length are paired by rank, not by date (see the module docstring).
+    only on (seed, b, N). The draw is the multiplicity vector `counts`, the
+    list of entries it draws at all (about 63 % of them) and their counts:
+    all three are made once per replicate and length and shared by every
+    sample of that length, and replicates can be evaluated in any order
+    with identical results. The counts index each sample's sorted values,
+    so samples of one length are paired by rank, not by date (see the
+    module docstring).
     """
     by_size: dict[int, list[int]] = {}
     for i, (_, c, _, _) in enumerate(samples):
@@ -384,10 +391,11 @@ def _bootstrap(samples: list[tuple[str, np.ndarray, float, float]], n_boot: int,
             # one expression, so the index array is freed before any kernel runs
             counts = np.bincount(np.random.default_rng(seed + b).integers(0, n, size=n), minlength=n).astype(np.float64)
             drawn = (counts > 0).nonzero()[0]
+            drawn_counts = counts.take(drawn)
             for i in members:
                 label, c, m0, ann = samples[i]
                 try:
-                    z, m, sd = _zeta_star_from_counts(c, counts, drawn)
+                    z, m, sd = _zeta_star_from_counts(c, counts, drawn, drawn_counts)
                 except ZeroVariance:
                     raise ZeroVariance(f"{label}: bootstrap resample {b} has zero variance") from None
                 zs[i, b] = z

@@ -226,13 +226,13 @@ def ast_sample(n: int, dist: AsymmetricStudentT, seed: int) -> ReturnSeries:
 
 
 def ast_zeta3_exact(dist: AsymmetricStudentT) -> float:
-    """Classical skewness by quadrature; requires both exponents > 3."""
+    """Classical skewness by quadrature, each raw moment with its tail beyond the rule; requires both exponents > 3."""
     if min(dist.nu_plus, dist.nu_minus) <= 3.0:
         raise MomentDoesNotExist(
             f"zeta3 needs nu+- > 3, got ({dist.nu_plus}, {dist.nu_minus})"
         )
     m1 = dist.mean
-    m2, m3 = (dist.norm_const * m for m in dist._moments(2, 3))
+    m2, m3 = (dist.norm_const * (m + dist._tails(k)) for k, m in zip((2, 3), dist._moments(2, 3)))
     mu2 = m2 - m1 * m1
     mu3 = m3 - 3.0 * m1 * m2 + 2.0 * m1**3
     return mu3 / mu2**1.5

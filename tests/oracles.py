@@ -5,8 +5,11 @@ so that its replacement can be checked against it. The exceptions:
 `edgeworth_zeta_star_split_quad` is a tighter form of the replaced nested
 `quad` that also splits at the density's jumps, and `zeta_star_ij_se` and
 `sharpe_se_mertens` are analytic references for the bootstrap errors,
-not earlier implementations, and `edgeworth_zeta_star_closed_form` is
-the closed form of the Edgeworth density's zeta*.
+not earlier implementations, `edgeworth_zeta_star_closed_form` is
+the closed form of the Edgeworth density's zeta*, and `ast_zeta3_mpmath`
+takes zeta3 from closed-form moments. The two replicate kernels keep
+their own rank weights, but their last sum follows the current kernel's
+order, so that they pin its bytes.
 """
 
 from __future__ import annotations
@@ -76,6 +79,8 @@ def zeta_star_from_counts_searchsorted(
 
     Same contract as `rankskew.skew._zeta_star_from_counts`; amplitude ties
     between a value below and a value above the mean put the one below first.
+    The weighted distances are summed once over the drawn entries in
+    amplitude order, as the kernel sums them.
     """
     m = det_dot(counts, v_sorted) / n
     var = det_dot(counts, v_sq) / n - m * m
@@ -100,7 +105,10 @@ def zeta_star_from_counts_searchsorted(
     # sum of rank weights (n - j + 1) over the block of ranks (start, start+c]
     w_lo = c_lo * (n - start_lo) - c_lo * (c_lo - 1.0) / 2.0
     w_hi = c_hi * (n - start_hi) - c_hi * (c_hi - 1.0) / 2.0
-    total = (det_dot(w_lo, v_lo) + det_dot(w_hi, v_hi)) - m * (det_sum(w_lo) + det_sum(w_hi))
+    # summed once over the drawn entries in amplitude order, which their blocks' starts give
+    drawn = np.concatenate((c_lo, c_hi)) > 0
+    ws = (np.concatenate((w_lo, w_hi)) * (np.concatenate((v_lo, v_hi)) - m))[drawn]
+    total = det_sum(ws[np.argsort(np.concatenate((start_lo, start_hi))[drawn], kind="stable")])
     return -100.0 * total / sd / (float(n) * float(n)), float(m), sd
 
 
@@ -108,7 +116,8 @@ def zeta_star_from_counts_allocating(v_sorted: np.ndarray, v_sq: np.ndarray, cou
     """(zeta*, mean, std) of a resample given its multiplicity vector; a fresh array per step.
 
     The replicate kernel before `rankskew.skew._zeta_star_from_counts`
-    dropped `v_sq` and reused its buffers.
+    dropped `v_sq` and reused its buffers, except for its last sum, which
+    runs once over the drawn entries in amplitude order, as the kernel's does.
 
     `v_sorted` holds the sample values in ascending order, `v_sq` their
     squares and `counts` the resample multiplicities in the same order;
@@ -138,13 +147,8 @@ def zeta_star_from_counts_allocating(v_sorted: np.ndarray, v_sq: np.ndarray, cou
         group_c = np.add.reduceat(c, first)
         share = np.divide(group_w, group_c, out=np.zeros_like(group_w), where=group_c > 0)
         w_ranked = c * np.repeat(share, np.diff(first, append=n))
-    w = np.empty(n)
-    w[order] = w_ranked
-    # summing each side nearest-first fixes the rounding, and so the bytes of err_zeta_star
-    split = int(np.searchsorted(v_sorted, m))
-    lo = slice(split - 1, None, -1) if split > 0 else slice(0, 0)
-    w_lo, v_lo, w_hi, v_hi = w[lo], v_sorted[lo], w[split:], v_sorted[split:]
-    total = (det_dot(w_lo, v_lo) + det_dot(w_hi, v_hi)) - m * (det_sum(w_lo) + det_sum(w_hi))
+    # summed once over the drawn entries in amplitude order, which fixes the rounding and so the bytes of err_zeta_star
+    total = det_sum((w_ranked * (v_sorted[order] - m))[c > 0])
     return -100.0 * total / sd / (float(n) * float(n)), float(m), sd
 
 
@@ -572,20 +576,6 @@ class AsymmetricStudentTQuad(AsymmetricStudentT):
         return self.norm_const * (_quad(g, -um, 0.0) + _quad(g, 0.0, um))
 
 
-def ast_zeta3_quad(dist: AsymmetricStudentTQuad) -> float:
-    """Classical skewness by quadrature; requires both exponents > 3."""
-    if min(dist.nu_plus, dist.nu_minus) <= 3.0:
-        raise MomentDoesNotExist(
-            f"zeta3 needs nu+- > 3, got ({dist.nu_plus}, {dist.nu_minus})"
-        )
-    m1 = dist.mean
-    m2 = dist._raw_moment(2)
-    m3 = dist._raw_moment(3)
-    mu2 = m2 - m1 * m1
-    mu3 = m3 - 3.0 * m1 * m2 + 2.0 * m1**3
-    return mu3 / mu2**1.5
-
-
 def zeta_star_of_pdf(pdf, u_max: float) -> float:
     """zeta* of a standardized density by the nested double integral.
 
@@ -659,6 +649,30 @@ def ast_zeta_star_mpmath(nu_plus: float, nu_minus: float) -> float:
         cuts = [0] + [mp.mpf(10) ** k for k in range(-3, 25)] + [mp.inf]
         total = mp.quad(lambda t: t * (p(mu + t) - p(mu - t)) * tail_mass(t), cuts)
         return float(-100 * total / sd)
+
+
+def ast_zeta3_mpmath(nu_plus: float, nu_minus: float) -> float:
+    """zeta3 of the asymmetric Student-t from Jones and Faddy's raw moments in closed form, at 30 digits.
+
+    With a = nu-/2, b = nu+/2 and c = a + b, T = sqrt(c) (2B - 1) / (2 sqrt(B (1 - B))) for
+    B ~ Beta(a, b), so expanding (2B - 1)^k gives
+    E[T^k] = c^(k/2) 2^-k sum_j C(k, j) 2^j (-1)^(k - j) B(a + j - k/2, b - k/2) / B(a, b),
+    finite while both exponents exceed k. zeta3 does not depend on location or scale, so the
+    density's own scale does not enter. Nothing here is integrated.
+    """
+    import mpmath as mp
+
+    with mp.workdps(30):
+        a, b = mp.mpf(nu_minus) / 2, mp.mpf(nu_plus) / 2
+        c = a + b
+
+        def raw(k: int):
+            h = mp.mpf(k) / 2
+            terms = (mp.binomial(k, j) * 2**j * (-1) ** (k - j) * mp.beta(a + j - h, b - h) for j in range(k + 1))
+            return c**h / 2**k * mp.fsum(terms) / mp.beta(a, b)
+
+        m1, m2, m3 = raw(1), raw(2), raw(3)
+        return float((m3 - 3 * m1 * m2 + 2 * m1**3) / (m2 - m1 * m1) ** 1.5)
 
 
 def edgeworth_zeta_star_closed_form(zeta3: float, kurt: float) -> float:

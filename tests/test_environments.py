@@ -8,7 +8,9 @@
   script still runs and writes the golden artifacts: the runtime takes
   numpy alone. The refusal is an import hook (a MetaPathFinder that raises
   ImportError), since blocking through sys.modules breaks pytest's
-  assertion rewriting.
+  assertion rewriting. It is a sitecustomize module in a directory put
+  first on PYTHONPATH, so every Python process the child starts in turn,
+  such as the pytest runs of scripts/mutants.py, refuses them too.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
-# imported in the child before pytest: refuses the test-only packages wherever they are imported
+# a sitecustomize module, which Python imports at startup: refuses the test-only packages wherever they are imported
 _REFUSE_TEST_ONLY = """
 import importlib.abc
 import sys
@@ -43,10 +45,11 @@ assert not any(__cpu_features__[target] for target in __cpu_dispatch__), "a SIMD
 """
 
 
-def _pytest(files: list[str], prelude: str = "", **env: str) -> str:
-    """Run pytest on `files` in a child process with `env` added, after `prelude`; its output if every test passed."""
+def _pytest(files: list[str], prelude: str = "", first_on_path: str = "", **env: str) -> str:
+    """Run pytest on `files` in a child process with `env` added, after `prelude` and with `first_on_path` first
+    on its PYTHONPATH; its output if every test passed."""
     code = prelude + "\nimport pytest\nraise SystemExit(pytest.main(['-q', '-p', 'no:cacheprovider', *sys.argv[1:]]))\n"
-    path = os.pathsep.join(p for p in (os.path.join(ROOT, "src"), ROOT, os.environ.get("PYTHONPATH")) if p)
+    path = os.pathsep.join(p for p in (first_on_path, os.path.join(ROOT, "src"), ROOT, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-c", "import sys\n" + code, *files],
         cwd=ROOT, env={**os.environ, "PYTHONPATH": path, **env}, capture_output=True, text=True, timeout=600,
@@ -64,6 +67,7 @@ def test_artifacts_do_not_depend_on_simd_dispatch():
     assert " passed" in out and "skipped" not in out, out
 
 
-def test_commands_and_scripts_run_on_numpy_alone():
-    out = _pytest(["tests/test_golden.py", "tests/test_scripts.py"], prelude=_REFUSE_TEST_ONLY)
+def test_commands_and_scripts_run_on_numpy_alone(tmp_path):
+    (tmp_path / "sitecustomize.py").write_text(_REFUSE_TEST_ONLY, encoding="utf-8")
+    out = _pytest(["tests/test_golden.py", "tests/test_scripts.py"], first_on_path=str(tmp_path))
     assert " passed" in out and "skipped" not in out, out

@@ -54,7 +54,8 @@ def test_mutants_reports_rows_whose_tests_pass(capsys):
     """One row of the table is killed; the block-end fault named with the golden tests, whose files are
     all shorter than a block, survives; a row whose text is not in src/ is reported without a run. The
     output is the same where hypothesis is not installed, as in the runtime-only check of this file: the
-    killed row also fails a golden case, and a test that cannot be collected counts as failed."""
+    killed row also fails a golden case, and a test that cannot be collected counts as failed. The numpy-only
+    run of tests/test_environments.py refuses the test-only packages in these pytest processes too."""
     mutants = runpy.run_path(os.path.join(SCRIPTS, "mutants.py"))
     rows = {m.name: m for m in mutants["MUTANTS"]}
     unseen = rows["block-end"]._replace(name="unseen", tests=("tests/test_golden.py::test_cli_artifacts_match_golden",))

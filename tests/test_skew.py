@@ -561,8 +561,8 @@ def test_counts_kernel_peak_allocation_is_bounded():
 
 
 def test_counts_kernel_weight_total_at_scale():
-    """At N = 2e5, tick-rounded values fall in long tie runs; the closed-form weight total n(n + 1)/2 gives the
-    bytes of the allocating oracle, which sums the weights, at unit counts and on a drawn resample."""
+    """At N = 2e5, tick-rounded values fall in long tie runs, whose mid-rank weights the kernel rewrites per run and
+    the allocating oracle shares out per tie group: the same bytes, at unit counts and on a drawn resample."""
     n = 200_000
     rng = np.random.default_rng(71)
     c, _ = _sorted_centred(np.round(rng.standard_t(4, n) * 0.01, 3))
