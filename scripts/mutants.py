@@ -85,6 +85,24 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "draw-seed-unshifted",  # every replicate drawn from the generator seeded with seed: B copies of one resample
+        "rankskew/skew.py",
+        "np.random.default_rng(seed + b)",
+        "np.random.default_rng(seed)",
+        (
+            "tests/test_skew.py::test_draw_is_the_bincount_of_the_generator_seeded_with_seed_plus_b",
+            "tests/test_golden.py::test_cli_artifacts_match_golden[analyze]",
+            "tests/test_golden.py::test_cli_artifacts_match_golden[report]",
+        ),
+    ),
+    Mutant(
+        "rank-fractions-from-zero",  # a curve's rank fractions k/N counted from k = 0
+        "rankskew/skew.py",
+        "np.arange(1, self.f.size + 1, dtype=np.float64)",
+        "np.arange(self.f.size, dtype=np.float64)",
+        ("tests/test_golden.py::test_cli_artifacts_match_golden[rankplot]",),
+    ),
+    Mutant(
         "draws-sorted",  # the draws left in the sorted uniforms' order
         "rankskew/synth.py",
         "u[order] = np.interp(u, cdf, knots)",

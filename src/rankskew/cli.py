@@ -39,6 +39,13 @@ def _seed(text: str) -> int:
     return seed
 
 
+def _out_dir(text: str) -> str:
+    """An --out-dir value: the empty path names no directory."""
+    if not text:
+        raise argparse.ArgumentTypeError("expected a directory path, got ''")
+    return text
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rankskew",
@@ -48,7 +55,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     # flags several commands share, each declared once
     out_dir = argparse.ArgumentParser(add_help=False)
-    out_dir.add_argument("--out-dir", default=".", help="directory for output artifacts")
+    out_dir.add_argument("--out-dir", type=_out_dir, default=".", help="directory for output artifacts")
     period = argparse.ArgumentParser(add_help=False)
     period.add_argument("--period", choices=["daily", "monthly"], default="daily", help="sampling period of the series")
     kind = argparse.ArgumentParser(add_help=False)

@@ -21,16 +21,13 @@ from the mean once, over the entries in amplitude order, ties in value
 order: that order fixes the rounding, and so the bytes of zeta* and of
 its bootstrap error.
 
-Bootstrap errors come from i.i.d. resamples. Replicate b of a series of
-N values draws its indices from the generator seeded with seed + b, so
-the draw depends only on (seed, b, N). A draw is the multiplicity of each
-sample entry and the list of entries drawn at least once; only those are
-ranked. `skew_reports` makes each draw once and uses it for every series
-of that length, so each series' errors are exactly those it gets alone.
-The draw indexes each series' values in ascending order, not its dates:
-across equal-length series the replicates are paired by rank, not by date,
-even when the dates align, and two independent series get strongly
-correlated replicates. They are no joint bootstrap of the series.
+Bootstrap errors come from i.i.d. resamples; `_draw` states what a draw
+holds and depends on. `skew_reports` makes each draw once and uses it for
+every series of that length, so each series' errors are exactly those it
+gets alone. The draw indexes each series' values in ascending order, not
+its dates: across equal-length series the replicates are paired by rank,
+even when the dates align, so two independent series get strongly
+correlated replicates, which are no joint bootstrap of the series.
 """
 
 from __future__ import annotations
@@ -71,15 +68,22 @@ EDGEWORTH_ZETA_STAR_COEFF = 50.0 / (3.0 * math.pi)
 SMALL_P_WINDOW = (0.01, 0.2)
 
 Variant = str  # "raw" | "standardized"
+Draw = tuple[np.ndarray, np.ndarray, np.ndarray]  # (counts, drawn, drawn_counts): see `_draw`
 
 
 @dataclass(frozen=True)
 class RankedPnlCurve:
     """Cumulated P&L versus amplitude-rank fraction p = k/N."""
 
-    p: np.ndarray
     f: np.ndarray
     variant: Variant
+
+    @property
+    def p(self) -> np.ndarray:
+        """The rank fractions k/N, k = 1..N, built anew on each read."""
+        p = np.arange(1, self.f.size + 1, dtype=np.float64)
+        p /= self.f.size
+        return p
 
 
 @dataclass(frozen=True)
@@ -127,20 +131,14 @@ def ranked_pnl(s: ReturnSeries, variant: Variant = "raw") -> RankedPnlCurve:
     chronological total P&L exactly. "standardized" standardizes first
     and divides the partial sums by N (see module docstring).
     """
-    if variant == "raw":
-        v = s.values
-    elif variant == "standardized":
-        v = standardize(s).values
-    else:
+    if variant not in ("raw", "standardized"):
         raise InvalidParams(f"unknown curve variant {variant!r}")
-    n = len(s)
-    p = np.arange(1, n + 1, dtype=np.float64)
-    p /= n
+    v = standardize(s).values if variant == "standardized" else s.values
     f = v.take(amplitude_order(v))
     np.cumsum(f, out=f)
     if variant == "standardized":
-        f /= n
-    return RankedPnlCurve(p=p, f=f, variant=variant)
+        f /= f.size
+    return RankedPnlCurve(f=f, variant=variant)
 
 
 def _sorted_centred(values: np.ndarray) -> tuple[np.ndarray, float]:
@@ -160,8 +158,7 @@ def _sorted_centred(values: np.ndarray) -> tuple[np.ndarray, float]:
 
 def zeta_star(s: ReturnSeries) -> float:
     """Ranked-P&L skewness: -100 times the mean of the F0 curve."""
-    c, _ = _sorted_centred(s.values)
-    return _zeta_star_from_counts(c, np.ones(c.size))[0]
+    return _zeta_star_from_counts(_sorted_centred(s.values)[0])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -265,12 +262,9 @@ def small_p_exponent(curve: RankedPnlCurve) -> float:
     """
     if curve.variant != "standardized":
         raise InvalidParams("small-p exponent is defined on the standardized curve")
-    p_min, p_max = SMALL_P_WINDOW
-    w = (curve.p >= p_min) & (curve.p <= p_max)
-    f = curve.f[w]
-    p = curve.p[w]
-    nz = f != 0.0
-    f, p = f[nz], p[nz]
+    p = curve.p
+    kept = (p >= SMALL_P_WINDOW[0]) & (p <= SMALL_P_WINDOW[1]) & (curve.f != 0.0)
+    f, p = curve.f[kept], p[kept]
     if f.size < 20:
         raise TooFewPoints(f"{f.size} usable points in window, need 20")
     signs = np.sign(f)
@@ -285,27 +279,20 @@ def small_p_exponent(curve: RankedPnlCurve) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _zeta_star_from_counts(
-    v_sorted: np.ndarray, counts: np.ndarray, drawn: np.ndarray | None = None, drawn_counts: np.ndarray | None = None
-) -> tuple[float, float, float]:
-    """(zeta*, mean, std) of a resample given its multiplicity vector.
+def _zeta_star_from_counts(v_sorted: np.ndarray, draw: Draw | None = None) -> tuple[float, float, float]:
+    """(zeta*, mean, std) of the sample, or of one resample of it.
 
-    `v_sorted` holds the sample values in ascending order and `counts` the
-    resample multiplicities in the same order; unit counts give the sample
-    itself. Equivalent to materializing the resample and ranking it, but
-    without sorting it: |v - m| is two sorted runs, which the stable sort
-    merges in O(N). Entries tied in amplitude share their tie group's rank
-    weights in proportion to their counts (mid-rank), whichever side of the
-    mean they lie on. The variance is E[v^2] - m^2, so pass values centred
-    near their mean.
-
-    `drawn` lists the entries with a nonzero count in ascending order and
-    `drawn_counts` their counts; only those entries are ranked and summed.
-    None takes them from `counts`, and builds no list when every entry is
-    drawn, as in the point estimate. An entry drawn zero times has weight 0
-    and moves no other entry's ranks, so it is left out of the sum, and both
-    give the same bytes. Each step writes into a buffer whose contents are
-    spent, so a call holds three to four N-arrays at a time, fewer with `drawn`.
+    `v_sorted` holds the sample values in ascending order. `draw` is None
+    for the sample itself, every entry once, or one `_draw` of its length;
+    only drawn entries are ranked and summed, since an entry drawn zero
+    times has weight 0 and moves no other entry's ranks. Equivalent to
+    materializing the resample and ranking it, but without sorting it:
+    |v - m| is two sorted runs, which the stable sort merges in O(N).
+    Entries tied in amplitude share their tie group's rank weights in
+    proportion to their counts (mid-rank), whichever side of the mean they
+    lie on. The variance is E[v^2] - m^2, so pass values centred near their
+    mean. Each step writes into a buffer whose contents are spent, so a call
+    holds three to four N-arrays at a time, fewer for a draw.
 
     zeta* is -100 sum_k w_k s_k / (sd n^2), with s_k = v_k - m the signed
     distance and w_k the entry's rank weights. The sum runs once over the
@@ -319,24 +306,24 @@ def _zeta_star_from_counts(
     their sum round.
     """
     n = v_sorted.size
-    m = det_dot(counts, v_sorted) / n
-    t = v_sorted * v_sorted
-    t *= counts
-    var = det_sum(t) / n - m * m
-    del t
+    if draw is None:
+        # unit counts weigh nothing, so the sums skip them; the ranking takes a view of ones
+        m = det_sum(v_sorted) / n
+        var = det_sum(v_sorted * v_sorted) / n - m * m
+        s = v_sorted - m
+        drawn_counts = np.broadcast_to(1.0, n)
+    else:
+        counts, drawn, drawn_counts = draw
+        m = det_dot(counts, v_sorted) / n
+        t = v_sorted * v_sorted
+        t *= counts
+        var = det_sum(t) / n - m * m
+        del t
+        s = v_sorted.take(drawn)
+        s -= m
     if var <= 0.0:
         raise ZeroVariance("all values equal")
     sd = math.sqrt(var)
-    if drawn is None and not counts.all():
-        drawn = counts.nonzero()[0]
-    if drawn is None:
-        s = v_sorted - m
-        drawn_counts = counts
-    else:
-        s = v_sorted.take(drawn)
-        s -= m
-        if drawn_counts is None:
-            drawn_counts = counts.take(drawn)
     a = np.abs(s)
     order = a.argsort(kind="stable")
     # each gather goes into a buffer whose contents are spent, the amplitudes' and then the distances'; with
@@ -366,40 +353,47 @@ def _zeta_star_from_counts(
     return -50.0 * det_sum(x) / sd / (float(n) * float(n)), float(m), sd
 
 
+def _draw(seed: int, b: int, n: int) -> Draw:
+    """Replicate b's draw for samples of n values: (counts, drawn, drawn_counts).
+
+    Its n indices are drawn i.i.d. with replacement from the generator
+    seeded with seed + b, so the draw depends only on (seed, b, n) and
+    replicates may be made in any order. `counts` is the float multiplicity
+    of each entry, `drawn` the entries drawn at least once (about 63 %) in
+    ascending order, and `drawn_counts` their counts. The counts index a
+    sample's values in ascending order, not its dates.
+    """
+    # one expression, so neither the indices nor the integer counts outlive it
+    counts = np.bincount(np.random.default_rng(seed + b).integers(0, n, size=n), minlength=n).astype(np.float64)
+    drawn = (counts > 0).nonzero()[0]
+    return counts, drawn, counts.take(drawn)
+
+
 def _bootstrap(samples: list[tuple[str, np.ndarray, float, float]], n_boot: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Bootstrap replicates of (zeta*, annualized Sharpe) of each sample, two (samples, n_boot) arrays.
 
     A sample is (label, c, m0, ann): `c` and `m0` come from
-    `_sorted_centred` and `ann` annualizes the Sharpe ratio. Resamples are
-    i.i.d. with replacement, of the sample's size N. Replicate b draws its
-    indices from the generator seeded with seed + b, so the draw depends
-    only on (seed, b, N). The draw is the multiplicity vector `counts`, the
-    list of entries it draws at all (about 63 % of them) and their counts:
-    all three are made once per replicate and length and shared by every
-    sample of that length, and replicates can be evaluated in any order
-    with identical results. The counts index each sample's sorted values,
-    so samples of one length are paired by rank, not by date (see the
-    module docstring).
+    `_sorted_centred` and `ann` annualizes the Sharpe ratio. Each
+    replicate's `_draw` is made once per length and shared by every sample
+    of that length, so samples of one length are paired by rank, not by
+    date (see the module docstring).
     """
     by_size: dict[int, list[int]] = {}
     for i, (_, c, _, _) in enumerate(samples):
         by_size.setdefault(c.size, []).append(i)
-    zs = np.empty((len(samples), n_boot))
-    sh = np.empty((len(samples), n_boot))
+    zs, sh = np.empty((2, len(samples), n_boot))
     for b in range(n_boot):
         for n, members in by_size.items():
-            # one expression, so the index array is freed before any kernel runs
-            counts = np.bincount(np.random.default_rng(seed + b).integers(0, n, size=n), minlength=n).astype(np.float64)
-            drawn = (counts > 0).nonzero()[0]
-            drawn_counts = counts.take(drawn)
+            draw = _draw(seed, b, n)
             for i in members:
                 label, c, m0, ann = samples[i]
                 try:
-                    z, m, sd = _zeta_star_from_counts(c, counts, drawn, drawn_counts)
+                    z, m, sd = _zeta_star_from_counts(c, draw)
                 except ZeroVariance:
                     raise ZeroVariance(f"{label}: bootstrap resample {b} has zero variance") from None
                 zs[i, b] = z
                 sh[i, b] = (m0 + m) / sd * ann
+            del draw  # freed before the next one is made
     return zs, sh
 
 
@@ -409,8 +403,7 @@ def _point_and_sample(s: ReturnSeries) -> tuple[tuple[float, float, float, float
         raise TooShort(f"{s.label}: need at least 30 points for a report")
     c, m0 = _sorted_centred(s.values)
     moments = _moments(c, s.label)  # its zero-variance check names the series, so it runs before the kernel's
-    point = (_zeta_star_from_counts(c, np.ones(c.size))[0], *moments)
-    return point, (s.label, c, m0, math.sqrt(PERIODS_PER_YEAR[s.period]))
+    return (_zeta_star_from_counts(c)[0], *moments), (s.label, c, m0, math.sqrt(PERIODS_PER_YEAR[s.period]))
 
 
 def skew_reports(series: Iterable[ReturnSeries], bootstrap: int = 1000, seed: int = 0) -> list[SkewReport]:
@@ -420,9 +413,8 @@ def skew_reports(series: Iterable[ReturnSeries], bootstrap: int = 1000, seed: in
     centred sample is kept for the bootstrap, so `series` may be a
     generator. Every check and statistic that needs no resample is made
     before the bootstrap, in the order of the series. Equal-length series
-    share each replicate's draw (see `_bootstrap`), which indexes their
-    sorted values: each series' errors are those `skew_report` gives it
-    alone, but across series the replicates are paired by rank, not by date.
+    share each replicate's `_draw`: each series' errors are those of its
+    `skew_report`, but across series the replicates are paired by rank.
     """
     if bootstrap < 2:
         raise InvalidParams(f"need at least 2 bootstrap replicates, got {bootstrap}")

@@ -340,9 +340,8 @@ def _writers_match_row_writers(tmp_path, n: int, seed: int) -> None:
     series = ReturnSeries(label="s", period="daily", dates=dates, values=_floats(rng, n))
     _same_bytes(tmp_path, write_series, write_series_by_row, series)
 
-    p = np.arange(1, n + 1) / n
-    curve = RankedPnlCurve(p=p, f=np.cumsum(_floats(rng, n)), variant="raw")
-    twin = RankedPnlCurve(p=p, f=_floats(rng, n), variant="symmetrized")
+    curve = RankedPnlCurve(f=np.cumsum(_floats(rng, n)), variant="raw")
+    twin = RankedPnlCurve(f=_floats(rng, n), variant="symmetrized")
     _same_bytes(tmp_path, rio.write_curve_csv, write_curve_csv_by_row, curve, twin)
 
     # n cells in all, a third of the grid missing

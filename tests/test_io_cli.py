@@ -401,6 +401,27 @@ def test_cli_negative_seed_is_usage_error(tmp_path, capsys, argv):
         assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["rankplot", "x.csv", "--seed", "1"],
+        ["analyze", "x.csv", "--seed", "1"],
+        ["report", "--series", "x.csv", "--seed", "1"],
+        ["pca", "x.csv"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_cli_empty_out_dir_is_usage_error(tmp_path, capsys, monkeypatch, argv):
+    """An empty --out-dir names no directory: it is refused while parsing, not when the first artifact is opened."""
+    monkeypatch.chdir(tmp_path)
+    write_series(tmp_path / "x.csv", daily(np.random.default_rng(8).standard_normal(60) * 0.01, label="x"))
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv, "--out-dir", "")
+    assert exc.value.code == 2
+    assert "argument --out-dir: expected a directory path, got ''" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["x.csv"]
+
+
 def test_cli_unknown_flag_is_usage_error(tmp_path):
     with pytest.raises(SystemExit) as exc:
         run_cli("fig10", "--out", str(tmp_path / "f.csv"), "--bogus", "1")
@@ -669,8 +690,8 @@ def test_cli_regress_constant_column_writes_null_correlation(tmp_path, constant,
 
 
 def test_write_curve_csv_refuses_curves_of_different_lengths(tmp_path):
-    curve = RankedPnlCurve(p=np.array([0.5, 1.0]), f=np.array([0.1, 0.2]), variant="raw")
-    sym = RankedPnlCurve(p=np.array([1 / 3, 2 / 3, 1.0]), f=np.zeros(3), variant="raw")
+    curve = RankedPnlCurve(f=np.array([0.1, 0.2]), variant="raw")
+    sym = RankedPnlCurve(f=np.zeros(3), variant="raw")
     path = tmp_path / "c.csv"
     with pytest.raises(IOWrite, match=r"cannot write .*c\.csv: columns differ in length \(2, 2, 3 rows\)"):
         write_curve_csv(str(path), curve, sym)
@@ -932,6 +953,22 @@ def test_cli_analyze_peak_memory_is_bounded(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak <= 7.5, peak
+
+
+def test_cli_rankplot_peak_memory_is_bounded(tmp_path):
+    """`rankplot` at N = 150 000 holds at most 6.5 N-arrays at a time (7.31 while each curve stored its rank
+    fractions, the symmetrized twin's unused); the first run warms numpy's lazy imports."""
+    n = 150_000
+    write_series(tmp_path / "x.csv", daily(np.random.default_rng(5).standard_t(4, n) * 0.01, label="x"))
+    argv = ("rankplot", str(tmp_path / "x.csv"), "--seed", "1", "--out-dir", str(tmp_path))
+    assert run_cli(*argv) == 0
+    tracemalloc.start()
+    try:
+        assert run_cli(*argv) == 0
+        peak = tracemalloc.get_traced_memory()[1] / (8 * n)
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6.5, peak
 
 
 @pytest.mark.parametrize(

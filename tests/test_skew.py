@@ -33,8 +33,8 @@ from rankskew import (
     zeta_star,
 )
 from rankskew.errors import ZeroVariance
-from rankskew.series import PERIODS_PER_YEAR, det_dot
-from rankskew.skew import _bootstrap, _sorted_centred, _zeta_star_from_counts
+from rankskew.series import PERIODS_PER_YEAR, det_dot, det_sum
+from rankskew.skew import _bootstrap, _draw, _sorted_centred, _zeta_star_from_counts
 from tests.oracles import (
     classical_moments_by_powers,
     crossing_count_searchsorted,
@@ -372,7 +372,7 @@ def test_crossing_count_matches_oracle_on_criterion_9_seeds(i):
 
 def _exact_curve(power: float, n: int = 5000, coeff: float = 0.05) -> RankedPnlCurve:
     p = np.arange(1, n + 1) / n
-    return RankedPnlCurve(p=p, f=coeff * p**power, variant="standardized")
+    return RankedPnlCurve(f=coeff * p**power, variant="standardized")
 
 
 def test_small_p_exponent_exact_power_laws():
@@ -384,14 +384,14 @@ def test_small_p_exponent_sign_change_rejected():
     p = np.arange(1, 5001) / 5000
     f = 0.05 * (p - 0.1) ** 3
     with pytest.raises(SignChangeInWindow):
-        small_p_exponent(RankedPnlCurve(p=p, f=f, variant="standardized"))
+        small_p_exponent(RankedPnlCurve(f=f, variant="standardized"))
 
 
 def test_small_p_exponent_needs_points_and_variant():
     with pytest.raises(TooFewPoints):
         small_p_exponent(_exact_curve(3.0, n=50))
     with pytest.raises(InvalidParams):
-        small_p_exponent(RankedPnlCurve(p=np.array([0.5, 1.0]), f=np.array([0.1, 0.2]), variant="raw"))
+        small_p_exponent(RankedPnlCurve(f=np.array([0.1, 0.2]), variant="raw"))
 
 
 # ---------------------------------------------------------------------------
@@ -408,11 +408,17 @@ def test_counts_replicate_matches_naive_resample():
         rng = np.random.default_rng(100 + b)
         idx = rng.integers(0, n, size=n)
         counts = np.bincount(idx, minlength=n).astype(np.float64)
-        fast, m, sd = _zeta_star_from_counts(v_sorted, counts)
+        fast, m, sd = _zeta_star_from_counts(v_sorted, _draw_of(counts))
         naive = zeta_star_of(v_sorted[idx])
         assert fast == pytest.approx(naive, abs=1e-10)
         assert m == pytest.approx(float(np.mean(v_sorted[idx])), abs=1e-15)
         assert sd == pytest.approx(float(np.std(v_sorted[idx])), abs=1e-15)
+
+
+def _draw_of(counts: np.ndarray):
+    """The draw (counts, drawn, drawn_counts) that `_draw` makes of a multiplicity vector."""
+    drawn = (counts > 0).nonzero()[0]
+    return counts, drawn, counts.take(drawn)
 
 
 def _replicate_or_error(kernel, *args):
@@ -451,7 +457,7 @@ def test_counts_kernel_matches_searchsorted_oracle_bit_for_bit(n, seed, offset, 
         end, next_ = (0, 1) if resample == "single_below" else (n - 1, n - 2)
         counts[end], counts[next_] = n - 1, 1
     assume(np.unique(np.abs(v_sorted - det_dot(counts, v_sorted) / n)).size == n)
-    fast = _replicate_or_error(_zeta_star_from_counts, v_sorted, counts)
+    fast = _replicate_or_error(_zeta_star_from_counts, v_sorted, _draw_of(counts))
     oracle = _replicate_or_error(zeta_star_from_counts_searchsorted, v_sorted, v_sorted * v_sorted, counts, n)
     assert fast == oracle
 
@@ -468,7 +474,7 @@ def test_counts_kernel_matches_searchsorted_oracle_bit_for_bit(n, seed, offset, 
 @settings(max_examples=300, deadline=None)
 def test_counts_kernel_matches_allocating_oracle_bit_for_bit(n, seed, offset, scale, decimals, centred, resample):
     """The buffer-reusing kernel returns exactly the allocating kernel's (zeta*, mean, std), or the same ZeroVariance,
-    whether it ranks every entry or only the drawn ones.
+    ranking only the drawn entries.
 
     Rounded samples tie in amplitude, within a side of the resample mean and
     across it, and their tie groups mix drawn and undrawn entries; lengths
@@ -500,8 +506,7 @@ def test_counts_kernel_matches_allocating_oracle_bit_for_bit(n, seed, offset, sc
         end, next_ = (0, 1) if resample == "single_below" else (n - 1, n - 2)
         counts[end], counts[next_] = n - 1, 1
     oracle = _replicate_or_error(zeta_star_from_counts_allocating, v_sorted, v_sorted * v_sorted, counts, n)
-    assert _replicate_or_error(_zeta_star_from_counts, v_sorted, counts) == oracle
-    assert _replicate_or_error(_zeta_star_from_counts, v_sorted, counts, (counts > 0).nonzero()[0]) == oracle
+    assert _replicate_or_error(_zeta_star_from_counts, v_sorted, _draw_of(counts)) == oracle
 
 
 def test_counts_kernel_zero_variance_matches_allocating_oracle():
@@ -509,9 +514,40 @@ def test_counts_kernel_zero_variance_matches_allocating_oracle():
     # one entry drawn, or two entries of one value
     for counts in ([0.0, 5.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0, 5.0], [0.0, 0.0, 2.0, 3.0, 0.0]):
         counts = np.array(counts)
-        assert _replicate_or_error(_zeta_star_from_counts, v_sorted, counts) == "ZeroVariance"
-        assert _replicate_or_error(_zeta_star_from_counts, v_sorted, counts, counts.nonzero()[0]) == "ZeroVariance"
+        assert _replicate_or_error(_zeta_star_from_counts, v_sorted, _draw_of(counts)) == "ZeroVariance"
         assert _replicate_or_error(zeta_star_from_counts_allocating, v_sorted, v_sorted * v_sorted, counts, 5) == "ZeroVariance"
+
+
+@pytest.mark.parametrize(("seed", "b", "n"), [(0, 0, 1), (0, 1, 2), (8, 3, 40), (7, 199, 3000), (2**40, 12, 1000)])
+def test_draw_is_the_bincount_of_the_generator_seeded_with_seed_plus_b(seed, b, n):
+    """The (seed, b, N) contract, pinned against numpy: float counts, the entries drawn in ascending order, their
+    counts."""
+    want = np.bincount(np.random.default_rng(seed + b).integers(0, n, size=n), minlength=n)
+    counts, drawn, drawn_counts = _draw(seed, b, n)
+    assert counts.dtype == drawn_counts.dtype == np.float64
+    assert counts.tobytes() == want.astype(np.float64).tobytes()
+    assert np.array_equal(drawn, np.flatnonzero(want))
+    assert drawn_counts.tobytes() == want[want > 0].astype(np.float64).tobytes()
+
+
+def test_counts_kernel_sample_form_is_a_unit_draw():
+    """The sample form (no draw) gives exactly the bytes, or the same ZeroVariance, of a draw of every entry once,
+    on tick-rounded samples with tie runs, constant samples and large offsets."""
+    rng = np.random.default_rng(32)
+    tied = zero_variance = 0
+    for k in range(400):
+        n = int(rng.choice([2, 3, 8, 9, 128, 129, int(rng.integers(2, 3000))]))
+        x = rng.standard_t(3, n) * rng.choice([1e-4, 1e-2, 1.0, 30.0]) + rng.choice([0.0, 1e-4, -0.3, -50.0, 1e4])
+        decimals = (None, 0, 2, 4)[k % 4]
+        if decimals is not None:
+            x = np.round(x, decimals)
+        v_sorted = _sorted_centred(x)[0] if k % 8 < 4 else np.sort(x)
+        unit = (np.ones(n), np.arange(n), np.ones(n))
+        point = _replicate_or_error(_zeta_star_from_counts, v_sorted)
+        assert point == _replicate_or_error(_zeta_star_from_counts, v_sorted, unit)
+        tied += np.unique(np.abs(v_sorted - det_sum(v_sorted) / n)).size < n
+        zero_variance += point == "ZeroVariance"
+    assert tied > 100 and zero_variance > 10
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -523,7 +559,7 @@ def test_counts_kernel_ranks_drawn_entries_of_mixed_tie_groups(seed):
     for _ in range(50):
         counts = np.bincount(rng.integers(0, 40, size=40), minlength=40).astype(np.float64)
         oracle = _replicate_or_error(zeta_star_from_counts_allocating, c, c * c, counts, 40)
-        assert _replicate_or_error(_zeta_star_from_counts, c, counts, (counts > 0).nonzero()[0]) == oracle
+        assert _replicate_or_error(_zeta_star_from_counts, c, _draw_of(counts)) == oracle
         d = np.abs(c - det_dot(counts, c) / 40)
         groups = [counts[d == x] for x in np.unique(d)]
         mixed += any(g.min() == 0.0 < g.max() for g in groups)
@@ -541,9 +577,9 @@ def _peak_arrays(fn, *args, n: int) -> float:
 
 
 def test_counts_kernel_peak_allocation_is_bounded():
-    """One replicate at N = 1e5 holds at most 4.5 N-arrays at a time, counting the list of drawn entries when one is
-    passed (the allocating kernel 5.6, and its callers' c*c one more; scattered ties took 7.25 before the mid-rank
-    branch rewrote runs only)."""
+    """The point estimate and one replicate at N = 1e5 each hold at most 4.5 N-arrays at a time, the replicate
+    counting its draw's list of drawn entries and their counts (the allocating kernel 5.6, and its callers' c*c one
+    more; scattered ties took 7.25 before the mid-rank branch rewrote runs only)."""
     n = 100_000
     rng = np.random.default_rng(61)
     c, _ = _sorted_centred(rng.standard_t(4, n) * 0.01)
@@ -556,22 +592,20 @@ def test_counts_kernel_peak_allocation_is_bounded():
         "scattered ties": _sorted_centred(np.round(rng.standard_t(4, n), 7))[0],
     }
     for name, v in samples.items():
-        assert _peak_arrays(_zeta_star_from_counts, v, counts, n=n) <= 4.5, name
-        assert _peak_arrays(lambda: _zeta_star_from_counts(v, counts, (counts > 0).nonzero()[0]), n=n) <= 4.5, name
+        assert _peak_arrays(_zeta_star_from_counts, v, n=n) <= 4.5, name
+        assert _peak_arrays(lambda: _zeta_star_from_counts(v, _draw_of(counts)), n=n) <= 4.5, name
 
 
 def test_counts_kernel_weight_total_at_scale():
     """At N = 2e5, tick-rounded values fall in long tie runs, whose mid-rank weights the kernel rewrites per run and
-    the allocating oracle shares out per tie group: the same bytes, at unit counts and on a drawn resample."""
+    the allocating oracle shares out per tie group: the same bytes, on the sample and on a drawn resample."""
     n = 200_000
     rng = np.random.default_rng(71)
     c, _ = _sorted_centred(np.round(rng.standard_t(4, n) * 0.01, 3))
     assert np.unique(c).size < n // 100
     counts = np.bincount(rng.integers(0, n, size=n), minlength=n).astype(np.float64)
-    for k in (np.ones(n), counts):
-        oracle = zeta_star_from_counts_allocating(c, c * c, k, n)
-        assert _zeta_star_from_counts(c, k) == oracle
-        assert _zeta_star_from_counts(c, k, (k > 0).nonzero()[0]) == oracle
+    assert _zeta_star_from_counts(c) == zeta_star_from_counts_allocating(c, c * c, np.ones(n), n)
+    assert _zeta_star_from_counts(c, _draw_of(counts)) == zeta_star_from_counts_allocating(c, c * c, counts, n)
 
 
 def test_skew_report_peak_allocation_is_bounded():
@@ -599,9 +633,7 @@ def test_bootstrap_matches_loop_over_oracle():
         samples.append((f"s{k}", c, m0, ann))
         zs, sh = np.empty(200), np.empty(200)
         for b in range(200):
-            idx = np.random.default_rng(8 + b).integers(0, n, size=n)
-            counts = np.bincount(idx, minlength=n).astype(np.float64)
-            zs[b], m, sd = oracle(c, c * c, counts, n)
+            zs[b], m, sd = oracle(c, c * c, _draw(8, b, n)[0], n)
             sh[b] = (m0 + m) / sd * ann
         want.append((zs, sh))
     got_zs, got_sh = _bootstrap(samples, 200, 8)
@@ -689,7 +721,7 @@ def test_counts_kernel_with_repeated_values_matches_oracle(seed):
     assert np.unique(v_sorted).size < n
     for b in range(5):
         counts = np.bincount(rng.integers(0, n, size=n), minlength=n).astype(np.float64)
-        fast = _zeta_star_from_counts(v_sorted, counts)
+        fast = _zeta_star_from_counts(v_sorted, _draw_of(counts))
         oracle = zeta_star_from_counts_searchsorted(v_sorted, v_sorted * v_sorted, counts, n)
         assert fast == pytest.approx(oracle, rel=0.0, abs=1e-12)
 
@@ -699,7 +731,7 @@ def test_counts_kernel_amplitude_ties_match_point_estimate():
     idx = np.random.default_rng(10205).integers(0, 40, size=40)
     v_sorted = np.sort(x)
     counts = np.bincount(idx, minlength=40).astype(np.float64)
-    fast, _, _ = _zeta_star_from_counts(v_sorted, counts)
+    fast, _, _ = _zeta_star_from_counts(v_sorted, _draw_of(counts))
     # ranking ties below-mean first gave 10.6030, in resample order 2.6759
     assert fast == pytest.approx(zeta_star_of(v_sorted[idx]), abs=1e-9)
     assert fast == pytest.approx(midrank_zeta_star(v_sorted[idx]), abs=1e-9)
@@ -716,7 +748,7 @@ def test_bootstrap_replicates_are_mid_ranked(seed):
         resample = np.repeat(c, counts.astype(np.int64))
         if np.ptp(resample) == 0:
             continue
-        fast, _, _ = _zeta_star_from_counts(c, counts)
+        fast, _, _ = _zeta_star_from_counts(c, _draw_of(counts))
         assert fast == pytest.approx(midrank_zeta_star(resample), abs=1e-9)
         old, _, _ = zeta_star_from_counts_searchsorted(c, c * c, counts, 40)
         below_mean_first_differs += abs(old - fast) > 1e-6
